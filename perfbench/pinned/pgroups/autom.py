@@ -1,0 +1,632 @@
+"""Derivation-induced endomorphisms, order and inner-ness tests, and the
+construction pipeline for certified non-inner automorphisms of order p.
+
+A derivation d into an abelian normal subgroup realized inside G induces
+the endomorphism g -> g d(g). Certificates carry machine-checkable
+evidence only: re-verification uses nothing but group arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+
+from . import gflinalg as la
+from .errors import DEFAULT_CAPS, Caps, InputError, OutOfScope, VerificationFailed
+from .deriv import (
+    Derivation,
+    derivation_from_vector,
+    derivation_space,
+    vanishing_subspace,
+)
+from .fpmod import (
+    conjugation_module,
+    fixed_points,
+    submodule_as_module,
+    submodules_of_dim,
+)
+from .pcgroup import Element, PcPresentation, closure_indices, images_respect_relations
+from .series import (
+    Subgroup,
+    SubgroupChain,
+    hypothesis_report,
+    omega1,
+    refine_chain,
+    subgroup_center,
+    trivial_subgroup,
+)
+
+
+def _apply_images_idx(G: PcPresentation, images_idx: Sequence[int], x_idx: int) -> int:
+    acc = 0
+    for i, e in enumerate(G.elements[x_idx]):
+        if e:
+            img = images_idx[i]
+            for _ in range(e):
+                acc = G.mult_index(acc, img)
+    return acc
+
+
+@dataclass(frozen=True)
+class Endo:
+    """Endomorphism given by images of the pc generators.
+
+    `check` controls relator validation at construction; internal
+    compositions of already-valid endomorphisms skip it.
+    """
+
+    group: PcPresentation
+    images: tuple[Element, ...]
+    check: bool = field(default=True, compare=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.images) != self.group.n:
+            raise InputError("need one image per pc generator")
+        for img in self.images:
+            if img.pres != self.group:
+                raise InputError("image in a different group")
+        if self.check and not images_respect_relations(
+            self.group, self.group, tuple(i.exps for i in self.images)
+        ):
+            raise InputError("generator images do not define an endomorphism")
+
+    @cached_property
+    def image_indices(self) -> tuple[int, ...]:
+        return tuple(img.index for img in self.images)
+
+    def apply(self, x: Element) -> Element:
+        G = self.group
+        acc = G.identity
+        for i, e in enumerate(x.exps):
+            if e:
+                acc = acc * (self.images[i] ** e)
+        return acc
+
+    def apply_index(self, x_idx: int) -> int:
+        return _apply_images_idx(self.group, self.image_indices, x_idx)
+
+    def __call__(self, x: Element) -> Element:
+        return self.apply(x)
+
+    @property
+    def is_identity(self) -> bool:
+        G = self.group
+        return self.image_indices == tuple(G.index_of(G.gen(i).exps) for i in range(G.n))
+
+    @cached_property
+    def is_automorphism(self) -> bool:
+        """Images generate the whole group (checked exactly)."""
+        G = self.group
+        G._require_enumerable("automorphism check")
+        return len(closure_indices(G, self.image_indices)) == G.order
+
+    def compose(self, other: "Endo") -> "Endo":
+        """(self . other)(g) = self(other(g))."""
+        if other.group != self.group:
+            raise InputError("endomorphisms of different groups")
+        G = self.group
+        idxs = tuple(self.apply_index(i) for i in other.image_indices)
+        return Endo(G, tuple(Element(G, G.elements[i]) for i in idxs), check=False)
+
+    def power(self, k: int) -> "Endo":
+        result = identity_endo(self.group)
+        base = self
+        while k:
+            if k & 1:
+                result = result.compose(base)
+            base = base.compose(base)
+            k >>= 1
+        return result
+
+    def __repr__(self):
+        return f"Endo({tuple(i.exps for i in self.images)})"
+
+
+def identity_endo(G: PcPresentation) -> Endo:
+    return Endo(G, G.gens, check=False)
+
+
+def inner_of(x: Element) -> Endo:
+    """Conjugation g -> x^-1 g x."""
+    G = x.pres
+    return Endo(G, tuple(g.conj(x) for g in G.gens))
+
+
+def induce(delta: Derivation) -> Endo:
+    """g -> g d(g) for a derivation into a module realized inside G."""
+    M = delta.module
+    if M.realization is None:
+        raise InputError("inducing needs a module realized inside the group")
+    G = delta.group
+    imgs = []
+    for i in range(G.n):
+        g = G.gen(i)
+        imgs.append(g * M.realization.decode(delta.evaluate(g)))
+    return Endo(G, tuple(imgs))
+
+
+def order_of(phi: Endo) -> int:
+    """Least k >= 1 with phi^k = id, by direct iteration on image tuples."""
+    if not phi.is_automorphism:
+        raise InputError("order is defined for automorphisms")
+    G = phi.group
+    ident = tuple(G.index_of(G.gen(i).exps) for i in range(G.n))
+    base = phi.image_indices
+    cur = base
+    k = 1
+    bound = 8 * G.order
+    while cur != ident:
+        cur = tuple(_apply_images_idx(G, base, c) for c in cur)
+        k += 1
+        if k > bound:
+            raise InputError("order iteration exceeded bound")  # pragma: no cover
+    return k
+
+
+def order_via_formula(delta: Derivation, n: int) -> Endo:
+    """phi^n computed from the binomial product formula
+    phi^n(g) = prod_{i=0..n} (d^i(g))^C(n,i), d^0(g) = g."""
+    M = delta.module
+    if M.realization is None:
+        raise InputError("formula evaluation needs a realized module")
+    G = delta.group
+    real = M.realization
+    imgs = []
+    for gi in range(G.n):
+        g = G.gen(gi)
+        acc = g ** math.comb(n, 0)
+        val = delta.evaluate(g)  # d^1(g)
+        for i in range(1, n + 1):
+            term = real.decode(val)
+            acc = acc * (term ** math.comb(n, i))
+            if i < n:
+                val = delta.evaluate(real.decode(val))
+        imgs.append(acc)
+    return Endo(G, tuple(imgs))
+
+
+def order_of_fast(delta: Derivation, phi: Endo | None = None) -> int:
+    """Order via the binomial formula at p-power exponents, cross-checked
+    against iterated composition at each step."""
+    if phi is None:
+        phi = induce(delta)
+    if phi.is_identity:
+        return 1
+    G = delta.group
+    p = G.p
+    n = p
+    k = 1
+    while True:
+        by_formula = order_via_formula(delta, n)
+        by_iteration = phi.power(n)
+        if by_formula.images != by_iteration.images:
+            raise VerificationFailed(
+                "binomial order formula disagrees with iterated composition"
+            )
+        if by_formula.is_identity:
+            return n
+        n *= p
+        k += 1
+        if k > 12:
+            raise InputError("order search exceeded bound")  # pragma: no cover
+
+
+def is_inner(phi: Endo, caps: Caps = DEFAULT_CAPS):
+    """Exhaustive conjugation scan. Returns (witness Element or None, number
+    of candidates scanned)."""
+    G = phi.group
+    if G.order > caps.enumeration:
+        raise InputError("inner scan above the enumeration cap")
+    targets = [img.index for img in phi.images]
+    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
+    for x in range(G.order):
+        if all(G.conj_index(g, x) == t for g, t in zip(gens, targets)):
+            return Element(G, G.elements[x]), G.order
+    return None, G.order
+
+
+def fixes_pointwise(phi: Endo, S: Subgroup) -> bool:
+    G = phi.group
+    return all(
+        phi.apply(Element(G, G.elements[x])).index == x for x in S.members
+    )
+
+
+# -- certificates -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NonInnerCertificate:
+    """Automorphism of order p with re-checkable non-innerness evidence."""
+
+    group_name: str
+    path: str
+    gen_images: tuple[tuple[int, ...], ...]
+    order: int
+    fixed_subgroup_gens: tuple[tuple[int, ...], ...]
+    moved: tuple[int, ...]
+    inner_scan_count: int
+    evidence: tuple[tuple[str, str], ...] = ()
+
+    def to_json_dict(self) -> dict:
+        return {
+            "group": self.group_name,
+            "path": self.path,
+            "gen_images": [list(v) for v in self.gen_images],
+            "order": self.order,
+            "fixed_subgroup": [list(v) for v in self.fixed_subgroup_gens],
+            "moved": list(self.moved),
+            "inner_scan": f"exhausted {self.inner_scan_count} candidates",
+            "evidence": {k: v for k, v in self.evidence},
+        }
+
+    @staticmethod
+    def from_json_dict(data: dict) -> "NonInnerCertificate":
+        try:
+            scan = data.get("inner_scan", "exhausted 0 candidates")
+            count = int(str(scan).split()[1])
+            return NonInnerCertificate(
+                group_name=str(data["group"]),
+                path=str(data["path"]),
+                gen_images=tuple(tuple(int(v) for v in row) for row in data["gen_images"]),
+                order=int(data["order"]),
+                fixed_subgroup_gens=tuple(
+                    tuple(int(v) for v in row) for row in data["fixed_subgroup"]
+                ),
+                moved=tuple(int(v) for v in data["moved"]),
+                inner_scan_count=count,
+                evidence=tuple(sorted((str(k), str(v)) for k, v in data.get("evidence", {}).items())),
+            )
+        except (KeyError, ValueError, TypeError, IndexError) as exc:
+            raise InputError(f"malformed certificate: {exc}") from exc
+
+
+def verify_certificate(
+    G: PcPresentation, cert: NonInnerCertificate, caps: Caps = DEFAULT_CAPS
+) -> list[str]:
+    """Re-check every claim by pure group arithmetic; returns the list of
+    failures (empty means the certificate is valid)."""
+    failures: list[str] = []
+    p = G.p
+    try:
+        images = tuple(Element(G, tuple(int(v) % p for v in row)) for row in cert.gen_images)
+    except Exception:
+        return ["gen_images are not well-formed elements"]
+    if len(images) != G.n:
+        return ["wrong number of generator images"]
+    if not images_respect_relations(G, G, tuple(i.exps for i in images)):
+        return ["images do not define an endomorphism"]
+    phi = Endo(G, images, check=False)
+    if not phi.is_automorphism:
+        failures.append("images do not generate the group")
+        return failures
+    if cert.order != p:
+        failures.append(f"claimed order {cert.order} is not p = {p}")
+    if phi.is_identity:
+        failures.append("map is the identity")
+    if not phi.power(p).is_identity:
+        failures.append("p-fold composition is not the identity")
+    witness, scanned = is_inner(phi, caps)
+    if witness is not None:
+        failures.append(f"map is inner: conjugation by {witness.exps}")
+    if scanned != G.order:
+        failures.append("inner scan did not cover the group")  # pragma: no cover
+    try:
+        fixed_members = closure_indices(
+            G, [G.index_of(tuple(int(v) % p for v in row)) for row in cert.fixed_subgroup_gens]
+        )
+    except Exception:
+        failures.append("fixed_subgroup generators are malformed")
+        fixed_members = frozenset([0])
+    for x in fixed_members:
+        if phi.apply(Element(G, G.elements[x])).index != x:
+            failures.append("claimed fixed subgroup is not fixed pointwise")
+            break
+    try:
+        moved_el = Element(G, tuple(int(v) % p for v in cert.moved))
+        if phi.apply(moved_el) == moved_el:
+            failures.append("claimed moved witness is fixed")
+    except Exception:
+        failures.append("moved witness is malformed")
+    return failures
+
+
+# -- the construction pipeline ------------------------------------------------------
+
+
+PATH_STAGE = "Theorem 01 at i={i}"
+PATH_POWERFUL = "oracle-fallback (powerful branch)"
+PATH_CENTER = "oracle-fallback (center not cyclic)"
+PATH_LEMMA_A1 = "oracle-fallback (Lemma a1)"
+PATH_LEMMA_12 = "oracle-fallback (Lemma 12)"
+PATH_HYP = "oracle-fallback (hypothesis fails)"
+PATH_EXHAUSTED = "oracle-fallback (construction exhausted)"
+
+
+@dataclass(frozen=True)
+class PipelineReport:
+    """Decision trail of construct_noninner."""
+
+    group_name: str
+    branch: str
+    trail: tuple[str, ...]
+    hypothesis: dict
+
+    def to_dict(self) -> dict:
+        return {
+            "group": self.group_name,
+            "branch": self.branch,
+            "trail": list(self.trail),
+            "hypothesis": self.hypothesis,
+        }
+
+
+def _certificate_from(
+    G: PcPresentation,
+    phi: Endo,
+    path: str,
+    fixed: Subgroup,
+    moved: Element,
+    caps: Caps,
+    evidence: dict,
+) -> NonInnerCertificate | None:
+    """Assemble and fully verify a candidate certificate; None if any check
+    fails (candidate rejected, not an error)."""
+    if not phi.is_automorphism or phi.is_identity:
+        return None
+    if not phi.power(G.p).is_identity:
+        return None
+    witness, scanned = is_inner(phi, caps)
+    if witness is not None:
+        return None
+    if not fixes_pointwise(phi, fixed):
+        return None
+    if phi.apply(moved) == moved:
+        return None
+    cert = NonInnerCertificate(
+        group_name=G.name,
+        path=path,
+        gen_images=tuple(img.exps for img in phi.images),
+        order=G.p,
+        fixed_subgroup_gens=tuple(g.exps for g in fixed.gen_elements),
+        moved=moved.exps,
+        inner_scan_count=scanned,
+        evidence=tuple(sorted((str(k), str(v)) for k, v in evidence.items())),
+    )
+    residual = verify_certificate(G, cert, caps)
+    if residual:
+        raise VerificationFailed(
+            f"internal: assembled certificate failed re-check: {residual}"
+        )  # pragma: no cover
+    return cert
+
+
+def _iter_combos(rows: np.ndarray, p: int, limit: int):
+    """Nonzero coefficient combinations of the rows, basis vectors first."""
+    count = 0
+    k = rows.shape[0]
+    if k == 0:
+        return
+    import itertools as it
+
+    for coeffs in it.product(range(p), repeat=k):
+        if not any(coeffs):
+            continue
+        yield (np.array(coeffs, dtype=np.int64) @ rows) % p
+        count += 1
+        if count >= limit:
+            return
+
+
+def _stage_search(
+    G: PcPresentation,
+    chain: SubgroupChain,
+    i: int,
+    caps: Caps,
+    trail: list[str],
+) -> NonInnerCertificate | None:
+    """Search the derivation spaces attached to chain position i."""
+    P_i = chain.links[i]
+    P_i1 = chain.links[i + 1]
+    ZP = subgroup_center(G, P_i) if not P_i.is_trivial else P_i
+    if P_i.is_trivial:
+        trail.append(f"i={i}: P_i trivial, nothing to do")
+        return None
+    W_sub = omega1(G, ZP)
+    if W_sub.is_trivial:
+        trail.append(f"i={i}: Omega_1(Z(P_i)) trivial")
+        return None
+    M = conjugation_module(G, W_sub)
+    space = derivation_space(G, M)
+    p = G.p
+
+    # classes vanishing on P_i (quotient-action derivations), modulo inner
+    van_i = vanishing_subspace(space, list(P_i.gen_elements))
+    ider_in = la.intersect_rowspaces(space.ider_array, van_i, p) if van_i.size else van_i
+    reps = la.complement_in(ider_in, van_i, p)
+    h1_i = reps.shape[0]
+    trail.append(
+        f"i={i}: dim Der(G/P_i, W) = {van_i.shape[0]}, inner {ider_in.shape[0]}, classes {h1_i}"
+    )
+    for vec in _iter_combos(reps, p, limit=400):
+        delta = derivation_from_vector(G, M, vec, check=True)
+        phi = induce(delta)
+        movedgen = next(
+            (G.gen(k) for k in range(G.n) if delta.evaluate(G.gen(k)).any()), None
+        )
+        if movedgen is None:
+            continue
+        cert = _certificate_from(
+            G,
+            phi,
+            PATH_STAGE.format(i=i),
+            P_i,
+            movedgen,
+            caps,
+            {"method": "quotient-action class", "stage": str(i)},
+        )
+        if cert is not None:
+            return cert
+
+    # CR reduction of W, then classes vanishing on P_{i+1} but not on P_i
+    W1_choice = None
+    for dim in range(M.dim, 0, -1):
+        for sub in submodules_of_dim(M, dim):
+            candidate, _ = submodule_as_module(M, sub)
+            fixed_dim = fixed_points(candidate).dim
+            if fixed_dim != 1:
+                continue
+            cspace = derivation_space(G, candidate)
+            cvan = vanishing_subspace(cspace, list(P_i.gen_elements))
+            cider = (
+                la.intersect_rowspaces(cspace.ider_array, cvan, p) if cvan.size else cvan
+            )
+            if cvan.shape[0] - cider.shape[0] <= 1:
+                W1_choice = (candidate, cspace)
+                break
+        if W1_choice:
+            break
+    if W1_choice is None:
+        trail.append(f"i={i}: no CR reduction found")
+        return None
+    W1, w1_space = W1_choice
+    trail.append(f"i={i}: CR reduction dim {W1.dim}")
+    van_i1 = vanishing_subspace(w1_space, list(P_i1.gen_elements))
+    van_i_w1 = vanishing_subspace(w1_space, list(P_i.gen_elements))
+    ider_w1 = (
+        la.intersect_rowspaces(w1_space.ider_array, van_i1, p) if van_i1.size else van_i1
+    )
+    base = la.row_basis(np.vstack([van_i_w1, ider_w1]), p) if van_i_w1.size or ider_w1.size else van_i_w1
+    reps2 = la.complement_in(base, van_i1, p)
+    trail.append(
+        f"i={i}: dim Der(G/P_i+1, W1) = {van_i1.shape[0]}, new classes {reps2.shape[0]}"
+    )
+    pivot = Element(G, G.elements[chain.pivots[i]]) if i < len(chain.pivots) else None
+    for vec in _iter_combos(reps2, p, limit=400):
+        delta = derivation_from_vector(G, W1, vec, check=True)
+        if pivot is None or not delta.evaluate(pivot).any():
+            continue
+        phi = induce(delta)
+        cert = _certificate_from(
+            G,
+            phi,
+            PATH_STAGE.format(i=i),
+            P_i1,
+            pivot,
+            caps,
+            {"method": "chain-step class", "stage": str(i)},
+        )
+        if cert is not None:
+            return cert
+    return None
+
+
+def _fallback_certificate(
+    G: PcPresentation, path: str, caps: Caps, trail: list[str]
+) -> NonInnerCertificate:
+    """Certificate search that does not rely on the chain machinery: scan
+    derivation-induced maps into the p-torsion of the center and into a
+    greedily maximal elementary abelian normal subgroup, then exhaustive
+    backtracking (under the oracle cap)."""
+    from .series import center, greedy_elementary_abelian_normal
+
+    targets = []
+    A0 = omega1(G, center(G))
+    if not A0.is_trivial:
+        targets.append(("Omega_1(Z(G))", A0))
+    A1 = greedy_elementary_abelian_normal(G)
+    if not A1.is_trivial and A1.members != A0.members:
+        targets.append(("maximal elementary abelian normal", A1))
+    for label, A in targets:
+        M = conjugation_module(G, A)
+        space = derivation_space(G, M)
+        reps = la.complement_in(space.ider_array, space.der_array, G.p)
+        for vec in _iter_combos(reps, G.p, limit=800):
+            delta = derivation_from_vector(G, M, vec, check=True)
+            phi = induce(delta)
+            moved = next(
+                (G.gen(k) for k in range(G.n) if phi.apply(G.gen(k)) != G.gen(k)), None
+            )
+            if moved is None:
+                continue
+            cert = _certificate_from(
+                G,
+                phi,
+                path,
+                trivial_subgroup(G),
+                moved,
+                caps,
+                {"method": f"derivation scan over {label}"},
+            )
+            if cert is not None:
+                trail.append(f"fallback: derivation scan over {label} succeeded")
+                return cert
+        trail.append(f"fallback: derivation scan over {label} exhausted")
+    trail.append("fallback: backtracking search")
+    from .oracle import find_noninner_order_p
+
+    phi = find_noninner_order_p(G, caps)
+    if phi is None:
+        raise VerificationFailed(
+            f"{G.name}: no non-inner automorphism of order p found by exhaustive search"
+        )
+    moved = next(G.gen(k) for k in range(G.n) if phi.apply(G.gen(k)) != G.gen(k))
+    cert = _certificate_from(
+        G,
+        phi,
+        path,
+        trivial_subgroup(G),
+        moved,
+        caps,
+        {"method": "exhaustive backtracking search"},
+    )
+    if cert is None:  # pragma: no cover
+        raise VerificationFailed(f"{G.name}: backtracking result failed verification")
+    return cert
+
+
+def construct_noninner(
+    G: PcPresentation, caps: Caps = DEFAULT_CAPS
+) -> tuple[NonInnerCertificate, PipelineReport]:
+    """Decision cascade producing a verified order-p non-inner automorphism.
+
+    Constructive chain stages are attempted whenever the chain is nontrivial;
+    certificates state the stage that produced them. Groups outside the
+    cyclic-center theory (or with an empty chain) fall back to a
+    derivation-scan / backtracking search, with the branch recorded.
+    """
+    if G.order > caps.enumeration:
+        raise InputError("group exceeds the enumeration cap")
+    hyp = hypothesis_report(G)
+    trail: list[str] = []
+    if hyp.abelian:
+        raise OutOfScope("abelian group: out of scope for the conjecture")
+    chain = refine_chain(G)
+    if not hyp.center_cyclic:
+        trail.append(f"center rank {hyp.center_rank} > 1: outside cyclic-center theory")
+        cert = _fallback_certificate(G, PATH_CENTER, caps, trail)
+        return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
+    if hyp.powerful:
+        trail.append("T = 0: powerful branch")
+        cert = _fallback_certificate(G, PATH_POWERFUL, caps, trail)
+        return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
+    for i in range(chain.T):
+        cert = _stage_search(G, chain, i, caps, trail)
+        if cert is not None:
+            return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
+    # constructive stages exhausted: dispatch by the failed containments
+    if not hyp.cg_phi_in_phi:
+        path = PATH_LEMMA_A1
+    elif not hyp.omega1_center_in_bottom:
+        path = PATH_LEMMA_12
+    elif not hyp.main_hypothesis_holds:
+        path = PATH_HYP
+    else:
+        path = PATH_EXHAUSTED
+    trail.append(f"chain stages exhausted; dispatching {path}")
+    cert = _fallback_certificate(G, path, caps, trail)
+    return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())

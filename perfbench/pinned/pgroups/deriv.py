@@ -1,0 +1,474 @@
+"""Derivation spaces, inner derivations, H^1, inflation and restriction.
+
+A derivation d: G -> M satisfies d(xy) = d(x)^y + d(y) (module written
+additively, right action). It is determined by its generator images; the
+space Der(G, M) is the nullspace of the linear system obtained by
+expanding each defining relation with the cocycle rule. Inner derivations
+are d_m(g) = m^g - m.
+
+Following the usual identification, "Der(G/N, M)" for N acting trivially
+on M means the subspace of Der(G, M) vanishing on N (the image of
+inflation, which is injective).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
+
+from . import gflinalg as la
+from .errors import InputError
+from .fpmod import (
+    FpModule,
+    fixed_points,
+    pullback_module,
+    twist_extend_raw,
+)
+from .pcgroup import Element, GroupHom, PcPresentation, relator_pairs, subgroup_presentation
+from .series import Subgroup, frattini
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """Derivation determined by one module vector per pc generator."""
+
+    group: PcPresentation
+    module: FpModule
+    gen_images: tuple  # tuple of coordinate tuples
+    check: bool = True
+
+    def __post_init__(self):
+        if self.module.group != self.group:
+            raise InputError("module is over a different group")
+        if len(self.gen_images) != self.group.n:
+            raise InputError("need one image per pc generator")
+        for v in self.gen_images:
+            if len(v) != self.module.dim:
+                raise InputError("image vector has wrong dimension")
+        if self.check and not self.satisfies_relations():
+            raise InputError("generator images violate the cocycle relations")
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        return la.asmod(np.array(self.gen_images, dtype=np.int64), self.module.p)
+
+    def satisfies_relations(self) -> bool:
+        for lhs, rhs in relator_pairs(self.group):
+            if not np.array_equal(self._eval_word(lhs), self._eval_word(rhs)):
+                return False
+        return True
+
+    def _eval_word(self, word) -> np.ndarray:
+        p = self.module.p
+        val = la.zeros(self.module.dim)
+        for g, e in word:
+            for _ in range(e):
+                val = (val @ self.module.mats[g] + self._images[g]) % p
+        return val
+
+    def __call__(self, x: Element) -> np.ndarray:
+        return self.evaluate(x)
+
+    def evaluate(self, x: Element) -> np.ndarray:
+        if x.pres != self.group:
+            raise InputError("element from a different group")
+        return self._eval_word([(i, e) for i, e in enumerate(x.exps) if e])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._images.any()
+
+    def vanishes_on(self, S: Subgroup | Sequence[Element]) -> bool:
+        gens = S.gen_elements if isinstance(S, Subgroup) else tuple(S)
+        return all(not self.evaluate(g).any() for g in gens)
+
+    def coefficient_vector(self) -> np.ndarray:
+        return self._images.reshape(-1)
+
+    def __add__(self, other: "Derivation") -> "Derivation":
+        if self.module != other.module:
+            raise InputError("derivations into different modules")
+        imgs = (self._images + other._images) % self.module.p
+        return Derivation(self.group, self.module, _rows_to_tuples(imgs), check=False)
+
+    def scale(self, c: int) -> "Derivation":
+        imgs = (self._images * (c % self.module.p)) % self.module.p
+        return Derivation(self.group, self.module, _rows_to_tuples(imgs), check=False)
+
+    def __repr__(self):
+        return f"Derivation({tuple(map(tuple, self._images.tolist()))})"
+
+
+def _rows_to_tuples(arr: np.ndarray) -> tuple:
+    return tuple(tuple(int(v) for v in row) for row in arr)
+
+
+def derivation_from_vector(G: PcPresentation, M: FpModule, vec, check: bool = False) -> Derivation:
+    arr = la.asmod(vec, M.p).reshape(G.n, M.dim)
+    return Derivation(G, M, _rows_to_tuples(arr), check=check)
+
+
+def inner_derivation(M: FpModule, m) -> Derivation:
+    """d_m(g) = m^g - m; zero exactly when m is fixed by the whole group."""
+    G = M.group
+    p = M.p
+    mv = la.asmod(m, p).reshape(-1)
+    imgs = [(mv @ mat - mv) % p for mat in M.mats]
+    return Derivation(G, M, _rows_to_tuples(np.array(imgs)), check=False)
+
+
+# -- the solver ---------------------------------------------------------------
+
+
+def _word_coefficients(G: PcPresentation, M: FpModule, word) -> list[np.ndarray]:
+    """Per-generator coefficient matrices C_g with d(word) = sum_g x_g @ C_g."""
+    p = M.p
+    d = M.dim
+    coeff = [la.zeros((d, d)) for _ in range(G.n)]
+    suffix = la.eye(d)
+    letters: list[int] = []
+    for g, e in word:
+        letters.extend([g] * e)
+    for g in reversed(letters):
+        coeff[g] = (coeff[g] + suffix) % p
+        suffix = (M.mats[g] @ suffix) % p
+    return coeff
+
+
+@dataclass(frozen=True)
+class CohomologySpace:
+    """Der(G, M) with its inner subspace and chosen H^1 representatives."""
+
+    group: PcPresentation
+    module: FpModule
+    der_matrix: tuple       # rows: basis of Der as flattened image vectors
+    ider_matrix: tuple      # rows: basis of Ider
+    h1_matrix: tuple        # rows: coset representatives extending Ider
+
+    @cached_property
+    def der_array(self) -> np.ndarray:
+        return _tuple_to_array(self.der_matrix, self.group.n * self.module.dim)
+
+    @cached_property
+    def ider_array(self) -> np.ndarray:
+        return _tuple_to_array(self.ider_matrix, self.group.n * self.module.dim)
+
+    @cached_property
+    def h1_array(self) -> np.ndarray:
+        return _tuple_to_array(self.h1_matrix, self.group.n * self.module.dim)
+
+    @property
+    def der_dim(self) -> int:
+        return len(self.der_matrix)
+
+    @property
+    def ider_dim(self) -> int:
+        return len(self.ider_matrix)
+
+    @property
+    def h1_dim(self) -> int:
+        return len(self.h1_matrix)
+
+    @property
+    def der_basis(self) -> tuple[Derivation, ...]:
+        return tuple(
+            derivation_from_vector(self.group, self.module, row) for row in self.der_array
+        )
+
+    @property
+    def ider_basis(self) -> tuple[Derivation, ...]:
+        return tuple(
+            derivation_from_vector(self.group, self.module, row) for row in self.ider_array
+        )
+
+    @property
+    def h1_reps(self) -> tuple[Derivation, ...]:
+        return tuple(
+            derivation_from_vector(self.group, self.module, row) for row in self.h1_array
+        )
+
+    def span_iter(self):
+        """All derivations in the span of the basis (small spaces only)."""
+        p = self.module.p
+        for coeffs in itertools.product(range(p), repeat=self.der_dim):
+            vec = la.zeros(self.group.n * self.module.dim)
+            if self.der_dim:
+                vec = (np.array(coeffs, dtype=np.int64) @ self.der_array) % p
+            yield derivation_from_vector(self.group, self.module, vec)
+
+
+def _tuple_to_array(rows: tuple, width: int) -> np.ndarray:
+    if not rows:
+        return la.zeros((0, width))
+    return np.array(rows, dtype=np.int64)
+
+
+def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
+    """Solve for Der(G, M), Ider(G, M) and echelonized H^1 representatives."""
+    if M.group != G:
+        raise InputError("module is over a different group")
+    p = M.p
+    d = M.dim
+    blocks = []
+    for lhs, rhs in relator_pairs(G):
+        cl = _word_coefficients(G, M, lhs)
+        cr = _word_coefficients(G, M, rhs)
+        block = np.vstack([np.hstack([(cl[g] - cr[g]) % p]) for g in range(G.n)])
+        # block has shape (n*d, d): unknown row-vector u (len n*d) times block = 0
+        blocks.append(block.reshape(G.n * d, d))
+    system = np.hstack(blocks) if blocks else la.zeros((G.n * d, 0))
+    der = la.left_nullspace(system, p) if system.shape[1] else la.eye(G.n * d)
+    der = la.row_basis(der, p)
+    ider_rows = []
+    for k in range(d):
+        base = la.zeros(d)
+        base[k] = 1
+        imgs = [(base @ mat - base) % p for mat in M.mats]
+        ider_rows.append(np.concatenate(imgs))
+    ider = la.row_basis(np.array(ider_rows, dtype=np.int64), p)
+    reps = la.complement_in(ider, der, p)
+    return CohomologySpace(
+        G,
+        M,
+        tuple(map(tuple, der.tolist())),
+        tuple(map(tuple, ider.tolist())),
+        tuple(map(tuple, reps.tolist())),
+    )
+
+
+def vanishing_subspace(space: CohomologySpace, elements: Sequence[Element]) -> np.ndarray:
+    """Rows spanning {d in Der : d(x) = 0 for the given elements} (and hence
+    on the subgroup they generate)."""
+    basis = space.der_basis
+    p = space.module.p
+    if not basis:
+        return space.der_array
+    rows = []
+    for b in basis:
+        rows.append(np.concatenate([b.evaluate(x) for x in elements]) if elements else la.zeros(0))
+    if not elements:
+        return space.der_array
+    coeff = la.left_nullspace(np.array(rows, dtype=np.int64), p)
+    if coeff.size == 0:
+        return la.zeros((0, space.der_array.shape[1]))
+    return la.row_basis((coeff @ space.der_array) % p, p)
+
+
+def der_dim_vanishing_on(space: CohomologySpace, S: Subgroup | Sequence[Element]) -> int:
+    gens = list(S.gen_elements) if isinstance(S, Subgroup) else list(S)
+    return vanishing_subspace(space, gens).shape[0]
+
+
+def derivation_with_values(
+    space: CohomologySpace, pairs: Sequence[tuple[Element, Sequence[int]]]
+) -> Derivation | None:
+    """A derivation in the computed span taking the prescribed values, or
+    None; values on non-minimal pc generators follow from the relations."""
+    p = space.module.p
+    basis = space.der_basis
+    if not basis:
+        return None
+    rows = np.array(
+        [np.concatenate([b.evaluate(x) for x, _ in pairs]) for b in basis], dtype=np.int64
+    )
+    target = np.concatenate([la.asmod(v, p).reshape(-1) for _, v in pairs])
+    coeffs = la.solve_right(rows, target, p)
+    if coeffs is None:
+        return None
+    vec = (coeffs @ space.der_array) % p
+    return derivation_from_vector(space.group, space.module, vec, check=True)
+
+
+def quotient_h1_dims(
+    G: PcPresentation, M: FpModule, N: Subgroup | Sequence[Element] | None
+) -> tuple[int, int, int]:
+    """(der, ider, h1) for the G/N-action reading of (G, M): derivations
+    vanishing on N, inner derivations by N-fixed vectors."""
+    space = derivation_space(G, M)
+    p = M.p
+    if N is None:
+        gens: list[Element] = []
+    else:
+        gens = list(N.gen_elements) if isinstance(N, Subgroup) else list(N)
+    van = vanishing_subspace(space, gens)
+    ider_van = la.intersect_rowspaces(space.ider_array, van, p) if van.size else van
+    der_dim = van.shape[0]
+    ider_dim = ider_van.shape[0] if ider_van.size else 0
+    return der_dim, ider_dim, der_dim - ider_dim
+
+
+def h1_dimension(G: PcPresentation, M: FpModule) -> int:
+    space = derivation_space(G, M)
+    return space.h1_dim
+
+
+# -- inflation / restriction ----------------------------------------------------
+
+
+def inflate(pi: GroupHom, delta: Derivation, target_module: FpModule | None = None) -> Derivation:
+    """Pull a derivation on the quotient back along the projection.
+
+    The result vanishes on ker(pi); values must be fixed by ker(pi), which
+    holds automatically since the module action factors through pi.
+    """
+    if delta.group != pi.target:
+        raise InputError("derivation lives on the wrong group")
+    M = target_module if target_module is not None else pullback_module(delta.module, pi)
+    imgs = tuple(tuple(int(v) for v in delta.evaluate(img)) for img in pi.images)
+    return Derivation(pi.source, M, imgs, check=True)
+
+
+def restrict(delta: Derivation, H: Subgroup) -> tuple[Derivation, GroupHom]:
+    """Restriction to a subgroup, as a derivation over the subgroup's own
+    pc presentation (returned with the embedding hom)."""
+    if H.parent != delta.group:
+        raise InputError("subgroup of a different group")
+    spres, embed = subgroup_presentation(delta.group, H.members)
+    sub_mod = pullback_module(delta.module, embed)
+    imgs = tuple(tuple(int(v) for v in delta.evaluate(img)) for img in embed.images)
+    return Derivation(spres, sub_mod, imgs, check=True), embed
+
+
+def restriction_image_dim(space: CohomologySpace, H: Subgroup) -> int:
+    """Dimension of the image of Der(G, M) under restriction to H (a
+    restriction is determined by its values on generators of H)."""
+    gens = list(H.gen_elements)
+    if not gens or not space.der_basis:
+        return 0
+    rows = [np.concatenate([b.evaluate(x) for x in gens]) for b in space.der_basis]
+    return la.rank(np.array(rows, dtype=np.int64), space.module.p)
+
+
+def central_restriction_check(delta: Derivation, L1: Subgroup) -> bool:
+    """Values on a central, trivially-acting subgroup must be fixed points."""
+    M = delta.module
+    fixed = fixed_points(M).basis_array
+    for y in L1.gen_elements:
+        if not la.in_rowspace(delta.evaluate(y), fixed, M.p):
+            return False
+    return True
+
+
+# -- derivation powers (module realized inside the group) ------------------------
+
+
+def derivation_power_map(delta: Derivation, i: int):
+    """delta^i as a map on group elements: delta^0 = id, delta^i = delta o
+    embed o delta^(i-1). Needs the module realized inside the group."""
+    M = delta.module
+    if M.realization is None:
+        raise InputError("derivation powers need a module realized in the group")
+    real = M.realization
+
+    def apply(x: Element):
+        if i == 0:
+            return x
+        val = delta.evaluate(x)
+        for _ in range(i - 1):
+            val = delta.evaluate(real.decode(val))
+        return val
+
+    return apply
+
+
+def nilpotency_index(delta: Derivation, bound: int | None = None) -> int:
+    """Least k >= 1 with delta^k identically zero on G (checked on all
+    elements; desk scale)."""
+    G = delta.group
+    M = delta.module
+    if M.realization is None:
+        raise InputError("nilpotency index needs a realized module")
+    G._require_enumerable("nilpotency scan")
+    real = M.realization
+    limit = bound if bound is not None else (M.p - 1) * G.n + 2
+    values = [delta.evaluate(Element(G, exps)) for exps in G.elements]
+    k = 1
+    while any(v.any() for v in values):
+        values = [delta.evaluate(real.decode(v)) for v in values]
+        k += 1
+        if k > limit:
+            raise InputError("derivation is not nilpotent within the bound")
+    return k
+
+
+# -- CR recognition and twisted extensions ---------------------------------------
+
+
+def is_cr(L: PcPresentation, M: FpModule) -> tuple[bool, dict]:
+    """Fixed line plus at-most-one-dimensional H^1; diagnostics carry the
+    exact dimensions and whether L is elementary abelian."""
+    fixed_dim = fixed_points(M).dim
+    space = derivation_space(L, M)
+    elem_ab = L.is_abelian and all(
+        L.power_exps(L.gen(i).exps, L.p) == L.identity_exps for i in range(L.n)
+    )
+    verdict = fixed_dim == 1 and space.h1_dim <= 1
+    return verdict, {
+        "fixed_dim": fixed_dim,
+        "der_dim": space.der_dim,
+        "ider_dim": space.ider_dim,
+        "h1_dim": space.h1_dim,
+        "elementary_abelian_actor": elem_ab,
+    }
+
+
+def twist_extend(M: FpModule, tau: Derivation) -> FpModule:
+    """One-dimensional extension K = M + <c> with c^g = c - tau(g).
+
+    The action is the linear extension (k c + h)^g = k c + h^g - k tau(g);
+    at k = 1 this is the defining formula. tau must be a derivation into M
+    (validated)."""
+    if tau.module != M:
+        raise InputError("twisting derivation must take values in the module")
+    if not tau.satisfies_relations():
+        raise InputError("twist by a non-derivation")
+    return twist_extend_raw(M, tuple(tuple(int(v) for v in row) for row in tau._images))
+
+
+def theta_cr_build(
+    L: PcPresentation, K: FpModule, H: Subgroup
+) -> tuple[FpModule, tuple[Derivation, ...]]:
+    """Iterated twist extension of a CR module by an echelon basis of
+    Der(L/H, K) modulo Der(L/Phi(L), K); the number of new coordinates is
+    log_p |Phi(L) / H|.
+
+    K must be given as an L-module on which Phi(L) acts trivially and must
+    be CR with respect to the Frattini-quotient action."""
+    phi = frattini(L)
+    if not (H.members <= phi.members):
+        raise InputError("H must lie inside the Frattini subgroup")
+    for g in phi.gen_elements:
+        if not np.array_equal(K.action_of(g), la.eye(K.dim)):
+            raise InputError("Frattini subgroup must act trivially on K")
+    der_q, ider_q, h1_q = quotient_h1_dims(L, K, phi)
+    fixed_dim = fixed_points(K).dim
+    if not (fixed_dim == 1 and h1_q <= 1):
+        raise InputError("K is not CR for the Frattini-quotient action")
+    s = 0
+    o = phi.order // H.order
+    while o > 1:
+        o //= L.p
+        s += 1
+    space = derivation_space(L, K)
+    van_H = vanishing_subspace(space, list(H.gen_elements))
+    van_phi = vanishing_subspace(space, list(phi.gen_elements))
+    reps = la.complement_in(van_phi, van_H, L.p)
+    if reps.shape[0] != s:
+        raise InputError(
+            f"twist basis extraction failed: expected {s} classes, got {reps.shape[0]}"
+        )
+    taus = tuple(derivation_from_vector(L, K, row) for row in reps)
+    current = K
+    lifted: list[Derivation] = []
+    for t in taus:
+        # re-express tau inside the enlarged module (pad with zeros)
+        pad = [tuple(int(v) for v in t.evaluate(L.gen(i))) + (0,) * (current.dim - K.dim)
+               for i in range(L.n)]
+        tau_cur = Derivation(L, current, tuple(pad), check=True)
+        lifted.append(tau_cur)
+        current = twist_extend(current, tau_cur)
+    return current, tuple(taus)

@@ -1,0 +1,51 @@
+"""Exception types and size caps shared across the library."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+class PGroupError(Exception):
+    """Base class for all errors raised by this library."""
+
+
+class CapExceeded(PGroupError):
+    """A computation was refused because its size exceeds the configured cap."""
+
+    def __init__(self, what: str, size: int, cap: int):
+        super().__init__(f"{what}: size {size} exceeds cap {cap}")
+        self.what = what
+        self.size = size
+        self.cap = cap
+
+
+class InputError(PGroupError):
+    """Malformed or inconsistent user input (files, CLI specs, bad tables)."""
+
+
+class OutOfScope(PGroupError):
+    """The requested computation is defined but out of scope for this input."""
+
+
+class VerificationFailed(PGroupError):
+    """A certificate or internal cross-check failed re-verification."""
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Size limits. Operations refuse (raise CapExceeded) above these.
+
+    enumeration: max group order for element enumeration and scans.
+    oracle: max group order for exhaustive automorphism backtracking.
+    module_dim: max dimension for constructed modules.
+    derivation_bruteforce: max number of candidate tuples for the
+        brute-force derivation oracle.
+    """
+
+    enumeration: int = 10**6
+    oracle: int = 3**5
+    module_dim: int = 2**10
+    derivation_bruteforce: int = 10**7
+
+
+DEFAULT_CAPS = Caps()

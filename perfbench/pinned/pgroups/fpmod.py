@@ -1,0 +1,609 @@
+"""GF(p)-module calculus for p-group actions.
+
+An FpModule is a right module: row vectors over GF(p), one invertible
+action matrix per pc generator of the acting group, v -> v @ A. Modules
+realized inside a group (an elementary abelian normal subgroup acted on
+by conjugation) additionally carry a realization for moving between
+vectors and group elements.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import gflinalg as la
+from .errors import CapExceeded, DEFAULT_CAPS, InputError
+from .pcgroup import Element, GroupHom, PcPresentation, relator_pairs
+from .series import Subgroup, make_subgroup
+
+
+@dataclass(frozen=True)
+class ModuleRealization:
+    """Identification of a module with an elementary abelian normal subgroup.
+
+    basis[k] is the group element realizing the k-th basis vector; encode
+    maps element indices to coordinate tuples.
+    """
+
+    subgroup: Subgroup
+    basis: tuple[Element, ...]
+    encode_table: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @cached_property
+    def _encode(self) -> dict[int, tuple[int, ...]]:
+        return dict(self.encode_table)
+
+    def encode(self, x: Element) -> np.ndarray:
+        try:
+            return np.array(self._encode[x.index], dtype=np.int64)
+        except KeyError:
+            raise InputError("element is not in the realized subgroup") from None
+
+    def decode(self, vec: Sequence[int]) -> Element:
+        G = self.subgroup.parent
+        out = G.identity
+        for b, c in zip(self.basis, vec):
+            if c % G.p:
+                out = out * (b ** int(c % G.p))
+        return out
+
+
+@dataclass(frozen=True)
+class FpModule:
+    """Finite-dimensional right GF(p)(L)-module given by generator matrices."""
+
+    group: PcPresentation
+    action: tuple  # one (dim x dim) int tuple-of-tuples per pc generator
+    labels: tuple[str, ...] = ()
+    realization: ModuleRealization | None = None
+    check: bool = True
+
+    def __post_init__(self):
+        n = self.group.n
+        if len(self.action) != n:
+            raise InputError("need one action matrix per pc generator")
+        d = self.dim
+        for a in self.action:
+            m = np.array(a, dtype=np.int64)
+            if m.shape != (d, d):
+                raise InputError("action matrices must be square of equal size")
+            if not la.det_nonzero(m, self.p):
+                raise InputError("action matrix is singular")
+        if self.check and not self.relations_hold():
+            raise InputError("action matrices violate the group relations")
+
+    @property
+    def p(self) -> int:
+        return self.group.p
+
+    @property
+    def dim(self) -> int:
+        return len(self.action[0])
+
+    @cached_property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for a in self.action:
+            m = np.array(a, dtype=np.int64) % self.p
+            m.setflags(write=False)
+            out.append(m)
+        return tuple(out)
+
+    def relations_hold(self) -> bool:
+        for lhs, rhs in relator_pairs(self.group):
+            if not np.array_equal(self._word_matrix(lhs), self._word_matrix(rhs)):
+                return False
+        return True
+
+    def _word_matrix(self, word) -> np.ndarray:
+        acc = la.eye(self.dim)
+        for g, e in word:
+            acc = (acc @ la.mat_pow(self.mats[g], e, self.p)) % self.p
+        return acc
+
+    def action_of(self, x: Element) -> np.ndarray:
+        """Matrix of the element's right action (product along the normal form)."""
+        if x.pres != self.group:
+            raise InputError("element from a different group")
+        acc = la.eye(self.dim)
+        for i, e in enumerate(x.exps):
+            if e:
+                acc = (acc @ la.mat_pow(self.mats[i], e, self.p)) % self.p
+        return acc
+
+    def act(self, vec: Sequence[int], x: Element) -> np.ndarray:
+        return (la.asmod(vec, self.p) @ self.action_of(x)) % self.p
+
+    def vectors(self) -> Iterable[np.ndarray]:
+        for tup in itertools.product(range(self.p), repeat=self.dim):
+            yield np.array(tup, dtype=np.int64)
+
+    @cached_property
+    def is_unipotent(self) -> bool:
+        q = self.p ** self.group.n
+        return all(
+            np.array_equal(la.mat_pow(m, q, self.p), la.eye(self.dim)) for m in self.mats
+        )
+
+    def __repr__(self):
+        return f"FpModule(dim={self.dim} over {self.group.name or 'G'})"
+
+
+@dataclass(frozen=True)
+class Submodule:
+    module: FpModule
+    basis: tuple  # echelonized rows, tuple-of-tuples
+
+    def __post_init__(self):
+        b = self.basis_array
+        if b.size == 0:
+            return
+        p = self.module.p
+        r0 = la.rank(b, p)
+        for m in self.module.mats:
+            if la.rank(np.vstack([b, (b @ m) % p]), p) != r0:
+                raise InputError("subspace is not action-stable")
+
+    @cached_property
+    def basis_array(self) -> np.ndarray:
+        if not self.basis:
+            return la.zeros((0, self.module.dim))
+        return np.array(self.basis, dtype=np.int64)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, vec) -> bool:
+        return la.in_rowspace(vec, self.basis_array, self.module.p)
+
+    def __repr__(self):
+        return f"Submodule(dim={self.dim} of dim={self.module.dim})"
+
+
+def _echelon_submodule(M: FpModule, rows) -> Submodule:
+    basis = la.row_basis(rows, M.p) if np.asarray(rows).size else la.zeros((0, M.dim))
+    return Submodule(M, tuple(tuple(int(v) for v in r) for r in basis))
+
+
+@dataclass(frozen=True)
+class Filtration:
+    """Increasing socle-style layers (and radical layers when applicable)."""
+
+    module: FpModule
+    layers: tuple[Submodule, ...]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(l.dim for l in self.layers)
+
+
+# -- constructors ---------------------------------------------------------------
+
+
+def trivial_module(L: PcPresentation, dim: int = 1) -> FpModule:
+    eye = tuple(tuple(int(v) for v in row) for row in la.eye(dim))
+    return FpModule(L, tuple(eye for _ in range(L.n)), check=False)
+
+
+def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_dim) -> FpModule:
+    """Right regular module GF(p)(L): basis indexed by the elements of L,
+    generators act by right translation."""
+    if L.order > module_dim_cap:
+        raise CapExceeded("regular module dimension", L.order, module_dim_cap)
+    N = L.order
+    mats = []
+    for i in range(L.n):
+        t = L.gen_tables[i]
+        m = la.zeros((N, N))
+        m[np.arange(N), t] = 1
+        mats.append(tuple(tuple(int(v) for v in row) for row in m))
+    labels = tuple(str(e) for e in L.elements)
+    return FpModule(L, tuple(mats), labels=labels, check=False)
+
+
+def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
+    """Elementary abelian normal subgroup A as a G-module via conjugation,
+    with a realization mapping vectors back to group elements."""
+    if A.parent != G:
+        raise InputError("subgroup belongs to a different group")
+    if not A.is_normal:
+        raise InputError("conjugation module needs a normal subgroup")
+    if not A.is_elementary_abelian:
+        raise InputError("conjugation module needs an elementary abelian subgroup")
+    if A.is_trivial:
+        raise InputError("trivial subgroup carries no useful module")
+    basis_idx: list[int] = []
+    from .pcgroup import closure_indices
+
+    span = frozenset([0])
+    for x in sorted(A.members):
+        if x not in span:
+            basis_idx.append(x)
+            span = closure_indices(G, basis_idx)
+    m = len(basis_idx)
+    basis = tuple(Element(G, G.elements[i]) for i in basis_idx)
+    encode: dict[int, tuple[int, ...]] = {}
+    for coords in itertools.product(range(G.p), repeat=m):
+        el = G.identity
+        for b, c in zip(basis, coords):
+            if c:
+                el = el * (b ** c)
+        encode[el.index] = coords
+    if len(encode) != len(A.members):
+        raise InputError("basis does not coordinatize the subgroup")  # pragma: no cover
+    mats = []
+    for i in range(G.n):
+        g = G.gen(i)
+        rows = []
+        for b in basis:
+            rows.append(encode[b.conj(g).index])
+        mats.append(tuple(tuple(int(v) for v in row) for row in rows))
+    realization = ModuleRealization(
+        subgroup=A, basis=basis, encode_table=tuple(sorted(encode.items()))
+    )
+    return FpModule(G, tuple(mats), realization=realization)
+
+
+def pullback_module(M: FpModule, pi: GroupHom) -> FpModule:
+    """View a module over pi's target as a module over pi's source."""
+    if M.group != pi.target:
+        raise InputError("module is not over the hom's target")
+    mats = tuple(
+        tuple(tuple(int(v) for v in row) for row in M.action_of(img))
+        for img in pi.images
+    )
+    return FpModule(pi.source, mats, labels=M.labels, check=False)
+
+
+def restrict_module(M: FpModule, embed: GroupHom) -> FpModule:
+    """Module over a subgroup presentation via its embedding hom."""
+    return pullback_module(M, embed)
+
+
+def submodule_as_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
+    """S with the induced action in its own coordinates. Returns (module,
+    inclusion matrix rows: new basis written in ambient coordinates)."""
+    b = S.basis_array
+    p = M.p
+    mats = []
+    for m in M.mats:
+        imgs = (b @ m) % p
+        coeffs = la.solve_right_many(b, imgs, p)
+        if coeffs is None:
+            raise InputError("subspace not action-stable")  # pragma: no cover
+        mats.append(tuple(tuple(int(v) for v in row) for row in coeffs))
+    realization = None
+    if M.realization is not None:
+        sub_basis = tuple(M.realization.decode(row) for row in b)
+        members = set()
+        G = M.group
+        for coords in itertools.product(range(p), repeat=len(sub_basis)):
+            el = G.identity
+            for be, c in zip(sub_basis, coords):
+                if c:
+                    el = el * (be ** c)
+            members.add(el.index)
+        sub = make_subgroup(G, members)
+        encode = {}
+        for coords in itertools.product(range(p), repeat=len(sub_basis)):
+            el = G.identity
+            for be, c in zip(sub_basis, coords):
+                if c:
+                    el = el * (be ** c)
+            encode[el.index] = coords
+        realization = ModuleRealization(sub, sub_basis, tuple(sorted(encode.items())))
+    return FpModule(M.group, tuple(mats), realization=realization, check=False), b
+
+
+def quotient_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
+    """M/S with a projection matrix (dim x quotient_dim)."""
+    p = M.p
+    b = S.basis_array
+    full = la.eye(M.dim)
+    comp = la.complement_in(b, full, p) if b.size else full
+    # projection: express e_k as (sub part) + (comp part); send to comp coords
+    stacked = np.vstack([b, comp]) if b.size else comp
+    inv = la.mat_inverse(stacked, p)
+    if inv is None:
+        raise InputError("internal: basis completion is singular")  # pragma: no cover
+    proj = inv[:, b.shape[0] :] if b.size else inv  # (dim, qdim)
+    mats = []
+    for m in M.mats:
+        block = ((comp @ m) % p) @ proj % p
+        mats.append(tuple(tuple(int(v) for v in row) for row in block))
+    return FpModule(M.group, tuple(mats), check=False), proj
+
+
+# -- fixed points and filtrations -------------------------------------------------
+
+
+def fixed_points(M: FpModule, H: Subgroup | None = None) -> Submodule:
+    """C_M(H), the common fixed subspace under the listed subgroup (all of L
+    when H is None)."""
+    p = M.p
+    if H is None:
+        mats = list(M.mats)
+    else:
+        if H.parent != M.group:
+            raise InputError("subgroup of a different group")
+        mats = [M.action_of(g) for g in H.gen_elements]
+    if not mats:
+        return _echelon_submodule(M, la.eye(M.dim))
+    stacked = np.hstack([(m - la.eye(M.dim)) % p for m in mats])
+    basis = la.left_nullspace(stacked, p)
+    return _echelon_submodule(M, basis)
+
+
+def socle_filtration(M: FpModule) -> Filtration:
+    """Increasing layers K_1 <= K_2 <= ...: K_1 is the fixed subspace and
+    K_{i+1} is the preimage of the fixed subspace of M/K_i. Terminates at M
+    since p-group actions are unipotent."""
+    p = M.p
+    layers = []
+    current = fixed_points(M)
+    layers.append(current)
+    guard = 0
+    while current.dim < M.dim:
+        guard += 1
+        if guard > M.dim + 1:
+            raise InputError("socle filtration did not terminate")  # pragma: no cover
+        Q, proj = quotient_module(M, current)
+        fp_q = fixed_points(Q)
+        if fp_q.dim == 0:
+            raise InputError("non-unipotent action: no fixed points in quotient")
+        pre = la.preimage_of_rowspace(proj, fp_q.basis_array, p)
+        nxt_rows = np.vstack([current.basis_array, pre]) if current.dim else pre
+        nxt = _echelon_submodule(M, nxt_rows)
+        if nxt.dim == current.dim:
+            raise InputError("socle filtration stalled")  # pragma: no cover
+        layers.append(nxt)
+        current = nxt
+    return Filtration(M, tuple(layers))
+
+
+def socle_layer(M: FpModule, i: int) -> Submodule:
+    """K_i (1-indexed); K_i = M for i beyond the filtration length."""
+    filt = socle_filtration(M)
+    if i <= 0:
+        return _echelon_submodule(M, la.zeros((0, M.dim)))
+    if i > len(filt.layers):
+        return filt.layers[-1]
+    return filt.layers[i - 1]
+
+
+def submodule_closure(M: FpModule, rows) -> Submodule:
+    """Smallest submodule containing the given row vectors."""
+    p = M.p
+    basis = la.row_basis(rows, p)
+    changed = True
+    while changed and basis.size:
+        changed = False
+        for m in M.mats:
+            imgs = (basis @ m) % p
+            new = np.vstack([basis, imgs])
+            nb = la.row_basis(new, p)
+            if nb.shape[0] > basis.shape[0]:
+                basis = nb
+                changed = True
+    return _echelon_submodule(M, basis if basis.size else la.zeros((0, M.dim)))
+
+
+def radical_series(M: FpModule) -> Filtration:
+    """Descending layers M >= MJ >= MJ^2 >= ... >= 0, J the augmentation
+    ideal of the acting group algebra. For the regular module these are the
+    radical powers J^i themselves."""
+    p = M.p
+    layers = [_echelon_submodule(M, la.eye(M.dim))]
+    current = layers[0]
+    while current.dim > 0:
+        rows = []
+        for m in M.mats:
+            rows.append((current.basis_array @ ((m - la.eye(M.dim)) % p)) % p)
+        stacked = np.vstack(rows) if rows else la.zeros((0, M.dim))
+        nxt = submodule_closure(M, stacked)
+        if nxt.dim >= current.dim and current.dim > 0:
+            raise InputError("radical series stalled: action not unipotent")
+        layers.append(nxt)
+        current = nxt
+    return Filtration(M, tuple(layers))
+
+
+def annihilator_of_radical_power(M: FpModule, i: int) -> Submodule:
+    """{v in M : v a = 0 for all a in J^i}, computed from an explicit spanning
+    set of the i-th radical power of the group algebra (regular module)."""
+    R = regular_module(M.group)
+    rad = radical_series(R).layers  # layer i is J^i as a subspace of GF(p)(L)
+    if i >= len(rad):
+        return _echelon_submodule(M, la.eye(M.dim))
+    p = M.p
+    ops = []
+    for row in rad[i].basis_array:
+        op = la.zeros((M.dim, M.dim))
+        for xi, c in enumerate(row):
+            if c:
+                x = Element(M.group, M.group.elements[xi])
+                op = (op + int(c) * M.action_of(x)) % p
+        ops.append(op)
+    if not ops:
+        return _echelon_submodule(M, la.eye(M.dim))
+    stacked = np.hstack(ops)
+    return _echelon_submodule(M, la.left_nullspace(stacked, p))
+
+
+def twist_extend_raw(M: FpModule, tau_images) -> FpModule:
+    """M + <c> with c^g = c - tau(g), tau given by per-generator vectors.
+
+    Linear extension: (h | k) -> (h @ A - k tau(g) | k). The cocycle
+    condition on tau is the caller's responsibility (the relator check in
+    the constructor still guards the result)."""
+    p = M.p
+    d = M.dim
+    mats = []
+    for i, m in enumerate(M.mats):
+        t = la.asmod(tau_images[i], p).reshape(-1)
+        if t.shape[0] != d:
+            raise InputError("twist vector has wrong dimension")
+        big = la.zeros((d + 1, d + 1))
+        big[:d, :d] = m
+        big[d, :d] = (-t) % p
+        big[d, d] = 1
+        mats.append(tuple(tuple(int(v) for v in row) for row in big))
+    return FpModule(M.group, tuple(mats), check=True)
+
+
+def norm_operator(M: FpModule) -> np.ndarray:
+    """Sum over all group elements of their action matrices."""
+    G = M.group
+    G._require_enumerable("norm operator")
+    p = M.p
+    total = la.zeros((M.dim, M.dim))
+
+    def rec(i: int, mat: np.ndarray):
+        nonlocal total
+        if i == G.n:
+            total = (total + mat) % p
+            return
+        cur = mat
+        for e in range(p):
+            rec(i + 1, cur)
+            cur = (cur @ M.mats[i]) % p
+
+    rec(0, la.eye(M.dim))
+    return total
+
+
+# -- submodule enumeration and isomorphism ----------------------------------------
+
+
+def minimal_submodules_above(M: FpModule, S: Submodule) -> list[Submodule]:
+    """Submodules covering S: preimages of the lines in the fixed subspace
+    of M/S."""
+    p = M.p
+    Q, proj = quotient_module(M, S)
+    fp_q = fixed_points(Q)
+    out = []
+    seen = set()
+    for coeffs in itertools.product(range(p), repeat=fp_q.dim):
+        if not any(coeffs):
+            continue
+        line = (np.array(coeffs, dtype=np.int64) @ fp_q.basis_array) % p
+        key = tuple(int(v) for v in la.row_basis(line.reshape(1, -1), p)[0])
+        if key in seen:
+            continue
+        seen.add(key)
+        pre = la.preimage_of_rowspace(proj, line.reshape(1, -1), p)
+        rows = np.vstack([S.basis_array, pre]) if S.dim else pre
+        out.append(_echelon_submodule(M, rows))
+    return out
+
+
+def submodules_of_dim(M: FpModule, dim: int) -> list[Submodule]:
+    """All submodules of the given dimension (BFS over covering steps)."""
+    start = _echelon_submodule(M, la.zeros((0, M.dim)))
+    level = {(): start}
+    for _ in range(dim):
+        nxt: dict[tuple, Submodule] = {}
+        for sub in level.values():
+            for cover in minimal_submodules_above(M, sub):
+                key = tuple(map(tuple, cover.basis_array.tolist()))
+                nxt[key] = cover
+        level = nxt
+    return list(level.values())
+
+
+def maximal_submodules(M: FpModule) -> list[Submodule]:
+    """Maximal submodules: preimages of the hyperplanes of M / MJ."""
+    p = M.p
+    rad = radical_series(M).layers[1] if M.dim else None
+    if rad is None:
+        return []
+    Q, proj = quotient_module(M, rad)
+    out = []
+    seen = set()
+    qd = Q.dim
+    if qd == 0:
+        return []
+    for functional in itertools.product(range(p), repeat=qd):
+        if not any(functional):
+            continue
+        func = np.array(functional, dtype=np.int64).reshape(qd, 1)
+        hyper = la.left_nullspace(func, p)  # vectors v with v @ func = 0
+        pre = la.preimage_of_rowspace(proj, hyper, p) if hyper.size else la.preimage_of_rowspace(proj, la.zeros((0, qd)), p)
+        rows = np.vstack([rad.basis_array, pre]) if rad.dim else pre
+        sub = _echelon_submodule(M, rows)
+        key = tuple(map(tuple, sub.basis_array.tolist()))
+        if key not in seen:
+            seen.add(key)
+            out.append(sub)
+    return out
+
+
+def module_isomorphism(A: FpModule, B: FpModule, seed: int = 0):
+    """Invertible intertwiner X with A_i X = X B_i for all generators, or None.
+
+    X maps A-coordinates to B-coordinates (row convention: v_A -> v_A @ X).
+    """
+    if A.group != B.group or A.dim != B.dim:
+        return None
+    p = A.p
+    d = A.dim
+    if socle_filtration(A).dims != socle_filtration(B).dims:
+        return None
+    # linear conditions on X (d x d unknowns): A_i @ X - X @ B_i = 0
+    rows = []
+    for Am, Bm in zip(A.mats, B.mats):
+        # entry (r,c): sum_k Am[r,k] X[k,c] - X[r,k] Bm[k,c]
+        for r in range(d):
+            for c in range(d):
+                coeff = la.zeros(d * d)
+                for k in range(d):
+                    coeff[k * d + c] = (coeff[k * d + c] + Am[r, k]) % p
+                    coeff[r * d + k] = (coeff[r * d + k] - Bm[k, c]) % p
+                rows.append(coeff)
+    sols = la.nullspace(np.array(rows, dtype=np.int64), p)
+    if sols.size == 0:
+        return None
+    t = sols.shape[0]
+    if p ** t <= 100_000:
+        combos = itertools.product(range(p), repeat=t)
+        for coeffs in combos:
+            if not any(coeffs):
+                continue
+            X = (np.array(coeffs, dtype=np.int64) @ sols).reshape(d, d) % p
+            if la.det_nonzero(X, p):
+                return X
+        return None
+    rng = np.random.default_rng(seed)
+    for _ in range(20_000):
+        coeffs = rng.integers(0, p, size=t)
+        X = (coeffs @ sols).reshape(d, d) % p
+        if la.det_nonzero(X, p):
+            return X
+    return None
+
+
+def submodule_embedding_count(
+    L: PcPresentation,
+    M: FpModule,
+    max_dim: int = 6,
+    max_order: int = 27,
+) -> int:
+    """Number of submodules of the regular module GF(p)(L) isomorphic to M
+    (brute-force search, small inputs only)."""
+    if M.dim > max_dim:
+        raise CapExceeded("submodule search dimension", M.dim, max_dim)
+    if L.order > max_order:
+        raise CapExceeded("submodule search group order", L.order, max_order)
+    R = regular_module(L)
+    count = 0
+    for sub in submodules_of_dim(R, M.dim):
+        candidate, _ = submodule_as_module(R, sub)
+        if module_isomorphism(candidate, M) is not None:
+            count += 1
+    return count

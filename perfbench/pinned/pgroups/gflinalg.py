@@ -1,0 +1,227 @@
+"""Exact dense linear algebra over GF(p).
+
+Everything works on numpy int64 arrays with entries reduced mod p.
+Vectors are rows; maps act on the right (v @ A), matching the
+exponent-style right action used throughout the library.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def asmod(a, p: int) -> np.ndarray:
+    return np.array(a, dtype=np.int64) % p
+
+
+def eye(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
+def zeros(shape) -> np.ndarray:
+    return np.zeros(shape, dtype=np.int64)
+
+
+def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
+    m = asmod(a, p)
+    if m.ndim != 2:
+        m = m.reshape(1, -1)
+    m = m.copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            m[[r, k]] = m[[k, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - np.outer(col, m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def rank(a, p: int) -> int:
+    return rref(a, p)[0].shape[0]
+
+
+def nullspace(a, p: int) -> np.ndarray:
+    """Basis (rows) of {x : x @ a^T = 0}, i.e. right-kernel of rows-as-equations.
+
+    `a` has one equation per row acting on column index space; returns
+    vectors v with a @ v = 0, laid out as rows.
+    """
+    m = asmod(a, p)
+    if m.ndim != 2:
+        m = m.reshape(1, -1)
+    rows, cols = m.shape
+    red, pivots = rref(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = zeros((len(free), cols))
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for ri, pc in enumerate(pivots):
+            basis[bi, pc] = (-red[ri, fc]) % p
+    return basis
+
+
+def left_nullspace(a, p: int) -> np.ndarray:
+    """Basis (rows) of {x : x @ a = 0}."""
+    return nullspace(asmod(a, p).T, p)
+
+
+def row_basis(a, p: int) -> np.ndarray:
+    return rref(a, p)[0]
+
+
+def in_rowspace(v, basis, p: int) -> bool:
+    b = asmod(basis, p)
+    if b.size == 0:
+        return not np.any(asmod(v, p))
+    stacked = np.vstack([b, asmod(v, p).reshape(1, -1)])
+    return rank(stacked, p) == rank(b, p)
+
+
+def solve_right(a, b, p: int):
+    """One solution x of x @ a = b, or None. a: (k, n); b, x row vectors."""
+    out = solve_right_many(a, asmod(b, p).reshape(1, -1), p)
+    return None if out is None else out[0]
+
+
+def solve_right_many(a, bs, p: int):
+    """Solutions X with X @ a = bs, all right-hand-side rows in one
+    elimination. Returns an (r, k) array or None if any row is
+    inconsistent."""
+    m = asmod(a, p)
+    rhs = asmod(bs, p)
+    if rhs.ndim != 2:
+        rhs = rhs.reshape(1, -1)
+    k, n = m.shape
+    r = rhs.shape[0]
+    if rhs.shape[1] != n:
+        raise ValueError("shape mismatch in solve_right_many")
+    aug = np.hstack([m.T, rhs.T])  # (n, k+r)
+    red, pivots = rref(aug, p)
+    xs = zeros((r, k))
+    for ri, pc in enumerate(pivots):
+        if pc >= k:
+            return None  # some right-hand side is inconsistent
+        xs[:, pc] = red[ri, k:]
+    return xs
+
+
+class EchelonAccumulator:
+    """Incremental forward-elimination span tester over GF(p)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[np.ndarray] = []  # leading 1 at distinct pivots, sorted
+        self.pivots: list[int] = []
+
+    def reduce(self, row) -> np.ndarray:
+        out = asmod(row, self.p).copy()
+        for pc, er in zip(self.pivots, self.rows):
+            f = int(out[pc])
+            if f:
+                out = (out - f * er) % self.p
+        return out
+
+    def add(self, row) -> bool:
+        """Insert if independent; True when the span grew."""
+        red = self.reduce(row)
+        nz = np.nonzero(red)[0]
+        if nz.size == 0:
+            return False
+        pc = int(nz[0])
+        red = (red * pow(int(red[pc]), -1, self.p)) % self.p
+        at = 0
+        while at < len(self.pivots) and self.pivots[at] < pc:
+            at += 1
+        self.pivots.insert(at, pc)
+        self.rows.insert(at, red)
+        return True
+
+
+def complement_in(sub, amb, p: int) -> np.ndarray:
+    """Rows of `amb` extending a basis of rowspace(sub) to rowspace(amb).
+
+    Assumes rowspace(sub) <= rowspace(amb). Deterministic: scans amb rows
+    in order and keeps those enlarging the span.
+    """
+    sub = asmod(sub, p)
+    amb = asmod(amb, p)
+    cols = amb.shape[1] if amb.size else (sub.shape[1] if sub.size else 0)
+    acc = EchelonAccumulator(p)
+    if sub.size:
+        for row in sub:
+            acc.add(row)
+    chosen = []
+    if amb.size:
+        for row in amb:
+            if acc.add(row):
+                chosen.append(row.copy())
+    return np.array(chosen, dtype=np.int64) if chosen else zeros((0, cols))
+
+
+def intersect_rowspaces(a, b, p: int) -> np.ndarray:
+    """Basis of rowspace(a) & rowspace(b)."""
+    a = row_basis(a, p)
+    b = row_basis(b, p)
+    if a.size == 0 or b.size == 0:
+        cols = a.shape[1] if a.size else (b.shape[1] if b.size else 0)
+        return zeros((0, cols))
+    # (alpha|beta) @ [[a],[-b]] = 0 gives alpha @ a = beta @ b.
+    combos = left_nullspace(np.vstack([a, (-b) % p]), p)
+    vecs = [(c[: a.shape[0]] @ a) % p for c in combos]
+    if not vecs:
+        return zeros((0, a.shape[1]))
+    return row_basis(np.array(vecs, dtype=np.int64), p)
+
+
+def preimage_of_rowspace(mat, sub, p: int) -> np.ndarray:
+    """Basis of {x : x @ mat in rowspace(sub)}."""
+    mat = asmod(mat, p)
+    sub = row_basis(sub, p)
+    k = mat.shape[0]
+    if sub.size == 0:
+        return left_nullspace(mat, p)
+    stacked = np.vstack([mat, (-sub) % p])
+    combos = left_nullspace(stacked, p)
+    if combos.size == 0:
+        return zeros((0, k))
+    return row_basis(combos[:, :k], p)
+
+
+def mat_inverse(a, p: int):
+    """Inverse of a square matrix mod p, or None if singular."""
+    m = asmod(a, p)
+    n = m.shape[0]
+    aug = np.hstack([m, eye(n)])
+    red, pivots = rref(aug, p)
+    if pivots[:n] != list(range(n)) or len(pivots) < n:
+        return None
+    return red[:, n:]
+
+
+def det_nonzero(a, p: int) -> bool:
+    m = asmod(a, p)
+    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]
+
+
+def mat_pow(a, k: int, p: int) -> np.ndarray:
+    m = asmod(a, p)
+    acc = eye(m.shape[0])
+    while k:
+        if k & 1:
+            acc = (acc @ m) % p
+        m = (m @ m) % p
+        k >>= 1
+    return acc

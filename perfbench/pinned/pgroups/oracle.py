@@ -1,0 +1,281 @@
+"""Independent brute-force ground truth.
+
+Automorphisms are enumerated by backtracking over generator images in
+reverse pc order, so every relation among already-assigned generators can
+prune immediately. Derivations are enumerated by filtering all generator
+image tuples through the cocycle conditions. Neither route shares solver
+logic with the linear-algebra side.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .autom import Endo, is_inner, order_of
+from .errors import CapExceeded, Caps, DEFAULT_CAPS, VerificationFailed
+from .fpmod import FpModule
+from .pcgroup import Element, PcPresentation
+from .series import center
+
+
+def _iter_homomorphism_images(
+    G: PcPresentation, H: PcPresentation, require_order_divides: bool = True
+) -> Iterator[tuple[int, ...]]:
+    """Backtracking over image index tuples, assigned from g_n down to g_1.
+
+    At level k every relation supported on generators >= k is checked:
+    the power relation of g_k and the commutators [g_j, g_k], j > k, whose
+    right-hand sides only involve higher generators. Candidate images of
+    g_k are ordered with g_k's own image first so that near-identity maps
+    appear early."""
+    n = G.n
+    order_h = H.order
+    images: list[int | None] = [None] * n
+    pow_p = H.power_p_table
+    inv = H.inv_table
+    from .pcgroup import FULL_TABLE_ORDER
+
+    if order_h <= FULL_TABLE_ORDER:
+        table = H.full_mult_table
+
+        def mult(a: int, b: int) -> int:
+            return int(table[a, b])
+
+    else:  # pragma: no cover - above the oracle cap in practice
+        mult = H.mult_index
+
+    comm_rhs_words = {
+        (j, k): [(idx, e) for idx, e in enumerate(G.comm(j, k)) if e]
+        for j in range(n)
+        for k in range(j)
+    }
+    power_rhs_words = [
+        [(idx, e) for idx, e in enumerate(G.power_rhs[k]) if e] for k in range(n)
+    ]
+
+    def rhs_image(word) -> int:
+        acc = 0
+        for idx, e in word:
+            img = images[idx]
+            for _ in range(e):
+                acc = mult(acc, img)  # type: ignore[arg-type]
+        return acc
+
+    def comm_ok(j: int, k: int) -> bool:
+        a, b = images[j], images[k]
+        got = mult(mult(int(inv[a]), int(inv[b])), mult(a, b))
+        return got == rhs_image(comm_rhs_words[(j, k)])
+
+    candidate_lists: list[list[int]] = []
+    for k in range(n):
+        if G == H:
+            own = G.index_of(G.gen(k).exps)
+            base = [own] + [x for x in range(order_h) if x != own]
+        else:
+            base = list(range(order_h))
+        if require_order_divides:
+            gk_order = int(G.element_orders[G.index_of(G.gen(k).exps)])
+            base = [x for x in base if gk_order % int(H.element_orders[x]) == 0]
+        candidate_lists.append(base)
+
+    def descend(k: int) -> Iterator[tuple[int, ...]]:
+        if k < 0:
+            yield tuple(images)  # type: ignore[arg-type]
+            return
+        for x in candidate_lists[k]:
+            images[k] = x
+            if int(pow_p[x]) != rhs_image(power_rhs_words[k]):
+                continue
+            if any(not comm_ok(j, k) for j in range(k + 1, n)):
+                continue
+            yield from descend(k - 1)
+        images[k] = None
+
+    yield from descend(n - 1)
+
+
+def _endo_from_indices(G: PcPresentation, idxs: Sequence[int]) -> Endo:
+    # relations were verified incrementally by the backtracking
+    return Endo(G, tuple(Element(G, G.elements[i]) for i in idxs), check=False)
+
+
+def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> bool:
+    if G.order != H.order:
+        return False
+    from .pcgroup import closure_indices
+
+    return len(closure_indices(H, idxs)) == H.order
+
+
+@dataclass(frozen=True)
+class AutEnumeration:
+    """Complete list of automorphisms with an order histogram."""
+
+    group: PcPresentation
+    automorphisms: tuple[Endo, ...]
+    inner_count: int
+    order_histogram: tuple[tuple[int, int], ...]
+
+    @property
+    def total(self) -> int:
+        return len(self.automorphisms)
+
+    def to_dict(self) -> dict:
+        return {
+            "group": self.group.name,
+            "total": self.total,
+            "inner": self.inner_count,
+            "order_histogram": {str(k): v for k, v in self.order_histogram},
+        }
+
+
+def enumerate_automorphisms(
+    G: PcPresentation, caps: Caps = DEFAULT_CAPS, spot_check_seed: int = 0
+) -> AutEnumeration:
+    """All automorphisms by relator-pruned backtracking, duplicate-free."""
+    if G.order > caps.oracle:
+        raise CapExceeded("automorphism enumeration", G.order, caps.oracle)
+    autos: list[Endo] = []
+    seen: set[tuple[int, ...]] = set()
+    for idxs in _iter_homomorphism_images(G, G):
+        if idxs in seen:
+            continue
+        seen.add(idxs)
+        if _is_bijective_images(G, G, idxs):
+            autos.append(_endo_from_indices(G, idxs))
+    z = center(G)
+    inner = G.order // z.order
+    hist: dict[int, int] = {}
+    for a in autos:
+        k = order_of(a)
+        hist[k] = hist.get(k, 0) + 1
+    if hist.get(1, 0) != 1:
+        raise VerificationFailed("identity automorphism not found exactly once")
+    if sum(1 for a in autos if is_inner(a, caps)[0] is not None) != inner:
+        raise VerificationFailed("inner automorphism count mismatch")
+    # closure spot check
+    rng = random.Random(spot_check_seed)
+    keys = {tuple(img.index for img in a.images) for a in autos}
+    for _ in range(min(100, len(autos) ** 2)):
+        a, b = rng.choice(autos), rng.choice(autos)
+        c = a.compose(b)
+        if tuple(img.index for img in c.images) not in keys:
+            raise VerificationFailed("composition left the enumerated set")
+    return AutEnumeration(
+        group=G,
+        automorphisms=tuple(autos),
+        inner_count=inner,
+        order_histogram=tuple(sorted(hist.items())),
+    )
+
+
+def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Endo | None:
+    """First non-inner automorphism of order p found by the backtracking
+    enumeration; None only when the search exhausts every automorphism."""
+    if G.order > caps.oracle:
+        raise CapExceeded("automorphism search", G.order, caps.oracle)
+    p = G.p
+    for idxs in _iter_homomorphism_images(G, G):
+        if not _is_bijective_images(G, G, idxs):
+            continue
+        phi = _endo_from_indices(G, idxs)
+        if phi.is_identity:
+            continue
+        if not phi.power(p).is_identity:
+            continue
+        if is_inner(phi, caps)[0] is None:
+            return phi
+    return None
+
+
+def find_isomorphism(G: PcPresentation, H: PcPresentation):
+    """Backtracking isomorphism search; a GroupHom or None."""
+    from .pcgroup import GroupHom
+
+    if G.order != H.order or G.p != H.p:
+        return None
+    for idxs in _iter_homomorphism_images(G, H):
+        if _is_bijective_images(G, H, idxs):
+            return GroupHom(G, H, tuple(Element(H, H.elements[i]) for i in idxs))
+    return None
+
+
+def enumerate_derivations_bruteforce(
+    G: PcPresentation, M: FpModule, caps: Caps = DEFAULT_CAPS
+) -> set[tuple[tuple[int, ...], ...]]:
+    """All generator-image tuples satisfying every relation, by filtering
+    the full p^(n*dim) candidate space through the cocycle law."""
+    from .pcgroup import relator_pairs
+
+    p = G.p
+    m = M.dim
+    total = p ** (G.n * m)
+    if total > caps.derivation_bruteforce:
+        raise CapExceeded("derivation brute force", total, caps.derivation_bruteforce)
+    mats = M.mats
+    relators = relator_pairs(G)
+
+    def eval_word(images, word):
+        val = np.zeros(m, dtype=np.int64)
+        for g, e in word:
+            for _ in range(e):
+                val = (val @ mats[g] + images[g]) % p
+        return val
+
+    vectors = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=m)]
+    out: set[tuple[tuple[int, ...], ...]] = set()
+    for combo in itertools.product(vectors, repeat=G.n):
+        ok = True
+        for lhs, rhs in relators:
+            if not np.array_equal(eval_word(combo, lhs), eval_word(combo, rhs)):
+                ok = False
+                break
+        if ok:
+            out.add(tuple(tuple(int(x) for x in v) for v in combo))
+    return out
+
+
+def verify_conjecture(
+    groups: Sequence[PcPresentation], caps: Caps = DEFAULT_CAPS
+) -> list[dict]:
+    """Per-group agreement report between the exhaustive oracle and the
+    construction pipeline. The oracle is skipped above its cap and on
+    abelian groups; a disagreement shows up as agree=False (the CLI treats
+    any such row as a fatal verification failure)."""
+    from .autom import construct_noninner, verify_certificate
+    from .errors import OutOfScope
+
+    rows: list[dict] = []
+    for G in groups:
+        row: dict = {"group": G.name, "order": G.order}
+        if G.order > caps.enumeration:
+            row.update({"oracle": "skipped", "pipeline": "skipped (cap)", "agree": True})
+            rows.append(row)
+            continue
+        abelian = center(G).order == G.order
+        if abelian:
+            row.update({"oracle": "skipped", "pipeline": "n/a (abelian)", "agree": True})
+            rows.append(row)
+            continue
+        try:
+            cert, report = construct_noninner(G, caps)
+            failures = verify_certificate(G, cert, caps)
+            pipeline_ok = not failures
+            row["pipeline"] = cert.path
+        except OutOfScope as exc:  # pragma: no cover
+            pipeline_ok = False
+            row["pipeline"] = f"error: {exc}"
+        if G.order > caps.oracle:
+            row["oracle"] = "skipped"
+            row["agree"] = bool(pipeline_ok)
+        else:
+            phi = find_noninner_order_p(G, caps)
+            row["oracle"] = "exists" if phi is not None else "none"
+            row["agree"] = bool(pipeline_ok and phi is not None)
+        rows.append(row)
+    return rows

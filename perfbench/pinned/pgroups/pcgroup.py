@@ -1,0 +1,911 @@
+"""Finite p-group arithmetic on weighted power-commutator presentations.
+
+A presentation has pc generators g1..gn over an odd prime p, power
+relations g_i^p = (word supported on indices > i) and commutator
+relations [g_j, g_i] = (word supported on indices > j) for j > i.
+Every element has a unique normal form g1^e1 ... gn^en, 0 <= e_i < p,
+carried as an exponent tuple.
+
+Conventions, fixed once and used everywhere:
+    h^g = g^-1 h g          (conjugation)
+    [x, y] = x^-1 y^-1 x y  (commutator)
+
+Presentations and elements are immutable; lazily built lookup tables are
+idempotent caches, so sharing across threads is safe.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import CapExceeded, DEFAULT_CAPS, InputError
+
+Word = Sequence[tuple[int, int]]
+
+# Exhaustive associativity is checked up to this order; sampled above.
+EXHAUSTIVE_AUDIT_ORDER = 3**5
+AUDIT_SAMPLES = 10**4
+# Full |G| x |G| multiplication tables only below this order.
+FULL_TABLE_ORDER = 4096
+
+
+def _is_odd_prime(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+@dataclass(frozen=True)
+class PcPresentation:
+    """Weighted power-commutator presentation of a group of order p^n.
+
+    power_rhs[i] is the exponent vector of g_i^p; commutators are stored
+    as a sorted tuple of ((j, i), exponent vector) entries with j > i
+    (0-based), omitted pairs commute.
+    """
+
+    p: int
+    power_rhs: tuple[tuple[int, ...], ...]
+    comm_rhs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    name: str = ""
+    enumeration_cap: int = DEFAULT_CAPS.enumeration
+
+    def __post_init__(self):
+        if not _is_odd_prime(self.p):
+            raise InputError(f"p must be an odd prime, got {self.p}")
+        n = len(self.power_rhs)
+        if n == 0:
+            raise InputError("need at least one generator")
+        for i, rhs in enumerate(self.power_rhs):
+            self._check_rhs(rhs, strictly_above=i, what=f"power_rhs[{i}]")
+        seen = set()
+        for (j, i), rhs in self.comm_rhs:
+            if not (0 <= i < j < n):
+                raise InputError(f"bad commutator key ({j},{i})")
+            if (j, i) in seen:
+                raise InputError(f"duplicate commutator key ({j},{i})")
+            seen.add((j, i))
+            self._check_rhs(rhs, strictly_above=j, what=f"comm_rhs[{j},{i}]")
+
+    def _check_rhs(self, rhs: tuple[int, ...], strictly_above: int, what: str):
+        if len(rhs) != self.n:
+            raise InputError(f"{what}: wrong length {len(rhs)}")
+        for k, e in enumerate(rhs):
+            if not 0 <= e < self.p:
+                raise InputError(f"{what}: exponent {e} out of range")
+            if e and k <= strictly_above:
+                raise InputError(f"{what}: support at index {k} violates weighting")
+
+    # -- basic data ---------------------------------------------------------
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.power_rhs)
+
+    @cached_property
+    def order(self) -> int:
+        return self.p ** self.n
+
+    @cached_property
+    def _comm_dict(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return dict(self.comm_rhs)
+
+    def comm(self, j: int, i: int) -> tuple[int, ...]:
+        """Normal form of [g_j, g_i] for j > i."""
+        return self._comm_dict.get((j, i), (0,) * self.n)
+
+    @property
+    def identity_exps(self) -> tuple[int, ...]:
+        return (0,) * self.n
+
+    @property
+    def identity(self) -> "Element":
+        return Element(self, self.identity_exps)
+
+    def gen(self, i: int) -> "Element":
+        if not 0 <= i < self.n:
+            raise InputError(f"generator index {i} out of range")
+        exps = [0] * self.n
+        exps[i] = 1
+        return Element(self, tuple(exps))
+
+    @property
+    def gens(self) -> tuple["Element", ...]:
+        return tuple(self.gen(i) for i in range(self.n))
+
+    def element(self, exps: Sequence[int]) -> "Element":
+        return Element(self, tuple(int(e) % self.p for e in exps))
+
+    # -- collection ---------------------------------------------------------
+
+    def _exps_to_word(self, exps: Sequence[int]) -> list[tuple[int, int]]:
+        return [(i, e) for i, e in enumerate(exps) if e]
+
+    def collect(self, word: Word) -> tuple[int, ...]:
+        """Normal form of a word of (generator index, exponent >= 0) pairs."""
+        p = self.p
+        sylls: list[list[int]] = []
+        for g, e in word:
+            if not 0 <= g < self.n:
+                raise InputError(f"generator index {g} out of range")
+            if e < 0:
+                raise InputError("collection takes non-negative exponents")
+            if e:
+                sylls.append([g, e])
+        while True:
+            # merge equal adjacent syllables
+            merged: list[list[int]] = []
+            for g, e in sylls:
+                if merged and merged[-1][0] == g:
+                    merged[-1][1] += e
+                else:
+                    merged.append([g, e])
+            sylls = [s for s in merged if s[1]]
+            action = None
+            for t, (g, e) in enumerate(sylls):
+                if e >= p:
+                    action = ("power", t)
+                    break
+                if t + 1 < len(sylls) and sylls[t + 1][0] < g:
+                    action = ("swap", t)
+                    break
+            if action is None:
+                break
+            kind, t = action
+            if kind == "power":
+                g, e = sylls[t]
+                q, r = divmod(e, p)
+                repl: list[list[int]] = []
+                if r:
+                    repl.append([g, r])
+                pw = self._exps_to_word(self.power_rhs[g])
+                for _ in range(q):
+                    repl.extend([a, b] for a, b in pw)
+                sylls[t : t + 1] = repl
+            else:
+                (j, a), (i, b) = sylls[t], sylls[t + 1]
+                # g_j^a g_i^b = g_j^(a-1) g_i g_j [g_j,g_i] g_i^(b-1)
+                repl = []
+                if a > 1:
+                    repl.append([j, a - 1])
+                repl.append([i, 1])
+                repl.append([j, 1])
+                repl.extend([g, e] for g, e in self._exps_to_word(self.comm(j, i)))
+                if b > 1:
+                    repl.append([i, b - 1])
+                sylls[t : t + 2] = repl
+        exps = [0] * self.n
+        for g, e in sylls:
+            exps[g] = e
+        return tuple(exps)
+
+    def multiply_exps(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        return self.collect(self._exps_to_word(x) + self._exps_to_word(y))
+
+    def inverse_exps(self, x: Sequence[int]) -> tuple[int, ...]:
+        # Greedy: right-multiplying by g_i^a never disturbs exponents below i.
+        p = self.p
+        acc = tuple(x)
+        word: list[tuple[int, int]] = []
+        for i in range(self.n):
+            a = (-acc[i]) % p
+            if a:
+                word.append((i, a))
+                acc = self.collect(self._exps_to_word(acc) + [(i, a)])
+        return self.collect(word)
+
+    def power_exps(self, x: Sequence[int], k: int) -> tuple[int, ...]:
+        if k < 0:
+            return self.power_exps(self.inverse_exps(x), -k)
+        acc = self.identity_exps
+        base = tuple(x)
+        while k:
+            if k & 1:
+                acc = self.multiply_exps(acc, base)
+            base = self.multiply_exps(base, base)
+            k >>= 1
+        return acc
+
+    def conjugate_exps(self, h: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+        """h^g = g^-1 h g."""
+        gi = self.inverse_exps(g)
+        return self.multiply_exps(self.multiply_exps(gi, h), g)
+
+    def commutator_exps(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """[x, y] = x^-1 y^-1 x y."""
+        xi = self.inverse_exps(x)
+        yi = self.inverse_exps(y)
+        return self.multiply_exps(self.multiply_exps(self.multiply_exps(xi, yi), x), y)
+
+    # -- enumeration and tables ---------------------------------------------
+
+    def _require_enumerable(self, what: str = "enumeration"):
+        if self.order > self.enumeration_cap:
+            raise CapExceeded(what, self.order, self.enumeration_cap)
+
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """All p^n exponent tuples in lexicographic order."""
+        self._require_enumerable()
+        return tuple(itertools.product(range(self.p), repeat=self.n))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def index_of(self, exps: Sequence[int]) -> int:
+        # lex index is positional base-p; avoids building the dict eagerly
+        idx = 0
+        for e in exps:
+            idx = idx * self.p + e
+        return idx
+
+    @cached_property
+    def gen_tables(self) -> np.ndarray:
+        """gen_tables[i][x] = index of (element x) * g_i."""
+        self._require_enumerable()
+        tabs = np.zeros((self.n, self.order), dtype=np.int64)
+        for xi, exps in enumerate(self.elements):
+            word = self._exps_to_word(exps)
+            for i in range(self.n):
+                tabs[i, xi] = self.index_of(self.collect(word + [(i, 1)]))
+        tabs.setflags(write=False)
+        return tabs
+
+    def mult_index(self, a: int, b: int) -> int:
+        if self.order <= FULL_TABLE_ORDER:
+            return int(self.full_mult_table[a, b])
+        out = a
+        for i, e in enumerate(self.elements[b]):
+            t = self.gen_tables[i]
+            for _ in range(e):
+                out = int(t[out])
+        return out
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        inv = np.zeros(self.order, dtype=np.int64)
+        for xi, exps in enumerate(self.elements):
+            inv[xi] = self.index_of(self.inverse_exps(exps))
+        inv.setflags(write=False)
+        return inv
+
+    def conj_index(self, h: int, g: int) -> int:
+        gi = int(self.inv_table[g])
+        return self.mult_index(self.mult_index(gi, h), g)
+
+    def comm_index(self, x: int, y: int) -> int:
+        xi = int(self.inv_table[x])
+        yi = int(self.inv_table[y])
+        return self.mult_index(self.mult_index(self.mult_index(xi, yi), x), y)
+
+    @cached_property
+    def power_p_table(self) -> np.ndarray:
+        """power_p_table[x] = index of (element x)^p."""
+        table = np.zeros(self.order, dtype=np.int64)
+        for xi, exps in enumerate(self.elements):
+            table[xi] = self.index_of(self.power_exps(exps, self.p))
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        pw = self.power_p_table
+        orders = np.zeros(self.order, dtype=np.int64)
+        for xi in range(self.order):
+            k = 1
+            cur = xi
+            while cur:
+                cur = int(pw[cur])
+                k *= self.p
+            orders[xi] = k
+        orders.setflags(write=False)
+        return orders
+
+    @cached_property
+    def full_mult_table(self) -> np.ndarray:
+        """Dense |G| x |G| index multiplication table (small groups only)."""
+        self._require_enumerable("multiplication table")
+        if self.order > FULL_TABLE_ORDER:
+            raise CapExceeded("multiplication table", self.order, FULL_TABLE_ORDER)
+        N = self.order
+        table = np.zeros((N, N), dtype=np.int32)
+        table[:, 0] = np.arange(N)
+        # column recurrence: col(y) = gen_tables[i][col(y')] where y = y' * g_i
+        for yi in range(1, N):
+            exps = self.elements[yi]
+            last = max(k for k, e in enumerate(exps) if e)
+            prev = list(exps)
+            prev[last] -= 1
+            table[:, yi] = self.gen_tables[last][table[:, self.index_of(prev)]]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        z = self.identity_exps
+        return all(self.comm(j, i) == z for j in range(self.n) for i in range(j))
+
+    # -- consistency audit ----------------------------------------------------
+
+    def audit(self, seed: int = 0) -> dict:
+        """Empirical consistency check: associativity plus identity/inverse laws.
+
+        Exhaustive for order <= 3^5, sampled triples above. Raises InputError
+        on any failure; returns a summary dict.
+        """
+        self._require_enumerable("consistency audit")
+        N = self.order
+        if N <= EXHAUSTIVE_AUDIT_ORDER:
+            t = self.full_mult_table
+            # t[t][a,b,c] = t[t[a,b],c]; t[:,t][a,b,c] = t[a,t[b,c]]
+            if not np.array_equal(t[t], t[:, t]):
+                raise InputError(f"{self.name or 'presentation'}: associativity failed")
+            mode, checked = "exhaustive", N**3
+        else:
+            rng = random.Random(seed)
+            for _ in range(AUDIT_SAMPLES):
+                a, b, c = (
+                    tuple(rng.randrange(self.p) for _ in range(self.n)) for _ in range(3)
+                )
+                lhs = self.multiply_exps(self.multiply_exps(a, b), c)
+                rhs = self.multiply_exps(a, self.multiply_exps(b, c))
+                if lhs != rhs:
+                    raise InputError(f"{self.name or 'presentation'}: associativity failed")
+            mode, checked = "sampled", AUDIT_SAMPLES
+        ident = np.arange(N)
+        t0 = np.array([self.mult_index(0, x) for x in range(N)])
+        if not np.array_equal(t0, ident):
+            raise InputError("identity law failed")
+        for x in range(N):
+            if self.mult_index(x, int(self.inv_table[x])) != 0:
+                raise InputError("inverse law failed")
+        return {"mode": mode, "triples": checked, "order": N}
+
+    def __repr__(self):
+        return f"PcPresentation({self.name or 'unnamed'}, p={self.p}, n={self.n})"
+
+
+@dataclass(frozen=True)
+class Element:
+    """Group element in normal form, immutable."""
+
+    pres: PcPresentation
+    exps: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.exps) != self.pres.n:
+            raise InputError("exponent vector has wrong length")
+        if any(not 0 <= e < self.pres.p for e in self.exps):
+            raise InputError("exponents out of range")
+
+    def _same(self, other: "Element"):
+        if self.pres != other.pres:
+            raise InputError("elements from different presentations")
+
+    def __mul__(self, other: "Element") -> "Element":
+        self._same(other)
+        return Element(self.pres, self.pres.multiply_exps(self.exps, other.exps))
+
+    def inverse(self) -> "Element":
+        return Element(self.pres, self.pres.inverse_exps(self.exps))
+
+    def __pow__(self, k: int) -> "Element":
+        return Element(self.pres, self.pres.power_exps(self.exps, k))
+
+    def conj(self, g: "Element") -> "Element":
+        """self^g = g^-1 self g."""
+        self._same(g)
+        return Element(self.pres, self.pres.conjugate_exps(self.exps, g.exps))
+
+    def comm(self, other: "Element") -> "Element":
+        self._same(other)
+        return Element(self.pres, self.pres.commutator_exps(self.exps, other.exps))
+
+    @property
+    def is_identity(self) -> bool:
+        return not any(self.exps)
+
+    def order(self) -> int:
+        k = 1
+        cur = self
+        while not cur.is_identity:
+            cur = cur ** self.pres.p
+            k *= self.pres.p
+        return k
+
+    @property
+    def index(self) -> int:
+        return self.pres.index_of(self.exps)
+
+    def __repr__(self):
+        return f"Element{self.exps}"
+
+
+def multiply(x: Element, y: Element) -> Element:
+    return x * y
+
+
+def inverse(x: Element) -> Element:
+    return x.inverse()
+
+
+def power(x: Element, k: int) -> Element:
+    return x ** k
+
+
+def commutator(x: Element, y: Element) -> Element:
+    return x.comm(y)
+
+
+def collect(pres: PcPresentation, word: Word) -> Element:
+    """Collect a free word of 1-based (generator, exponent) pairs to its
+    normal form."""
+    shifted = [(g - 1, e) for g, e in word]
+    for g, _ in shifted:
+        if not 0 <= g < pres.n:
+            raise InputError(f"generator index {g + 1} out of range")
+    return Element(pres, pres.collect(shifted))
+
+
+def enumerate_elements(pres: PcPresentation) -> list[Element]:
+    return [Element(pres, e) for e in pres.elements]
+
+
+# -- homomorphisms ------------------------------------------------------------
+
+
+def relator_pairs(pres: PcPresentation) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """Defining relations as (left word, right word) pairs over 0-based letters.
+
+    Power: g_i^p = power_rhs[i]. Commutator (stated inverse-free):
+    g_j g_i = g_i g_j [g_j, g_i].
+    """
+    out = []
+    for i in range(pres.n):
+        lhs = [(i, pres.p)]
+        rhs = [(k, e) for k, e in enumerate(pres.power_rhs[i]) if e]
+        out.append((lhs, rhs))
+    for j in range(pres.n):
+        for i in range(j):
+            lhs = [(j, 1), (i, 1)]
+            rhs = [(i, 1), (j, 1)] + [(k, e) for k, e in enumerate(pres.comm(j, i)) if e]
+            out.append((lhs, rhs))
+    return out
+
+
+def _apply_images_exps(
+    target: PcPresentation, images: Sequence[tuple[int, ...]], exps: Sequence[int]
+) -> tuple[int, ...]:
+    acc = target.identity_exps
+    for i, e in enumerate(exps):
+        if e:
+            acc = target.multiply_exps(acc, target.power_exps(images[i], e))
+    return acc
+
+
+def _word_image_exps(
+    target: PcPresentation, images: Sequence[tuple[int, ...]], word: Word
+) -> tuple[int, ...]:
+    acc = target.identity_exps
+    for g, e in word:
+        acc = target.multiply_exps(acc, target.power_exps(images[g], e))
+    return acc
+
+
+def images_respect_relations(
+    source: PcPresentation, target: PcPresentation, images: Sequence[tuple[int, ...]]
+) -> bool:
+    for lhs, rhs in relator_pairs(source):
+        if _word_image_exps(target, images, lhs) != _word_image_exps(target, images, rhs):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class GroupHom:
+    """Homomorphism given by images of the source pc generators."""
+
+    source: PcPresentation
+    target: PcPresentation
+    images: tuple[Element, ...]
+
+    def __post_init__(self):
+        if len(self.images) != self.source.n:
+            raise InputError("need one image per source generator")
+        for img in self.images:
+            if img.pres != self.target:
+                raise InputError("image lies in the wrong presentation")
+        if not images_respect_relations(
+            self.source, self.target, tuple(i.exps for i in self.images)
+        ):
+            raise InputError("generator images do not respect the relations")
+
+    def apply(self, x: Element) -> Element:
+        if x.pres != self.source:
+            raise InputError("element not in the source group")
+        return Element(
+            self.target,
+            _apply_images_exps(self.target, tuple(i.exps for i in self.images), x.exps),
+        )
+
+    def __call__(self, x: Element) -> Element:
+        return self.apply(x)
+
+    @cached_property
+    def image_size(self) -> int:
+        self.target._require_enumerable("homomorphism image")
+        seen = {0}
+        frontier = [0]
+        gens = [i.index for i in self.images]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = self.target.mult_index(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return len(seen)
+
+    @property
+    def is_surjective(self) -> bool:
+        return self.image_size == self.target.order
+
+    @property
+    def is_injective(self) -> bool:
+        return self.image_size == self.source.order
+
+    @property
+    def is_isomorphism(self) -> bool:
+        return self.is_injective and self.is_surjective
+
+    @property
+    def kind(self) -> str:
+        if self.is_isomorphism:
+            return "iso"
+        if self.is_injective:
+            return "injective"
+        if self.is_surjective:
+            return "surjective"
+        return "hom"
+
+    def compose(self, inner: "GroupHom") -> "GroupHom":
+        """self o inner."""
+        if inner.target != self.source:
+            raise InputError("composition mismatch")
+        return GroupHom(inner.source, self.target, tuple(self.apply(i) for i in inner.images))
+
+
+# -- builders -----------------------------------------------------------------
+
+
+def build_D(d: int, p: int, name: str | None = None) -> PcPresentation:
+    """Rank-d exponent-p class-2 group: generators y1..yd plus the central
+    commutators [y_j, y_i] (i < j); order p^(d + d(d-1)/2)."""
+    if d < 2:
+        raise InputError("build_D needs rank d >= 2")
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    n = d + len(pairs)
+    pos = {pair: d + k for k, pair in enumerate(pairs)}
+    zero = (0,) * n
+    powers = tuple(zero for _ in range(n))
+    comms = []
+    for (i, j), idx in pos.items():
+        rhs = [0] * n
+        rhs[idx] = 1
+        comms.append(((j, i), tuple(rhs)))
+    return PcPresentation(
+        p=p,
+        power_rhs=powers,
+        comm_rhs=tuple(sorted(comms)),
+        name=name or f"d:{d},{p}",
+    )
+
+
+def direct_product(a: PcPresentation, b: PcPresentation, name: str | None = None) -> PcPresentation:
+    if a.p != b.p:
+        raise InputError("direct product needs matching primes")
+    n = a.n + b.n
+    zero_tail = (0,) * b.n
+    zero_head = (0,) * a.n
+    powers = [rhs + zero_tail for rhs in a.power_rhs]
+    powers += [zero_head + rhs for rhs in b.power_rhs]
+    comms = [((j, i), rhs + zero_tail) for (j, i), rhs in a.comm_rhs]
+    comms += [((j + a.n, i + a.n), zero_head + rhs) for (j, i), rhs in b.comm_rhs]
+    return PcPresentation(
+        p=a.p,
+        power_rhs=tuple(powers),
+        comm_rhs=tuple(sorted(comms)),
+        name=name or f"{a.name}+{b.name}",
+    )
+
+
+# -- quotients and subgroup presentations --------------------------------------
+
+
+def closure_indices(pres: PcPresentation, seed: Iterable[int]) -> frozenset[int]:
+    """Subgroup generated by the given element indices (BFS closure)."""
+    gens = set(int(s) for s in seed)
+    seen = {0} | gens
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = pres.mult_index(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def _tail_subgroup_indices(pres: PcPresentation) -> list[frozenset[int]]:
+    """Index sets of the chain <g_i, ..., g_n>, i = 1..n+1 (last is trivial)."""
+    chains: list[frozenset[int]] = [frozenset([0])]
+    gens: list[int] = []
+    for i in range(pres.n - 1, -1, -1):
+        gens.append(pres.index_of(pres.gen(i).exps))
+        chains.append(closure_indices(pres, gens))
+    chains.reverse()
+    return chains
+
+
+def _presentation_from_chain(
+    p: int,
+    mult,
+    inv,
+    ident,
+    chain_sets: list[frozenset],
+    chosen: list,
+    name: str,
+    enumeration_cap: int,
+):
+    """Build a weighted pc presentation from a subnormal chain with index-p
+    jumps. chain_sets[k] is the member set at level k (chain_sets[0] = whole
+    group, last = {ident}); chosen[k] generates the k-th jump.
+
+    Returns (presentation, normal_form function on tokens)."""
+    m = len(chosen)
+    inv_chosen = [inv(u) for u in chosen]
+
+    def normal_form(t):
+        exps = []
+        cur = t
+        for k in range(m):
+            f = 0
+            while cur not in chain_sets[k + 1]:
+                cur = mult(inv_chosen[k], cur)
+                f += 1
+                if f >= p:
+                    raise InputError("chain jump larger than p")
+            exps.append(f)
+        if cur != ident:
+            raise InputError("normal form did not terminate at identity")
+        return tuple(exps)
+
+    def pow_token(t, k):
+        acc = ident
+        for _ in range(k):
+            acc = mult(acc, t)
+        return acc
+
+    powers = []
+    for k in range(m):
+        nf = normal_form(pow_token(chosen[k], p))
+        if any(nf[: k + 1]):
+            raise InputError("power relation violates weighting")
+        powers.append(nf)
+    comms = []
+    zero = (0,) * m
+    for l in range(m):
+        for k in range(l):
+            c = mult(mult(mult(inv_chosen[l], inv_chosen[k]), chosen[l]), chosen[k])
+            nf = normal_form(c)
+            if any(nf[: l + 1]):
+                raise InputError("commutator relation violates weighting")
+            if nf != zero:
+                comms.append(((l, k), nf))
+    pres = PcPresentation(
+        p=p,
+        power_rhs=tuple(powers),
+        comm_rhs=tuple(sorted(comms)),
+        name=name,
+        enumeration_cap=enumeration_cap,
+    )
+    return pres, normal_form
+
+
+def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresentation, GroupHom]:
+    """Quotient by a normal subgroup, returned with the projection hom.
+
+    `normal_members` is a Subgroup, an iterable of Elements, or an iterable
+    of exponent tuples. Raises InputError if the set is not a normal subgroup.
+    """
+    pres._require_enumerable("quotient")
+    members = _member_indices(pres, normal_members)
+    _check_subgroup_indices(pres, members)
+    for x in members:
+        for i in range(pres.n):
+            if pres.conj_index(x, pres.index_of(pres.gen(i).exps)) not in members:
+                raise InputError("subgroup is not normal")
+    # canonical coset representative: minimal index in x * N
+    rep = {}
+    members_sorted = sorted(members)
+    for x in range(pres.order):
+        if x in rep:
+            continue
+        coset = sorted(pres.mult_index(x, nmem) for nmem in members_sorted)
+        r = coset[0]
+        for y in coset:
+            rep[y] = r
+
+    def qmult(a, b):
+        return rep[pres.mult_index(a, b)]
+
+    def qinv(a):
+        return rep[int(pres.inv_table[a])]
+
+    tails = _tail_subgroup_indices(pres)
+    proj_chain = [frozenset(rep[x] for x in tail) for tail in tails]
+    # deduplicate, remembering which ambient generator witnesses each jump
+    dedup: list[frozenset[int]] = [proj_chain[0]]
+    chosen: list[int] = []
+    for i in range(pres.n):
+        nxt = proj_chain[i + 1]
+        if nxt != dedup[-1]:
+            chosen.append(rep[pres.index_of(pres.gen(i).exps)])
+            dedup.append(nxt)
+    if dedup[-1] != frozenset([rep[0]]):
+        raise InputError("chain did not terminate")
+    if not chosen:
+        raise InputError("quotient is trivial; nothing to present")
+    qname = f"{pres.name}/N" if pres.name else "quotient"
+    qpres, normal_form = _presentation_from_chain(
+        pres.p, qmult, qinv, rep[0], dedup, chosen, qname, pres.enumeration_cap
+    )
+    images = tuple(
+        Element(qpres, normal_form(rep[pres.index_of(pres.gen(i).exps)])) for i in range(pres.n)
+    )
+    proj = GroupHom(pres, qpres, images)
+    if proj.image_size != qpres.order:
+        raise InputError("projection is not surjective")  # pragma: no cover
+    return qpres, proj
+
+
+def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPresentation, GroupHom]:
+    """Pc presentation of a subgroup plus the embedding hom into the parent."""
+    pres._require_enumerable("subgroup presentation")
+    mem = _member_indices(pres, members)
+    _check_subgroup_indices(pres, mem)
+    if len(mem) == 1:
+        raise InputError("trivial subgroup has no pc presentation here")
+    tails = _tail_subgroup_indices(pres)
+    chain: list[frozenset[int]] = []
+    prev = None
+    raw = [frozenset(mem & t) for t in tails]
+    dedup = [raw[0]]
+    chosen: list[int] = []
+    for i in range(pres.n):
+        nxt = raw[i + 1]
+        if nxt != dedup[-1]:
+            # pick a witness in (mem & tails[i]) \ (mem & tails[i+1]) deterministically
+            jump = sorted(raw[i] - nxt)
+            chosen.append(jump[0])
+            dedup.append(nxt)
+    spres, normal_form = _presentation_from_chain(
+        pres.p,
+        pres.mult_index,
+        lambda a: int(pres.inv_table[a]),
+        0,
+        dedup,
+        chosen,
+        f"{pres.name}|sub" if pres.name else "subgroup",
+        pres.enumeration_cap,
+    )
+    images = tuple(Element(pres, pres.elements[tok]) for tok in chosen)
+    embed = GroupHom(spres, pres, images)
+    return spres, embed
+
+
+def _member_indices(pres: PcPresentation, members: Iterable) -> frozenset[int]:
+    out = set()
+    if hasattr(members, "members"):
+        members = members.members  # Subgroup duck-typing
+    for m in members:
+        if isinstance(m, Element):
+            if m.pres != pres:
+                raise InputError("member from wrong presentation")
+            out.add(m.index)
+        elif isinstance(m, (int, np.integer)):
+            out.add(int(m))
+        else:
+            out.add(pres.index_of(tuple(m)))
+    return frozenset(out)
+
+
+def _check_subgroup_indices(pres: PcPresentation, members: frozenset[int]):
+    if 0 not in members:
+        raise InputError("subgroup must contain the identity")
+    for x in members:
+        if int(pres.inv_table[x]) not in members:
+            raise InputError("set is not inverse-closed")
+    for x in members:
+        for y in members:
+            if pres.mult_index(x, y) not in members:
+                raise InputError("set is not closed under multiplication")
+
+
+# -- JSON serialization ---------------------------------------------------------
+
+
+def presentation_to_dict(pres: PcPresentation) -> dict:
+    comms = {}
+    for (j, i), rhs in pres.comm_rhs:
+        comms[f"{j + 1},{i + 1}"] = list(rhs)
+    return {
+        "name": pres.name,
+        "p": pres.p,
+        "n": pres.n,
+        "powers": [list(r) for r in pres.power_rhs],
+        "commutators": comms,
+    }
+
+
+def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
+    try:
+        p = int(data["p"])
+        n = int(data["n"])
+        name = str(data.get("name", ""))
+        powers = [tuple(int(e) for e in row) for row in data["powers"]]
+        raw_comms = data.get("commutators", {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed presentation data: {exc}") from exc
+    if len(powers) != n:
+        raise InputError("powers table has wrong length")
+    comms = []
+    for key, rhs in raw_comms.items():
+        try:
+            j_s, i_s = key.split(",")
+            j, i = int(j_s) - 1, int(i_s) - 1
+            vec = tuple(int(e) for e in rhs)
+        except (ValueError, AttributeError) as exc:
+            raise InputError(f"malformed commutator entry {key!r}") from exc
+        comms.append(((j, i), vec))
+    try:
+        return PcPresentation(
+            p=p,
+            power_rhs=tuple(powers),
+            comm_rhs=tuple(sorted(comms)),
+            name=name,
+            enumeration_cap=enumeration_cap,
+        )
+    except InputError:
+        raise
+    except Exception as exc:  # defensive: any constructor failure is an input error
+        raise InputError(str(exc)) from exc
+
+
+def load_presentation(path, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read presentation file: {exc}") from exc
+    return presentation_from_dict(data, enumeration_cap)
+
+
+def dump_presentation(pres: PcPresentation, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(presentation_to_dict(pres), fh, indent=2, sort_keys=True)
+        fh.write("\n")

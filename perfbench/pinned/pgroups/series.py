@@ -1,0 +1,487 @@
+"""Characteristic subgroups, centralizers, and the refined Frattini chain.
+
+Subgroups are explicit closed element-index sets with generator witnesses.
+That is exact and O(1) for membership at the orders this library targets;
+no induced pc sequences are attempted. All operations are pure functions
+of immutable inputs and are memoized per (group, arguments).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
+
+import numpy as np
+
+from . import gflinalg as la
+from .errors import InputError
+from .pcgroup import Element, PcPresentation, closure_indices
+
+
+@dataclass(frozen=True)
+class Subgroup:
+    """Subgroup as a closed element-index set plus generator witnesses."""
+
+    parent: PcPresentation
+    members: frozenset[int]
+    gens: tuple[int, ...]
+
+    def __post_init__(self):
+        if 0 not in self.members:
+            raise InputError("subgroup must contain the identity")
+        for g in self.gens:
+            if g not in self.members:
+                raise InputError("generator witness outside the subgroup")
+        if closure_indices(self.parent, self.gens) != self.members:
+            raise InputError("witnesses do not generate the member set")
+        for x in self.members:
+            if int(self.parent.inv_table[x]) not in self.members:
+                raise InputError("member set is not inverse-closed")
+            for g in self.gens:
+                if self.parent.mult_index(x, g) not in self.members:
+                    raise InputError("member set is not multiplication-closed")
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, x) -> bool:
+        if isinstance(x, Element):
+            return x.index in self.members
+        return int(x) in self.members
+
+    def __le__(self, other: "Subgroup") -> bool:
+        return self.members <= other.members
+
+    def __lt__(self, other: "Subgroup") -> bool:
+        return self.members < other.members
+
+    @property
+    def elements(self) -> list[Element]:
+        return [
+            Element(self.parent, self.parent.elements[i]) for i in sorted(self.members)
+        ]
+
+    @property
+    def gen_elements(self) -> tuple[Element, ...]:
+        return tuple(Element(self.parent, self.parent.elements[i]) for i in self.gens)
+
+    @property
+    def is_trivial(self) -> bool:
+        return len(self.members) == 1
+
+    @property
+    def is_abelian(self) -> bool:
+        mem = sorted(self.members)
+        return all(
+            self.parent.mult_index(x, y) == self.parent.mult_index(y, x)
+            for x in mem
+            for y in mem
+            if x < y
+        )
+
+    @property
+    def is_normal(self) -> bool:
+        G = self.parent
+        return all(
+            G.conj_index(x, G.index_of(G.gen(i).exps)) in self.members
+            for x in self.members
+            for i in range(G.n)
+        )
+
+    @property
+    def is_elementary_abelian(self) -> bool:
+        G = self.parent
+        return self.is_abelian and all(
+            G.power_exps(G.elements[x], G.p) == G.identity_exps for x in self.members
+        )
+
+    def gens_json(self) -> list[list[int]]:
+        return [list(self.parent.elements[g]) for g in self.gens]
+
+    def __repr__(self):
+        return f"Subgroup(order={self.order} of {self.parent.name or 'G'})"
+
+
+def _minimal_witnesses(G: PcPresentation, members: frozenset[int]) -> tuple[int, ...]:
+    """Deterministic small generating set: greedy scan in index order."""
+    gens: list[int] = []
+    have: frozenset[int] = frozenset([0])
+    for x in sorted(members):
+        if x not in have:
+            gens.append(x)
+            have = closure_indices(G, gens)
+            if have == members:
+                break
+    return tuple(gens)
+
+
+def make_subgroup(G: PcPresentation, members: Iterable[int]) -> Subgroup:
+    mem = frozenset(int(m) for m in members) | {0}
+    return Subgroup(G, mem, _minimal_witnesses(G, mem))
+
+
+def subgroup_generated(G: PcPresentation, seed: Iterable) -> Subgroup:
+    idxs = []
+    for s in seed:
+        idxs.append(s.index if isinstance(s, Element) else int(s))
+    return make_subgroup(G, closure_indices(G, idxs))
+
+
+@lru_cache(maxsize=None)
+def trivial_subgroup(G: PcPresentation) -> Subgroup:
+    return Subgroup(G, frozenset([0]), ())
+
+
+@lru_cache(maxsize=None)
+def whole_group(G: PcPresentation) -> Subgroup:
+    G._require_enumerable("subgroup computations")
+    return make_subgroup(G, range(G.order))
+
+
+@lru_cache(maxsize=None)
+def center(G: PcPresentation) -> Subgroup:
+    G._require_enumerable("center")
+    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
+    mem = [
+        x
+        for x in range(G.order)
+        if all(G.mult_index(x, g) == G.mult_index(g, x) for g in gens)
+    ]
+    return make_subgroup(G, mem)
+
+
+@lru_cache(maxsize=None)
+def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
+    """C_G(S): elements commuting with every member (generators suffice)."""
+    if S.parent != G:
+        raise InputError("subgroup of a different group")
+    gens = list(S.gens)
+    if not gens:
+        return whole_group(G)
+    mem = [
+        x
+        for x in range(G.order)
+        if all(G.mult_index(x, s) == G.mult_index(s, x) for s in gens)
+    ]
+    return make_subgroup(G, mem)
+
+
+@lru_cache(maxsize=None)
+def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
+    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
+    current = set(closure_indices(G, seed))
+    while True:
+        extra = set()
+        for x in current:
+            for g in gens:
+                y = G.conj_index(x, g)
+                if y not in current:
+                    extra.add(y)
+        if not extra:
+            break
+        current = set(closure_indices(G, frozenset(current | extra)))
+    return make_subgroup(G, current)
+
+
+@lru_cache(maxsize=None)
+def lower_central(G: PcPresentation, i: int) -> Subgroup:
+    """gamma_i(G); gamma_1 = G, gamma_{k+1} = [gamma_k, G]."""
+    if i < 1:
+        raise InputError("lower central series starts at 1")
+    if i == 1:
+        return whole_group(G)
+    prev = lower_central(G, i - 1)
+    if prev.is_trivial:
+        return prev
+    gens = [G.index_of(G.gen(k).exps) for k in range(G.n)]
+    seed = {
+        G.comm_index(a, g) for a in prev.gens for g in gens
+    }
+    return normal_closure(G, frozenset(seed))
+
+
+@lru_cache(maxsize=None)
+def upper_central(G: PcPresentation, i: int) -> Subgroup:
+    """Z_i(G); Z_0 = 1, Z_{k+1}/Z_k = Z(G/Z_k)."""
+    if i < 0:
+        raise InputError("upper central series starts at 0")
+    if i == 0:
+        return trivial_subgroup(G)
+    prev = upper_central(G, i - 1)
+    gens = [G.index_of(G.gen(k).exps) for k in range(G.n)]
+    mem = [
+        x
+        for x in range(G.order)
+        if all(G.comm_index(x, g) in prev.members for g in gens)
+    ]
+    return make_subgroup(G, mem)
+
+
+@lru_cache(maxsize=None)
+def agemo(G: PcPresentation) -> Subgroup:
+    """G^p, generated by all p-th powers."""
+    G._require_enumerable("agemo")
+    powers = {G.index_of(G.power_exps(exps, G.p)) for exps in G.elements}
+    return make_subgroup(G, closure_indices(G, powers))
+
+
+@lru_cache(maxsize=None)
+def frattini(G: PcPresentation) -> Subgroup:
+    """Phi(G) = G^p [G, G]."""
+    gp = agemo(G)
+    g2 = lower_central(G, 2)
+    return make_subgroup(G, closure_indices(G, gp.gens + g2.gens))
+
+
+@lru_cache(maxsize=None)
+def frattini_via_maximals(G: PcPresentation) -> Subgroup:
+    """Independent route: intersection of all maximal subgroups, found as
+    common kernels of the surjections onto C_p."""
+    p = G.p
+    # hom to C_p: values v_i on generators, constrained by exponent sums of relators
+    rows = []
+    for i in range(G.n):
+        rows.append([e % p for e in G.power_rhs[i]])
+    for (j, i), rhs in G.comm_rhs:
+        rows.append([e % p for e in rhs])
+    basis = la.nullspace(np.array(rows, dtype=np.int64), p)
+    if basis.size == 0:
+        return whole_group(G)
+    mem = [
+        x
+        for x in range(G.order)
+        if all(
+            sum(int(v) * e for v, e in zip(row, G.elements[x])) % p == 0
+            for row in basis
+        )
+    ]
+    return make_subgroup(G, mem)
+
+
+@lru_cache(maxsize=None)
+def omega1(G: PcPresentation, A: Subgroup) -> Subgroup:
+    """Omega_1(A) for abelian A: elements of order dividing p."""
+    if not A.is_abelian:
+        raise InputError("omega1 is only provided for abelian subgroups")
+    mem = [
+        x for x in A.members if G.power_exps(G.elements[x], G.p) == G.identity_exps
+    ]
+    return make_subgroup(G, mem)
+
+
+@lru_cache(maxsize=None)
+def gamma3_agemo(G: PcPresentation) -> Subgroup:
+    """gamma_3(G) G^p."""
+    g3 = lower_central(G, 3)
+    gp = agemo(G)
+    return make_subgroup(G, closure_indices(G, g3.gens + gp.gens))
+
+
+def min_generators(G: PcPresentation) -> int:
+    """d(G) = log_p |G / Phi(G)|."""
+    phi = frattini(G)
+    quotient_order = G.order // phi.order
+    d = 0
+    while quotient_order > 1:
+        quotient_order //= G.p
+        d += 1
+    return d
+
+
+def subgroup_center(G: PcPresentation, S: Subgroup) -> Subgroup:
+    """Z(S) = C_G(S) intersect S."""
+    c = centralizer(G, S)
+    return make_subgroup(G, c.members & S.members)
+
+
+@lru_cache(maxsize=None)
+def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
+    """A (maximal under greedy extension) elementary abelian normal
+    subgroup containing the p-torsion of the center. Deterministic: scans
+    order-p elements in index order and keeps every extension that stays
+    elementary abelian and normal."""
+    A = omega1(G, center(G))
+    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(1, G.order):
+            if x in A.members:
+                continue
+            if int(G.element_orders[x]) != G.p:
+                continue
+            if any(
+                G.mult_index(x, a) != G.mult_index(a, x) for a in A.gens
+            ):
+                continue
+            cand = closure_indices(G, tuple(A.gens) + (x,))
+            if any(
+                G.power_exps(G.elements[y], G.p) != G.identity_exps for y in cand
+            ):
+                continue
+            if any(G.conj_index(y, g) not in cand for y in cand for g in gens):
+                continue
+            A = make_subgroup(G, cand)
+            changed = True
+    return A
+
+
+@dataclass(frozen=True)
+class SubgroupChain:
+    """Chain Phi(G) = P_0 >= P_1 >= ... >= P_T = gamma_3(G) G^p with
+    index-p steps; pivots[i] is the element generating P_i over P_{i+1}."""
+
+    group: PcPresentation
+    links: tuple[Subgroup, ...]
+    pivots: tuple[int, ...]
+
+    @property
+    def T(self) -> int:
+        return len(self.links) - 1
+
+    def __post_init__(self):
+        p = self.group.p
+        for a, b in zip(self.links, self.links[1:]):
+            if not b < a or a.order != p * b.order:
+                raise InputError("chain steps must have index p")
+        for link in self.links:
+            if not link.is_normal:
+                raise InputError("chain links must be normal in G")
+
+
+@lru_cache(maxsize=None)
+def refine_chain(G: PcPresentation) -> SubgroupChain:
+    """Refine Phi(G) over gamma_3(G) G^p into index-p normal steps.
+
+    Deterministic length-T descent: at each step the pivot is the
+    lexicographically smallest nontrivial coset representative of the
+    current link over gamma_3(G) G^p, and the next link drops it.
+    """
+    phi = frattini(G)
+    bottom = gamma3_agemo(G)
+    if not bottom.members <= phi.members:
+        raise InputError("gamma_3(G) G^p must lie inside Phi(G)")
+    links = [phi]
+    pivots = []
+    current = phi
+    while current.members != bottom.members:
+        # greedy lex basis of current over bottom
+        basis: list[int] = []
+        span = bottom.members
+        for x in sorted(current.members):
+            if x not in span:
+                basis.append(x)
+                span = closure_indices(G, tuple(bottom.gens) + tuple(basis))
+        pivot = basis[0]
+        nxt = make_subgroup(
+            G, closure_indices(G, tuple(bottom.gens) + tuple(basis[1:]))
+        )
+        links.append(nxt)
+        pivots.append(pivot)
+        current = nxt
+    return SubgroupChain(G, tuple(links), tuple(pivots))
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    """Containment facts steering the non-inner construction, with witnesses
+    (an element of the left side outside the right side) where containment
+    fails."""
+
+    group_name: str
+    abelian: bool
+    center_cyclic: bool
+    center_rank: int
+    powerful: bool
+    T: int
+    cg_phi_in_phi: bool
+    cg_phi_witness: tuple[int, ...] | None
+    omega1_center_in_bottom: bool
+    omega1_center_witness: tuple[int, ...] | None
+    cg_bottom_in_bottom: bool
+    cg_bottom_witness: tuple[int, ...] | None
+    cg_center_of_bottom_in_bottom: bool
+    cg_center_of_bottom_witness: tuple[int, ...] | None
+
+    @property
+    def main_hypothesis_holds(self) -> bool:
+        """Cyclic center and C_G(Z(gamma_3 G^p)) not inside gamma_3 G^p."""
+        return self.center_cyclic and not self.cg_center_of_bottom_in_bottom
+
+    def to_dict(self) -> dict:
+        out = {
+            "group": self.group_name,
+            "abelian": self.abelian,
+            "center_cyclic": self.center_cyclic,
+            "center_rank": self.center_rank,
+            "powerful": self.powerful,
+            "T": self.T,
+            "cg_phi_in_phi": self.cg_phi_in_phi,
+            "omega1_center_in_gamma3gp": self.omega1_center_in_bottom,
+            "cg_gamma3gp_in_gamma3gp": self.cg_bottom_in_bottom,
+            "cg_z_gamma3gp_in_gamma3gp": self.cg_center_of_bottom_in_bottom,
+            "main_hypothesis_holds": self.main_hypothesis_holds,
+        }
+        if self.abelian:
+            out["note"] = "abelian: conjecture out of scope"
+        for key, wit in (
+            ("cg_phi_witness", self.cg_phi_witness),
+            ("omega1_center_witness", self.omega1_center_witness),
+            ("cg_gamma3gp_witness", self.cg_bottom_witness),
+            ("cg_z_gamma3gp_witness", self.cg_center_of_bottom_witness),
+        ):
+            if wit is not None:
+                out[key] = list(wit)
+        return out
+
+
+def _containment_witness(
+    G: PcPresentation, left: Subgroup, right: Subgroup
+) -> tuple[bool, tuple[int, ...] | None]:
+    diff = left.members - right.members
+    if not diff:
+        return True, None
+    return False, G.elements[min(diff)]
+
+
+@lru_cache(maxsize=None)
+def hypothesis_report(G: PcPresentation) -> HypothesisReport:
+    z = center(G)
+    abelian = z.order == G.order
+    phi = frattini(G)
+    bottom = gamma3_agemo(G)
+    chain_T = 0
+    t_order = phi.order // bottom.order
+    while t_order > 1:
+        t_order //= G.p
+        chain_T += 1
+    # rank of the (abelian) center
+    z_omega = omega1(G, z)
+    center_rank = 0
+    o = z_omega.order
+    while o > 1:
+        o //= G.p
+        center_rank += 1
+    cg_phi_ok, cg_phi_wit = _containment_witness(G, centralizer(G, phi), phi)
+    om_ok, om_wit = _containment_witness(G, z_omega, bottom)
+    cgb_ok, cgb_wit = _containment_witness(G, centralizer(G, bottom), bottom)
+    zb = subgroup_center(G, bottom)
+    cgzb_ok, cgzb_wit = _containment_witness(G, centralizer(G, zb), bottom)
+    return HypothesisReport(
+        group_name=G.name,
+        abelian=abelian,
+        center_cyclic=center_rank <= 1,
+        center_rank=center_rank,
+        powerful=chain_T == 0,
+        T=chain_T,
+        cg_phi_in_phi=cg_phi_ok,
+        cg_phi_witness=cg_phi_wit,
+        omega1_center_in_bottom=om_ok,
+        omega1_center_witness=om_wit,
+        cg_bottom_in_bottom=cgb_ok,
+        cg_bottom_witness=cgb_wit,
+        cg_center_of_bottom_in_bottom=cgzb_ok,
+        cg_center_of_bottom_witness=cgzb_wit,
+    )
