@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -29,21 +28,39 @@ from .errors import CapExceeded, DEFAULT_CAPS, InputError
 
 Word = Sequence[tuple[int, int]]
 
-# Exhaustive associativity is checked up to this order; sampled above.
+# The full table is checked for associativity up to this order; above it
+# the overlap test proves consistency.
 EXHAUSTIVE_AUDIT_ORDER = 3**5
-AUDIT_SAMPLES = 10**4
 # Full |G| x |G| multiplication tables only below this order.
 FULL_TABLE_ORDER = 4096
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Deterministic for p < PRIME_LIMIT."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -63,6 +80,8 @@ class PcPresentation:
     enumeration_cap: int = DEFAULT_CAPS.enumeration
 
     def __post_init__(self):
+        if self.p >= PRIME_LIMIT:
+            raise InputError(f"p = {self.p} is too large: primes are decided below {PRIME_LIMIT}")
         if not _is_odd_prime(self.p):
             raise InputError(f"p must be an odd prime, got {self.p}")
         n = len(self.power_rhs)
@@ -133,63 +152,78 @@ class PcPresentation:
     def _exps_to_word(self, exps: Sequence[int]) -> list[tuple[int, int]]:
         return [(i, e) for i, e in enumerate(exps) if e]
 
+    @cached_property
+    def _conj_gens(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """_conj_gens[i][j - i - 1] = g_j^(g_i) = g_j [g_j, g_i] for j > i.
+
+        [g_j, g_i] lives above j, so g_j followed by it is a normal form."""
+        rows = []
+        for i in range(self.n):
+            row = []
+            for j in range(i + 1, self.n):
+                c = self.comm(j, i)
+                row.append(c[:j] + (1,) + c[j + 1 :])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def _tail_memo(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, ...]]:
+        """(i, t) -> exponents above i of the conjugate t^(g_i), where t is the
+        exponent vector of an element of <g_(i+1), ..., g_n> from index i + 1.
+
+        One entry per (i, t) at most, so fewer than |G|; it lives and dies
+        with the presentation."""
+        return {}
+
+    def _conj_tail(self, i: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+        memo = self._tail_memo
+        key = (i, tail)
+        out = memo.get(key)
+        if out is None:
+            # conjugation by g_i is a homomorphism: conjugate letter by letter
+            acc = self.identity_exps
+            for conj, e in zip(self._conj_gens[i], tail):
+                for _ in range(e):
+                    acc = self._mul_normal(acc, conj)
+            out = memo[key] = acc[i + 1 :]
+        return out
+
+    def _times_gen(self, x: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """Normal form of x * g_i for a normal form x.
+
+        Split x = head * g_i^e * tail with tail in <g_(i+1), ..., g_n>; then
+        x * g_i = head * g_i^(e+1) * tail^(g_i), and g_i^p = power_rhs[i]
+        lies above i again."""
+        tail = x[i + 1 :]
+        if any(tail):
+            tail = self._conj_tail(i, tail)
+        e = x[i] + 1
+        if e < self.p:
+            return x[:i] + (e,) + tail
+        above = self._mul_normal(self.power_rhs[i], (0,) * (i + 1) + tail)
+        return x[:i] + above[i:]
+
+    def _mul_normal(self, x: tuple[int, ...], y: Sequence[int]) -> tuple[int, ...]:
+        for k, e in enumerate(y):
+            for _ in range(e):
+                x = self._times_gen(x, k)
+        return x
+
     def collect(self, word: Word) -> tuple[int, ...]:
-        """Normal form of a word of (generator index, exponent >= 0) pairs."""
-        p = self.p
-        sylls: list[list[int]] = []
+        """Normal form of a word of (generator index, exponent >= 0) pairs.
+
+        Collection from the left: each letter in turn right-multiplies the
+        normal form of the word before it."""
         for g, e in word:
             if not 0 <= g < self.n:
                 raise InputError(f"generator index {g} out of range")
             if e < 0:
                 raise InputError("collection takes non-negative exponents")
-            if e:
-                sylls.append([g, e])
-        while True:
-            # merge equal adjacent syllables
-            merged: list[list[int]] = []
-            for g, e in sylls:
-                if merged and merged[-1][0] == g:
-                    merged[-1][1] += e
-                else:
-                    merged.append([g, e])
-            sylls = [s for s in merged if s[1]]
-            action = None
-            for t, (g, e) in enumerate(sylls):
-                if e >= p:
-                    action = ("power", t)
-                    break
-                if t + 1 < len(sylls) and sylls[t + 1][0] < g:
-                    action = ("swap", t)
-                    break
-            if action is None:
-                break
-            kind, t = action
-            if kind == "power":
-                g, e = sylls[t]
-                q, r = divmod(e, p)
-                repl: list[list[int]] = []
-                if r:
-                    repl.append([g, r])
-                pw = self._exps_to_word(self.power_rhs[g])
-                for _ in range(q):
-                    repl.extend([a, b] for a, b in pw)
-                sylls[t : t + 1] = repl
-            else:
-                (j, a), (i, b) = sylls[t], sylls[t + 1]
-                # g_j^a g_i^b = g_j^(a-1) g_i g_j [g_j,g_i] g_i^(b-1)
-                repl = []
-                if a > 1:
-                    repl.append([j, a - 1])
-                repl.append([i, 1])
-                repl.append([j, 1])
-                repl.extend([g, e] for g, e in self._exps_to_word(self.comm(j, i)))
-                if b > 1:
-                    repl.append([i, b - 1])
-                sylls[t : t + 2] = repl
-        exps = [0] * self.n
-        for g, e in sylls:
-            exps[g] = e
-        return tuple(exps)
+        x = self.identity_exps
+        for g, e in word:
+            for _ in range(e):
+                x = self._times_gen(x, g)
+        return x
 
     def multiply_exps(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self.collect(self._exps_to_word(x) + self._exps_to_word(y))
@@ -240,10 +274,6 @@ class PcPresentation:
         """All p^n exponent tuples in lexicographic order."""
         self._require_enumerable()
         return tuple(itertools.product(range(self.p), repeat=self.n))
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {e: i for i, e in enumerate(self.elements)}
 
     def index_of(self, exps: Sequence[int]) -> int:
         # lex index is positional base-p; avoids building the dict eagerly
@@ -340,12 +370,48 @@ class PcPresentation:
 
     # -- consistency audit ----------------------------------------------------
 
-    def audit(self, seed: int = 0) -> dict:
-        """Empirical consistency check: associativity plus identity/inverse laws.
+    def check_overlaps(self) -> int:
+        """Prove consistency by the overlap test (Sims, *Computation with
+        Finitely Presented Groups*, ch. 9): each overlap word below must
+        collect to the same normal form both ways,
 
-        Exhaustive for order <= 3^5, sampled triples above. Raises InputError
-        on any failure; returns a summary dict.
-        """
+            (g_k g_j) g_i = g_k (g_j g_i)           k > j > i
+            (g_j^p) g_i = g_j^(p-1) (g_j g_i)       j > i
+            (g_j g_i^(p-1)) g_i = g_j (g_i^p)       j > i
+            (g_i^p) g_i = g_i (g_i^p).
+
+        Raises InputError on the first failure; returns the number of
+        overlaps checked."""
+        n, p = self.n, self.p
+        mul = self._mul_normal
+
+        def unit(i, e=1):
+            return (0,) * i + (e,) + (0,) * (n - i - 1)
+
+        checked = 0
+        for i in range(n):
+            gi = unit(i)
+            pairs = [(mul(self.power_rhs[i], gi), mul(gi, self.power_rhs[i]))]
+            for j in range(i + 1, n):
+                gj = unit(j)
+                gji = mul(gj, gi)
+                pairs.append((mul(self.power_rhs[j], gi), mul(unit(j, p - 1), gji)))
+                pairs.append((mul(mul(gj, unit(i, p - 1)), gi), mul(gj, self.power_rhs[i])))
+                for k in range(j + 1, n):
+                    gk = unit(k)
+                    pairs.append((mul(mul(gk, gj), gi), mul(gk, gji)))
+            for lhs, rhs in pairs:
+                if lhs != rhs:
+                    raise InputError(f"{self.name or 'presentation'}: inconsistent overlap")
+            checked += len(pairs)
+        return checked
+
+    def audit(self) -> dict:
+        """Consistency check plus identity/inverse laws.
+
+        Associativity of the full table is checked up to order 3^5; above,
+        the overlap test proves consistency. Raises InputError on any
+        failure; returns a summary dict."""
         self._require_enumerable("consistency audit")
         N = self.order
         if N <= EXHAUSTIVE_AUDIT_ORDER:
@@ -355,16 +421,7 @@ class PcPresentation:
                 raise InputError(f"{self.name or 'presentation'}: associativity failed")
             mode, checked = "exhaustive", N**3
         else:
-            rng = random.Random(seed)
-            for _ in range(AUDIT_SAMPLES):
-                a, b, c = (
-                    tuple(rng.randrange(self.p) for _ in range(self.n)) for _ in range(3)
-                )
-                lhs = self.multiply_exps(self.multiply_exps(a, b), c)
-                rhs = self.multiply_exps(a, self.multiply_exps(b, c))
-                if lhs != rhs:
-                    raise InputError(f"{self.name or 'presentation'}: associativity failed")
-            mode, checked = "sampled", AUDIT_SAMPLES
+            mode, checked = "overlap", self.check_overlaps()
         ident = np.arange(N)
         t0 = np.array([self.mult_index(0, x) for x in range(N)])
         if not np.array_equal(t0, ident):

@@ -2,8 +2,9 @@
 
 These never touch the collection machinery: Heisenberg groups are modelled
 by unitriangular matrices, the modular group of order p^3 by affine maps
-on Z/p^2. Multiplication tables built here are compared against collected
-normal forms.
+on Z/p^2, and `reference_collect` is a separate syllable-rewriting
+collector that reads only the relations of a presentation. Multiplication
+tables built here are compared against collected normal forms.
 """
 
 from __future__ import annotations
@@ -63,3 +64,51 @@ class ModularP3Model:
 
     def elements(self):
         return [(v, k) for v in range(self.q) for k in range(self.p)]
+
+
+def reference_collect(pres, word) -> tuple:
+    """Normal form of a word of 0-based (generator, exponent >= 0) pairs by
+    plain rewriting: merge equal neighbours, then apply the leftmost power
+    relation g^p = power_rhs[g] or swap g_j^a g_i^b (j > i) to
+    g_j^(a-1) g_i g_j [g_j, g_i] g_i^(b-1), rescanning after every step."""
+    p = pres.p
+    sylls = [[g, e] for g, e in word if e]
+    while True:
+        merged = []
+        for g, e in sylls:
+            if merged and merged[-1][0] == g:
+                merged[-1][1] += e
+            else:
+                merged.append([g, e])
+        sylls = merged
+        action = None
+        for t, (g, e) in enumerate(sylls):
+            if e >= p:
+                action = ("power", t)
+                break
+            if t + 1 < len(sylls) and sylls[t + 1][0] < g:
+                action = ("swap", t)
+                break
+        if action is None:
+            break
+        kind, t = action
+        if kind == "power":
+            g, e = sylls[t]
+            q, r = divmod(e, p)
+            repl = [[g, r]] if r else []
+            power = [[k, c] for k, c in enumerate(pres.power_rhs[g]) if c]
+            for _ in range(q):
+                repl.extend([k, c] for k, c in power)
+            sylls[t : t + 1] = repl
+        else:
+            (j, a), (i, b) = sylls[t], sylls[t + 1]
+            repl = [[j, a - 1]] if a > 1 else []
+            repl += [[i, 1], [j, 1]]
+            repl.extend([k, c] for k, c in enumerate(pres.comm(j, i)) if c)
+            if b > 1:
+                repl.append([i, b - 1])
+            sylls[t : t + 2] = repl
+    exps = [0] * pres.n
+    for g, e in sylls:
+        exps[g] = e
+    return tuple(exps)

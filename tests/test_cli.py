@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pgroups
 from pgroups.cli import main
 from pgroups import catalog, dump_presentation
 
@@ -127,6 +132,23 @@ def test_noninner_abelian_exit4(capsys):
 def test_cap_exit2(capsys):
     code, _ = run_cli(capsys, "series", "--group", "d:4,7")
     assert code == 2
+
+
+def test_huge_prime_file_refused_quickly(tmp_path):
+    """p = 10^18 + 3 is prime; the order check must refuse it (cap, exit 2)
+    without any trial division up to sqrt(p)."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "big", "p": 10**18 + 3, "n": 1, "powers": [[0]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    env.pop("PGROUP_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgroups.cli", "series", "--file", str(path)],
+        env=env,
+        capture_output=True,
+        timeout=2,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["kind"] == "cap"
 
 
 def test_cap_flag_and_env(capsys, monkeypatch):

@@ -1,0 +1,104 @@
+"""Collection from the left against the rewriting oracle, and the overlap
+consistency proof against the exhaustive associativity audit."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pgroups import PcPresentation, catalog, direct_product
+from pgroups.errors import InputError
+from pgroups.pcgroup import PRIME_LIMIT
+
+from .models import reference_collect
+from .test_order81 import scaffold_grid
+
+GROUPS = (
+    catalog.default_catalog(3, max_order=729)
+    + catalog.default_catalog(5, max_order=729)
+    + [catalog.heisenberg(7)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_collect_matches_reference_collector(data):
+    G = data.draw(st.sampled_from(GROUPS), label="group")
+    word = data.draw(
+        st.lists(st.tuples(st.integers(0, G.n - 1), st.integers(0, 2 * G.p)), max_size=8),
+        label="word",
+    )
+    assert G.collect(word) == reference_collect(G, word)
+
+
+def _consistent(check) -> bool:
+    try:
+        check()
+        return True
+    except InputError:
+        return False
+
+
+def _random_presentation(rng: random.Random, p: int, n: int) -> PcPresentation:
+    density = rng.choice((0.15, 0.3, 0.5))
+
+    def rhs(above):
+        return tuple(
+            rng.randrange(1, p) if k > above and rng.random() < density else 0 for k in range(n)
+        )
+
+    comms = []
+    for j in range(n):
+        for i in range(j):
+            c = rhs(j)
+            if any(c):
+                comms.append(((j, i), c))
+    return PcPresentation(p=p, power_rhs=tuple(rhs(i) for i in range(n)), comm_rhs=tuple(comms))
+
+
+def test_overlaps_agree_with_exhaustive_on_scaffold_grid():
+    verdicts = []
+    for P in scaffold_grid():
+        exhaustive = _consistent(P.audit)
+        assert _consistent(P.check_overlaps) == exhaustive, P.name
+        verdicts.append(exhaustive)
+    assert len(verdicts) == 81
+    assert 0 < sum(verdicts) < 81
+
+
+@pytest.mark.parametrize("p, n, count", [(3, 4, 60), (3, 5, 40), (5, 3, 55)])
+def test_overlaps_agree_with_exhaustive_on_random_presentations(p, n, count):
+    rng = random.Random(1000 * p + n)
+    verdicts = []
+    for _ in range(count):
+        P = _random_presentation(rng, p, n)
+        assert P.order <= 3**5
+        exhaustive = _consistent(P.audit)
+        assert _consistent(P.check_overlaps) == exhaustive, P
+        verdicts.append(exhaustive)
+    # both verdicts occur, so the agreement is not vacuous
+    assert 0 < sum(verdicts) < count
+
+
+def test_overlap_audit_counts_and_rejection_above_exhaustive_order():
+    D = catalog.parse_group_spec("d:3,3")
+    n = D.n
+    assert D.audit() == {
+        "mode": "overlap",
+        "triples": n * (n - 1) * (n - 2) // 6 + n * (n - 1) + n,
+        "order": 729,
+    }
+    bad = next(P for P in scaffold_grid() if not _consistent(P.audit))
+    P = direct_product(bad, catalog.cyclic(3, 2))
+    assert P.order == 729
+    with pytest.raises(InputError, match="inconsistent overlap"):
+        P.audit()
+
+
+def test_huge_primes_refused():
+    with pytest.raises(InputError, match="too large"):
+        PcPresentation(p=PRIME_LIMIT + 2, power_rhs=((0,),), comm_rhs=())
+    with pytest.raises(InputError):
+        PcPresentation(p=3215031751, power_rhs=((0,),), comm_rhs=())  # strong pseudoprime
+    big = PcPresentation(p=10**18 + 3, power_rhs=((0,),), comm_rhs=())
+    assert big.order == 10**18 + 3

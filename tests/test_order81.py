@@ -36,20 +36,25 @@ def e4(i, c=1):
     return tuple(v)
 
 
-def maximal_class_scan():
-    """All consistent presentations on the maximal-class scaffold."""
-    found = []
+def scaffold_grid():
+    """All 81 presentations on the maximal-class scaffold, consistent or not."""
     for k, i, j, l in itertools.product(range(3), repeat=4):
         comms = [((1, 0), e4(2)), ((2, 0), e4(3))]
         if k:
             comms.append(((2, 1), e4(3, k)))
+        yield PcPresentation(
+            p=3,
+            power_rhs=(e4(3, i), e4(3, j), e4(3, l), Z4),
+            comm_rhs=tuple(sorted(comms)),
+            name=f"mc:{k}{i}{j}{l}",
+        )
+
+
+def maximal_class_scan():
+    """All consistent presentations on the maximal-class scaffold."""
+    found = []
+    for P in scaffold_grid():
         try:
-            P = PcPresentation(
-                p=3,
-                power_rhs=(e4(3, i), e4(3, j), e4(3, l), Z4),
-                comm_rhs=tuple(sorted(comms)),
-                name=f"mc:{k}{i}{j}{l}",
-            )
             P.audit()
             found.append(P)
         except InputError:

@@ -221,7 +221,7 @@ def test_audit_modes(H3):
     res = H3.audit()
     assert res["mode"] == "exhaustive"
     D33 = build_D(3, 3)
-    assert D33.audit()["mode"] == "sampled"
+    assert D33.audit()["mode"] == "overlap"
 
 
 def test_direct_product_structure(H3, C3):
