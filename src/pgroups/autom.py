@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from . import gflinalg as la
@@ -29,7 +27,13 @@ from .fpmod import (
     submodule_as_module,
     submodules_of_dim,
 )
-from .pcgroup import Element, PcPresentation, closure_indices, images_respect_relations
+from .pcgroup import (
+    Element,
+    PcPresentation,
+    closure_indices,
+    images_respect_relations,
+    word_image_index,
+)
 from .series import (
     Subgroup,
     SubgroupChain,
@@ -39,16 +43,6 @@ from .series import (
     subgroup_center,
     trivial_subgroup,
 )
-
-
-def _apply_images_idx(G: PcPresentation, images_idx: Sequence[int], x_idx: int) -> int:
-    acc = 0
-    for i, e in enumerate(G.elements[x_idx]):
-        if e:
-            img = images_idx[i]
-            for _ in range(e):
-                acc = G.mult_index(acc, img)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -80,14 +74,11 @@ class Endo:
 
     def apply(self, x: Element) -> Element:
         G = self.group
-        acc = G.identity
-        for i, e in enumerate(x.exps):
-            if e:
-                acc = acc * (self.images[i] ** e)
-        return acc
+        return Element(G, G.elements[self.apply_index(x.index)])
 
     def apply_index(self, x_idx: int) -> int:
-        return _apply_images_idx(self.group, self.image_indices, x_idx)
+        G = self.group
+        return word_image_index(G, self.image_indices, enumerate(G.elements[x_idx]))
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -155,12 +146,11 @@ def order_of(phi: Endo) -> int:
         raise InputError("order is defined for automorphisms")
     G = phi.group
     ident = tuple(G.index_of(G.gen(i).exps) for i in range(G.n))
-    base = phi.image_indices
-    cur = base
+    cur = phi.image_indices
     k = 1
     bound = 8 * G.order
     while cur != ident:
-        cur = tuple(_apply_images_idx(G, base, c) for c in cur)
+        cur = tuple(phi.apply_index(c) for c in cur)
         k += 1
         if k > bound:
             raise InputError("order iteration exceeded bound")  # pragma: no cover
@@ -221,19 +211,17 @@ def is_inner(phi: Endo, caps: Caps = DEFAULT_CAPS):
     G = phi.group
     if G.order > caps.enumeration:
         raise InputError("inner scan above the enumeration cap")
-    targets = [img.index for img in phi.images]
-    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
-    for x in range(G.order):
-        if all(G.conj_index(g, x) == t for g, t in zip(gens, targets)):
-            return Element(G, G.elements[x]), G.order
+    # candidates x with g^x = phi(g), narrowed one generator at a time
+    xs = np.arange(G.order)
+    for g, t in zip(G.gens, phi.image_indices):
+        xs = xs[G.mult_indices(G.mult_indices(G.inv_table[xs], g.index), xs) == t]
+    if xs.size:
+        return Element(G, G.elements[xs[0]]), G.order
     return None, G.order
 
 
 def fixes_pointwise(phi: Endo, S: Subgroup) -> bool:
-    G = phi.group
-    return all(
-        phi.apply(Element(G, G.elements[x])).index == x for x in S.members
-    )
+    return all(phi.apply_index(x) == x for x in S.members)
 
 
 # -- certificates -----------------------------------------------------------------
@@ -322,10 +310,8 @@ def verify_certificate(
     except Exception:
         failures.append("fixed_subgroup generators are malformed")
         fixed_members = frozenset([0])
-    for x in fixed_members:
-        if phi.apply(Element(G, G.elements[x])).index != x:
-            failures.append("claimed fixed subgroup is not fixed pointwise")
-            break
+    if any(phi.apply_index(x) != x for x in fixed_members):
+        failures.append("claimed fixed subgroup is not fixed pointwise")
     try:
         moved_el = Element(G, tuple(int(v) % p for v in cert.moved))
         if phi.apply(moved_el) == moved_el:

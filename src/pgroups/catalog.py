@@ -14,9 +14,10 @@ Group specs (CLI and library):
 
 from __future__ import annotations
 
-from .errors import DEFAULT_CAPS, InputError
+from .errors import DEFAULT_CAPS, CapExceeded, InputError
 from .pcgroup import (
     PcPresentation,
+    _is_odd_prime,
     build_D,
     direct_product,
     load_presentation,
@@ -131,20 +132,37 @@ def wreath_cyclic(p: int, name: str | None = None) -> PcPresentation:
     )
 
 
+def _iroot(m: int, a: int) -> int:
+    """Largest q with q^a <= m, by Newton's method from above."""
+    q = 1 << -(-m.bit_length() // a)
+    while True:
+        nxt = ((a - 1) * q + m // q ** (a - 1)) // a
+        if nxt >= q:
+            return q
+        q = nxt
+
+
 def _prime_power(m: int) -> tuple[int, int]:
-    if m < 2:
-        raise InputError(f"{m} is not a prime power")
-    for q in range(2, m + 1):
-        if m % q == 0:
-            k = 0
-            mm = m
-            while mm % q == 0:
-                mm //= q
-                k += 1
-            if mm != 1:
-                raise InputError(f"{m} is not a prime power")
-            return q, k
-    raise InputError(f"{m} is not a prime power")  # pragma: no cover
+    """(q, a) with m = q^a and q prime. Only the a-th root for the true a
+    is prime, so the first exact prime root found is the answer."""
+    for a in range(1, m.bit_length()):
+        q = _iroot(m, a)
+        if q ** a == m and (q == 2 or _is_odd_prime(q)):
+            return q, a
+    raise InputError(f"{m} is not a prime power")
+
+
+def _cyclic_from_spec(m: int, k: int, spec: str, enumeration_cap: int) -> PcPresentation:
+    """C_{m^k}, refused by the cap before m^k or the presentation is built."""
+    if m < 2 or k < 1:
+        raise InputError(f"bad cyclic spec {spec!r}")
+    # m^k >= 2^((bits - 1) k), so past this bound it exceeds the cap for sure
+    if k * (m.bit_length() - 1) > enumeration_cap.bit_length():
+        raise CapExceeded("group order", f"{m}^{k}" if k > 1 else m, enumeration_cap)
+    if m**k > enumeration_cap:
+        raise CapExceeded("group order", m**k, enumeration_cap)
+    q, a = _prime_power(m)
+    return cyclic(q, a * k, name=spec)
 
 
 def parse_group_spec(spec: str, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
@@ -174,8 +192,7 @@ def parse_group_spec(spec: str, enumeration_cap: int = DEFAULT_CAPS.enumeration)
             m, k = nums
         else:
             raise InputError("cyclic spec takes one or two numbers")
-        q, j = _prime_power(m ** k)
-        return cyclic(q, j, name=spec)
+        return _cyclic_from_spec(m, k, spec, enumeration_cap)
     if kind == "elemab":
         if len(nums) != 2:
             raise InputError("elemab spec takes p,k")

@@ -31,6 +31,8 @@ Word = Sequence[tuple[int, int]]
 # The full table is checked for associativity up to this order; above it
 # the overlap test proves consistency.
 EXHAUSTIVE_AUDIT_ORDER = 3**5
+# Rows of the table compared per step of that check: 16 N^2 entries at once.
+AUDIT_BLOCK_ROWS = 16
 # Full |G| x |G| multiplication tables only below this order.
 FULL_TABLE_ORDER = 4096
 
@@ -284,15 +286,56 @@ class PcPresentation:
 
     @cached_property
     def gen_tables(self) -> np.ndarray:
-        """gen_tables[i][x] = index of (element x) * g_i."""
+        """gen_tables[i][x] = index of (element x) * g_i.
+
+        Entry for entry what _times_gen computes, built from g_n down to
+        g_1 by gathers through the rows already built: for x = head *
+        g_i^e * t with t in <g_(i+1), ..., g_n> (the indices below w),
+        x g_i = head * g_i^(e+1) * t^(g_i), where g_i^p = power_rhs[i].
+        The inverse, p-th power and full tables are derived from these."""
         self._require_enumerable()
-        tabs = np.zeros((self.n, self.order), dtype=np.int64)
-        for xi, exps in enumerate(self.elements):
-            word = self._exps_to_word(exps)
-            for i in range(self.n):
-                tabs[i, xi] = self.index_of(self.collect(word + [(i, 1)]))
+        p, n = self.p, self.n
+        tabs = np.zeros((n, self.order), dtype=np.int64)
+        x = np.arange(self.order, dtype=np.int64)
+        for i in reversed(range(n)):
+            w = p ** (n - 1 - i)
+            sub = np.arange(w, dtype=np.int64)
+            # right multiplication of the subgroup by each g_j^(g_i), j > i
+            conj = []
+            for c in self._conj_gens[i]:
+                perm = sub
+                for k, e in enumerate(c):
+                    for _ in range(e):
+                        perm = tabs[k][perm]
+                conj.append(perm)
+            # tau[t] = t^(g_i) = (g_(i+1)^(g_i))^(t_(i+1)) ... (g_n^(g_i))^(t_n)
+            zero = np.zeros(w, dtype=np.int64)
+            tau = self._right_multiply(zero, zip(conj, self._exponent_columns(sub)[i + 1 :]))
+            # carry[t] = power_rhs[i] * t^(g_i), for e = p - 1
+            carry = self._right_multiply(
+                zero + self.index_of(self.power_rhs[i]),
+                zip(tabs[i + 1 :], self._exponent_columns(tau)[i + 1 :]),
+            )
+            e, t = (x // w) % p, x % w
+            head = x - e * w - t
+            tabs[i] = np.where(e + 1 < p, head + (e + 1) * w + tau[t], head + carry[t])
         tabs.setflags(write=False)
         return tabs
+
+    def _exponent_columns(self, idx: np.ndarray) -> list[np.ndarray]:
+        """cols[k][t] = exponent of g_k in the element with index idx[t]."""
+        return [(idx // self.p ** (self.n - 1 - k)) % self.p for k in range(self.n)]
+
+    def _right_multiply(self, cur: np.ndarray, steps) -> np.ndarray:
+        """Right-multiply every cur[x] by a word that depends on x: for each
+        (table, exps) step in turn, map cur[x] through the permutation
+        `table` exps[x] times. One masked gather per exponent value."""
+        cur = cur.copy()
+        for table, exps in steps:
+            for r in range(1, self.p):
+                m = exps >= r
+                cur[m] = table[cur[m]]
+        return cur
 
     def mult_index(self, a: int, b: int) -> int:
         if self.order <= FULL_TABLE_ORDER:
@@ -304,11 +347,21 @@ class PcPresentation:
                 out = int(t[out])
         return out
 
+    def mult_indices(self, a, b) -> np.ndarray:
+        """Elementwise products a[t] * b[t] of index arrays (broadcast)."""
+        if self.order <= FULL_TABLE_ORDER:
+            return self.full_mult_table[a, b]
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return self._right_multiply(a, zip(self.gen_tables, self._exponent_columns(b)))
+
     @cached_property
     def inv_table(self) -> np.ndarray:
-        inv = np.zeros(self.order, dtype=np.int64)
-        for xi, exps in enumerate(self.elements):
-            inv[xi] = self.index_of(self.inverse_exps(exps))
+        """inv_table[x] = index of x^-1 = g_n^-e_n ... g_1^-e_1, built from
+        the identity by the inverse permutations of the generator tables."""
+        tabs = self.gen_tables
+        cols = self._exponent_columns(np.arange(self.order, dtype=np.int64))
+        steps = [(np.argsort(tabs[k]), cols[k]) for k in reversed(range(self.n))]
+        inv = self._right_multiply(np.zeros(self.order, dtype=np.int64), steps)
         inv.setflags(write=False)
         return inv
 
@@ -323,24 +376,24 @@ class PcPresentation:
 
     @cached_property
     def power_p_table(self) -> np.ndarray:
-        """power_p_table[x] = index of (element x)^p."""
-        table = np.zeros(self.order, dtype=np.int64)
-        for xi, exps in enumerate(self.elements):
-            table[xi] = self.index_of(self.power_exps(exps, self.p))
+        """power_p_table[x] = index of (element x)^p: every element
+        right-multiplied by itself p - 1 times through the generator tables."""
+        tabs = self.gen_tables
+        table = np.arange(self.order, dtype=np.int64)
+        steps = list(zip(tabs, self._exponent_columns(table)))
+        for _ in range(self.p - 1):
+            table = self._right_multiply(table, steps)
         table.setflags(write=False)
         return table
 
     @cached_property
     def element_orders(self) -> np.ndarray:
         pw = self.power_p_table
-        orders = np.zeros(self.order, dtype=np.int64)
-        for xi in range(self.order):
-            k = 1
-            cur = xi
-            while cur:
-                cur = int(pw[cur])
-                k *= self.p
-            orders[xi] = k
+        orders = np.ones(self.order, dtype=np.int64)
+        cur = np.arange(self.order, dtype=np.int64)
+        while cur.any():
+            orders[cur != 0] *= self.p
+            cur = pw[cur]
         orders.setflags(write=False)
         return orders
 
@@ -416,19 +469,20 @@ class PcPresentation:
         N = self.order
         if N <= EXHAUSTIVE_AUDIT_ORDER:
             t = self.full_mult_table
-            # t[t][a,b,c] = t[t[a,b],c]; t[:,t][a,b,c] = t[a,t[b,c]]
-            if not np.array_equal(t[t], t[:, t]):
-                raise InputError(f"{self.name or 'presentation'}: associativity failed")
+            # in blocks of rows a, so that no N^3 array is built:
+            # t[rows][a,b,c] = t[t[a,b],c]; rows[:,t][a,b,c] = t[a,t[b,c]]
+            for lo in range(0, N, AUDIT_BLOCK_ROWS):
+                rows = t[lo : lo + AUDIT_BLOCK_ROWS]
+                if not np.array_equal(t[rows], rows[:, t]):
+                    raise InputError(f"{self.name or 'presentation'}: associativity failed")
             mode, checked = "exhaustive", N**3
         else:
             mode, checked = "overlap", self.check_overlaps()
-        ident = np.arange(N)
-        t0 = np.array([self.mult_index(0, x) for x in range(N)])
-        if not np.array_equal(t0, ident):
+        every = np.arange(N)
+        if not np.array_equal(self.mult_indices(0, every), every):
             raise InputError("identity law failed")
-        for x in range(N):
-            if self.mult_index(x, int(self.inv_table[x])) != 0:
-                raise InputError("inverse law failed")
+        if self.mult_indices(every, self.inv_table).any():
+            raise InputError("inverse law failed")
         return {"mode": mode, "triples": checked, "order": N}
 
     def __repr__(self):
@@ -543,32 +597,44 @@ def relator_pairs(pres: PcPresentation) -> list[tuple[list[tuple[int, int]], lis
     return out
 
 
-def _apply_images_exps(
-    target: PcPresentation, images: Sequence[tuple[int, ...]], exps: Sequence[int]
-) -> tuple[int, ...]:
-    acc = target.identity_exps
-    for i, e in enumerate(exps):
-        if e:
-            acc = target.multiply_exps(acc, target.power_exps(images[i], e))
+def word_image_index(target: PcPresentation, images_idx: Sequence[int], word: Word) -> int:
+    """Index of the image of a word of (letter, exponent) pairs when letter k
+    goes to the element with index images_idx[k], by table arithmetic.
+    An exponent vector x is the word enumerate(x)."""
+    acc = 0
+    for g, e in word:
+        img = images_idx[g]
+        for _ in range(e):
+            acc = target.mult_index(acc, img)
     return acc
 
 
 def _word_image_exps(
     target: PcPresentation, images: Sequence[tuple[int, ...]], word: Word
 ) -> tuple[int, ...]:
+    """The same as a normal form, by collection."""
     acc = target.identity_exps
     for g, e in word:
-        acc = target.multiply_exps(acc, target.power_exps(images[g], e))
+        if e:
+            acc = target.multiply_exps(acc, target.power_exps(images[g], e))
     return acc
+
+
+def _word_images(target: PcPresentation, images: Sequence[tuple[int, ...]]):
+    """word -> normal form of its image when letter k goes to images[k]: by
+    table arithmetic up to FULL_TABLE_ORDER, by collection above it, where
+    no full table is built."""
+    if target.order <= FULL_TABLE_ORDER:
+        idx = [target.index_of(img) for img in images]
+        return lambda word: target.elements[word_image_index(target, idx, word)]
+    return lambda word: _word_image_exps(target, images, word)
 
 
 def images_respect_relations(
     source: PcPresentation, target: PcPresentation, images: Sequence[tuple[int, ...]]
 ) -> bool:
-    for lhs, rhs in relator_pairs(source):
-        if _word_image_exps(target, images, lhs) != _word_image_exps(target, images, rhs):
-            return False
-    return True
+    image = _word_images(target, images)
+    return all(image(lhs) == image(rhs) for lhs, rhs in relator_pairs(source))
 
 
 @dataclass(frozen=True)
@@ -593,10 +659,8 @@ class GroupHom:
     def apply(self, x: Element) -> Element:
         if x.pres != self.source:
             raise InputError("element not in the source group")
-        return Element(
-            self.target,
-            _apply_images_exps(self.target, tuple(i.exps for i in self.images), x.exps),
-        )
+        image = _word_images(self.target, tuple(i.exps for i in self.images))
+        return Element(self.target, image(enumerate(x.exps)))
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -693,18 +757,22 @@ def direct_product(a: PcPresentation, b: PcPresentation, name: str | None = None
 
 
 def closure_indices(pres: PcPresentation, seed: Iterable[int]) -> frozenset[int]:
-    """Subgroup generated by the given element indices (BFS closure)."""
-    gens = set(int(s) for s in seed)
-    seen = {0} | gens
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = pres.mult_index(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    """Subgroup generated by the given element indices: breadth-first, each
+    layer right-multiplied by every generator at once."""
+    gens = sorted({int(s) for s in seed})
+    if not gens:
+        return frozenset([0])
+    pres._require_enumerable("subgroup closure")
+    member = np.zeros(pres.order, dtype=bool)
+    member[0] = True
+    member[gens] = True
+    frontier = np.flatnonzero(member)
+    row = np.array(gens)[None, :]
+    while frontier.size:
+        before = member.copy()
+        member[pres.mult_indices(frontier[:, None], row)] = True
+        frontier = np.flatnonzero(member & ~before)
+    return frozenset(np.flatnonzero(member).tolist())
 
 
 def _tail_subgroup_indices(pres: PcPresentation) -> list[frozenset[int]]:

@@ -73,12 +73,10 @@ class Subgroup:
 
     @property
     def is_abelian(self) -> bool:
-        mem = sorted(self.members)
+        """The generator witnesses commute pairwise."""
+        G, gens = self.parent, self.gens
         return all(
-            self.parent.mult_index(x, y) == self.parent.mult_index(y, x)
-            for x in mem
-            for y in mem
-            if x < y
+            G.mult_index(x, y) == G.mult_index(y, x) for k, x in enumerate(gens) for y in gens[:k]
         )
 
     @property
@@ -92,10 +90,10 @@ class Subgroup:
 
     @property
     def is_elementary_abelian(self) -> bool:
-        G = self.parent
-        return self.is_abelian and all(
-            G.power_exps(G.elements[x], G.p) == G.identity_exps for x in self.members
-        )
+        if not self.is_abelian:
+            return False
+        pw = self.parent.power_p_table
+        return all(pw[x] == 0 for x in self.members)
 
     def gens_json(self) -> list[list[int]]:
         return [list(self.parent.elements[g]) for g in self.gens]
@@ -140,16 +138,18 @@ def whole_group(G: PcPresentation) -> Subgroup:
     return make_subgroup(G, range(G.order))
 
 
+def _centralizing(G: PcPresentation, gens: Iterable[int]) -> list[int]:
+    """Indices of the elements that commute with every given element."""
+    xs = np.arange(G.order)
+    for g in gens:
+        xs = xs[G.mult_indices(xs, g) == G.mult_indices(g, xs)]
+    return xs.tolist()
+
+
 @lru_cache(maxsize=None)
 def center(G: PcPresentation) -> Subgroup:
     G._require_enumerable("center")
-    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
-    mem = [
-        x
-        for x in range(G.order)
-        if all(G.mult_index(x, g) == G.mult_index(g, x) for g in gens)
-    ]
-    return make_subgroup(G, mem)
+    return make_subgroup(G, _centralizing(G, (g.index for g in G.gens)))
 
 
 @lru_cache(maxsize=None)
@@ -157,15 +157,9 @@ def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
     """C_G(S): elements commuting with every member (generators suffice)."""
     if S.parent != G:
         raise InputError("subgroup of a different group")
-    gens = list(S.gens)
-    if not gens:
+    if not S.gens:
         return whole_group(G)
-    mem = [
-        x
-        for x in range(G.order)
-        if all(G.mult_index(x, s) == G.mult_index(s, x) for s in gens)
-    ]
-    return make_subgroup(G, mem)
+    return make_subgroup(G, _centralizing(G, S.gens))
 
 
 @lru_cache(maxsize=None)
@@ -210,21 +204,23 @@ def upper_central(G: PcPresentation, i: int) -> Subgroup:
     if i == 0:
         return trivial_subgroup(G)
     prev = upper_central(G, i - 1)
-    gens = [G.index_of(G.gen(k).exps) for k in range(G.n)]
-    mem = [
-        x
-        for x in range(G.order)
-        if all(G.comm_index(x, g) in prev.members for g in gens)
-    ]
-    return make_subgroup(G, mem)
+    in_prev = np.zeros(G.order, dtype=bool)
+    in_prev[list(prev.members)] = True
+    inv = G.inv_table
+    xs = np.arange(G.order)
+    for gen in G.gens:
+        # [x, g] = x^-1 g^-1 x g
+        g = gen.index
+        comm = G.mult_indices(G.mult_indices(G.mult_indices(inv[xs], inv[g]), xs), g)
+        xs = xs[in_prev[comm]]
+    return make_subgroup(G, xs.tolist())
 
 
 @lru_cache(maxsize=None)
 def agemo(G: PcPresentation) -> Subgroup:
     """G^p, generated by all p-th powers."""
     G._require_enumerable("agemo")
-    powers = {G.index_of(G.power_exps(exps, G.p)) for exps in G.elements}
-    return make_subgroup(G, closure_indices(G, powers))
+    return make_subgroup(G, closure_indices(G, set(G.power_p_table.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -265,10 +261,8 @@ def omega1(G: PcPresentation, A: Subgroup) -> Subgroup:
     """Omega_1(A) for abelian A: elements of order dividing p."""
     if not A.is_abelian:
         raise InputError("omega1 is only provided for abelian subgroups")
-    mem = [
-        x for x in A.members if G.power_exps(G.elements[x], G.p) == G.identity_exps
-    ]
-    return make_subgroup(G, mem)
+    pw = G.power_p_table
+    return make_subgroup(G, [x for x in A.members if pw[x] == 0])
 
 
 @lru_cache(maxsize=None)
@@ -304,6 +298,7 @@ def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
     elementary abelian and normal."""
     A = omega1(G, center(G))
     gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
+    pw = G.power_p_table
     changed = True
     while changed:
         changed = False
@@ -317,9 +312,7 @@ def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
             ):
                 continue
             cand = closure_indices(G, tuple(A.gens) + (x,))
-            if any(
-                G.power_exps(G.elements[y], G.p) != G.identity_exps for y in cand
-            ):
+            if any(pw[y] != 0 for y in cand):
                 continue
             if any(G.conj_index(y, g) not in cand for y in cand for g in gens):
                 continue

@@ -24,6 +24,9 @@ from pgroups import (
     verify_certificate,
 )
 from pgroups.deriv import derivation_from_vector
+from pgroups.pcgroup import relator_pairs
+
+from .models import reference_collect
 
 
 def center_module(G):
@@ -233,3 +236,40 @@ def test_certificate_mutations_all_caught(H3, M27):
             assert failures, f"mutation {kind} on {G.name} was not caught"
             caught += 1
     assert caught >= 10
+    # one tampered image that breaks a power relation and no other (M27
+    # has exponent p^2; in H3 every element satisfies x^p = 1)
+    cert, _ = construct_noninner(M27)
+    mutated = _break_only_a_power_relation(cert, M27)
+    assert verify_certificate(M27, mutated) == ["images do not define an endomorphism"]
+
+
+def _reference_image(G, images, word):
+    letters = []
+    for g, e in word:
+        letters += [(k, c) for k, c in enumerate(images[g]) if c] * e
+    return reference_collect(G, letters)
+
+
+def _break_only_a_power_relation(cert, G):
+    """First single-image change, in generator then index order, after which
+    every commutator relation still holds and some power relation fails,
+    judged by the rewriting collector."""
+    from dataclasses import replace
+
+    relators = relator_pairs(G)
+    powers, comms = relators[: G.n], relators[G.n :]
+
+    def holds(images, pairs):
+        return all(
+            _reference_image(G, images, l) == _reference_image(G, images, r) for l, r in pairs
+        )
+
+    for k in range(G.n):
+        for y in G.elements:
+            images = list(cert.gen_images)
+            if images[k] == y:
+                continue
+            images[k] = y
+            if holds(images, comms) and not holds(images, powers):
+                return replace(cert, gen_images=tuple(images))
+    raise AssertionError("no image breaks only a power relation")

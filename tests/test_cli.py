@@ -151,6 +151,22 @@ def test_huge_prime_file_refused_quickly(tmp_path):
     assert json.loads(proc.stderr)["kind"] == "cap"
 
 
+@pytest.mark.parametrize("spec", ["cyclic:1000000000000000003", "cyclic:3,100000000"])
+def test_huge_cyclic_spec_refused_quickly(spec):
+    """The spec's order is checked against the cap before m^k is computed,
+    m is factored or any presentation is built (cap, exit 2)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    env.pop("PGROUP_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgroups.cli", "series", "--group", spec],
+        env=env,
+        capture_output=True,
+        timeout=2,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["kind"] == "cap"
+
+
 def test_cap_flag_and_env(capsys, monkeypatch):
     code, _ = run_cli(capsys, "series", "--group", "heisenberg:3", "--cap", "10")
     assert code == 2

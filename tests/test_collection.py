@@ -1,14 +1,22 @@
-"""Collection from the left against the rewriting oracle, and the overlap
-consistency proof against the exhaustive associativity audit."""
+"""Collection from the left against the rewriting oracle, the overlap
+consistency proof against the exhaustive associativity audit, and the
+gather-derived tables and the table relation check against independent
+arithmetic."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from pgroups import PcPresentation, catalog, direct_product
 from pgroups.errors import InputError
-from pgroups.pcgroup import PRIME_LIMIT
+from pgroups.pcgroup import (
+    FULL_TABLE_ORDER,
+    PRIME_LIMIT,
+    _word_image_exps,
+    images_respect_relations,
+    relator_pairs,
+)
 
 from .models import reference_collect
 from .test_order81 import scaffold_grid
@@ -102,3 +110,61 @@ def test_huge_primes_refused():
         PcPresentation(p=3215031751, power_rhs=((0,),), comm_rhs=())  # strong pseudoprime
     big = PcPresentation(p=10**18 + 3, power_rhs=((0,),), comm_rhs=())
     assert big.order == 10**18 + 3
+
+
+def _word(exps):
+    return [(k, e) for k, e in enumerate(exps) if e]
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+def test_derived_tables_match_independent_arithmetic(G):
+    """The generator tables against the rewriting collector, and the
+    gather-derived inverse, p-th power and order tables against symbolic
+    arithmetic, for every element."""
+    gen, inv, pw = G.gen_tables, G.inv_table, G.power_p_table
+    for x, exps in enumerate(G.elements):
+        for i in range(G.n):
+            assert gen[i][x] == G.index_of(reference_collect(G, _word(exps) + [(i, 1)]))
+        assert inv[x] == G.index_of(G.inverse_exps(exps))
+        assert pw[x] == G.index_of(G.power_exps(exps, G.p))
+    # read only once the power table is known to be right: it iterates it to 1
+    orders = G.element_orders
+    assert all(orders[x] == G.element(exps).order() for x, exps in enumerate(G.elements))
+
+
+def _symbolic_verdict(G, images) -> bool:
+    return all(
+        _word_image_exps(G, images, lhs) == _word_image_exps(G, images, rhs)
+        for lhs, rhs in relator_pairs(G)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relation_check_by_tables_matches_symbolic(data):
+    """Random image tuples, and inner automorphisms with at most one image
+    replaced, so that both verdicts occur."""
+    G = data.draw(st.sampled_from(GROUPS), label="group")
+    element = st.integers(0, G.order - 1).map(lambda x: G.elements[x])
+    if data.draw(st.booleans(), label="inner"):
+        x = G.element(data.draw(element, label="conjugator"))
+        images = [g.conj(x).exps for g in G.gens]
+        if data.draw(st.booleans(), label="tamper"):
+            images[data.draw(st.integers(0, G.n - 1), label="slot")] = data.draw(element)
+    else:
+        images = data.draw(st.lists(element, min_size=G.n, max_size=G.n), label="images")
+    verdict = images_respect_relations(G, G, images)
+    event(f"respects relations: {verdict}")
+    assert verdict == _symbolic_verdict(G, images)
+
+
+def test_relation_check_above_full_table_order_stays_symbolic():
+    G = catalog.parse_group_spec("d:3,3+cyclic:3,2")
+    assert G.order > FULL_TABLE_ORDER
+    images = [g.exps for g in G.gens]
+    assert images_respect_relations(G, G, images)
+    # the cyclic factor has g_(n-1)^3 = g_n and g_n^3 = 1, so g_(n-1) -> g_n
+    # breaks that power relation and no commutator relation
+    images[-2] = images[-1]
+    assert not images_respect_relations(G, G, images)
+    assert "gen_tables" not in G.__dict__ and "full_mult_table" not in G.__dict__
