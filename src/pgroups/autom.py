@@ -22,6 +22,7 @@ from .deriv import (
     vanishing_subspace,
 )
 from .fpmod import (
+    FpModule,
     conjugation_module,
     fixed_points,
     submodule_as_module,
@@ -408,6 +409,68 @@ def _iter_combos(rows: np.ndarray, p: int, limit: int):
             return
 
 
+def _inner_keys(M: FpModule) -> set[bytes]:
+    """Generator-value vectors of the derivations into M whose induced map
+    is inner, as int64 byte keys.
+
+    g -> g d(g) is conjugation by x exactly when d(g_k) = [g_k, x] =
+    g_k^-1 x^-1 g_k x for every pc generator g_k; so there is one key per x
+    whose commutators with the generators all lie in the realized subgroup.
+    """
+    G = M.group
+    coords = np.full((G.order, M.dim), -1, dtype=np.int64)
+    for idx, vec in M.realization.encode_table:
+        coords[idx] = vec
+    xs = np.arange(G.order, dtype=np.int64)
+    blocks = []
+    for g in G.gens:
+        g_inv_x_inv = G.mult_indices(G.inv_table[g.index], G.inv_table)
+        blocks.append(coords[G.mult_indices(g_inv_x_inv, G.mult_indices(g.index, xs))])
+    rows = np.concatenate(blocks, axis=1)
+    return {row.tobytes() for row in rows[(rows >= 0).all(axis=1)]}
+
+
+def _scan_classes(
+    M: FpModule,
+    reps: np.ndarray,
+    limit: int,
+    fixed: Subgroup,
+    path: str,
+    evidence: dict,
+    caps: Caps,
+    pivot: Element | None = None,
+) -> NonInnerCertificate | None:
+    """First certificate among the induced maps of the first `limit` nonzero
+    combinations of the class representatives `reps` (rows: derivations
+    into M as generator-value vectors).
+
+    Combinations that induce an inner map are skipped before any map is
+    built; `_certificate_from` would refuse each of them. The moved witness
+    is `pivot`, which the derivation must not kill, or else the first pc
+    generator it does not kill (g d(g) != g exactly when d(g) != 0).
+    """
+    G = M.group
+    # the cocycle relations are linear, so once every row satisfies them,
+    # every combination does; each candidate is still checked below
+    for row in reps:
+        derivation_from_vector(G, M, row, check=True)
+    inner = _inner_keys(M) if reps.shape[0] else set()
+    for vec in _iter_combos(reps, G.p, limit):
+        if vec.tobytes() in inner:
+            continue
+        delta = derivation_from_vector(G, M, vec, check=True)
+        if pivot is None:
+            moved = next((g for g in G.gens if delta.evaluate(g).any()), None)
+        else:
+            moved = pivot if delta.evaluate(pivot).any() else None
+        if moved is None:
+            continue
+        cert = _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence)
+        if cert is not None:
+            return cert
+    return None
+
+
 def _stage_search(
     G: PcPresentation,
     chain: SubgroupChain,
@@ -438,25 +501,17 @@ def _stage_search(
     trail.append(
         f"i={i}: dim Der(G/P_i, W) = {van_i.shape[0]}, inner {ider_in.shape[0]}, classes {h1_i}"
     )
-    for vec in _iter_combos(reps, p, limit=400):
-        delta = derivation_from_vector(G, M, vec, check=True)
-        phi = induce(delta)
-        movedgen = next(
-            (G.gen(k) for k in range(G.n) if delta.evaluate(G.gen(k)).any()), None
-        )
-        if movedgen is None:
-            continue
-        cert = _certificate_from(
-            G,
-            phi,
-            PATH_STAGE.format(i=i),
-            P_i,
-            movedgen,
-            caps,
-            {"method": "quotient-action class", "stage": str(i)},
-        )
-        if cert is not None:
-            return cert
+    cert = _scan_classes(
+        M,
+        reps,
+        400,
+        P_i,
+        PATH_STAGE.format(i=i),
+        {"method": "quotient-action class", "stage": str(i)},
+        caps,
+    )
+    if cert is not None:
+        return cert
 
     # CR reduction of W, then classes vanishing on P_{i+1} but not on P_i
     W1_choice = None
@@ -491,24 +546,18 @@ def _stage_search(
     trail.append(
         f"i={i}: dim Der(G/P_i+1, W1) = {van_i1.shape[0]}, new classes {reps2.shape[0]}"
     )
-    pivot = Element(G, G.elements[chain.pivots[i]]) if i < len(chain.pivots) else None
-    for vec in _iter_combos(reps2, p, limit=400):
-        delta = derivation_from_vector(G, W1, vec, check=True)
-        if pivot is None or not delta.evaluate(pivot).any():
-            continue
-        phi = induce(delta)
-        cert = _certificate_from(
-            G,
-            phi,
-            PATH_STAGE.format(i=i),
-            P_i1,
-            pivot,
-            caps,
-            {"method": "chain-step class", "stage": str(i)},
-        )
-        if cert is not None:
-            return cert
-    return None
+    if i >= len(chain.pivots):
+        return None
+    return _scan_classes(
+        W1,
+        reps2,
+        400,
+        P_i1,
+        PATH_STAGE.format(i=i),
+        {"method": "chain-step class", "stage": str(i)},
+        caps,
+        pivot=Element(G, G.elements[chain.pivots[i]]),
+    )
 
 
 def _fallback_certificate(
@@ -531,26 +580,18 @@ def _fallback_certificate(
         M = conjugation_module(G, A)
         space = derivation_space(G, M)
         reps = la.complement_in(space.ider_array, space.der_array, G.p)
-        for vec in _iter_combos(reps, G.p, limit=800):
-            delta = derivation_from_vector(G, M, vec, check=True)
-            phi = induce(delta)
-            moved = next(
-                (G.gen(k) for k in range(G.n) if phi.apply(G.gen(k)) != G.gen(k)), None
-            )
-            if moved is None:
-                continue
-            cert = _certificate_from(
-                G,
-                phi,
-                path,
-                trivial_subgroup(G),
-                moved,
-                caps,
-                {"method": f"derivation scan over {label}"},
-            )
-            if cert is not None:
-                trail.append(f"fallback: derivation scan over {label} succeeded")
-                return cert
+        cert = _scan_classes(
+            M,
+            reps,
+            800,
+            trivial_subgroup(G),
+            path,
+            {"method": f"derivation scan over {label}"},
+            caps,
+        )
+        if cert is not None:
+            trail.append(f"fallback: derivation scan over {label} succeeded")
+            return cert
         trail.append(f"fallback: derivation scan over {label} exhausted")
     trail.append("fallback: backtracking search")
     from .oracle import find_noninner_order_p

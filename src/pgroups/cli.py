@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -276,6 +275,8 @@ def cmd_verify(args) -> int:
     else:
         raise InputError("verify needs --all or --group")
     if args.jobs and args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(
                 pool.map(

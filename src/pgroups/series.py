@@ -35,12 +35,19 @@ class Subgroup:
                 raise InputError("generator witness outside the subgroup")
         if closure_indices(self.parent, self.gens) != self.members:
             raise InputError("witnesses do not generate the member set")
-        for x in self.members:
-            if int(self.parent.inv_table[x]) not in self.members:
-                raise InputError("member set is not inverse-closed")
-            for g in self.gens:
-                if self.parent.mult_index(x, g) not in self.members:
-                    raise InputError("member set is not multiplication-closed")
+        G = self.parent
+        mem, inside = self._member_arrays()
+        if not inside[G.inv_table[mem]].all():
+            raise InputError("member set is not inverse-closed")
+        if self.gens and not inside[G.mult_indices(mem[:, None], np.array(self.gens))].all():
+            raise InputError("member set is not multiplication-closed")
+
+    def _member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The members as an index array and as a boolean mask over G."""
+        mem = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[mem] = True
+        return mem, inside
 
     @property
     def order(self) -> int:
@@ -81,12 +88,12 @@ class Subgroup:
 
     @property
     def is_normal(self) -> bool:
+        """Every member conjugated by every pc generator, g^-1 x g, stays inside."""
         G = self.parent
-        return all(
-            G.conj_index(x, G.index_of(G.gen(i).exps)) in self.members
-            for x in self.members
-            for i in range(G.n)
-        )
+        mem, inside = self._member_arrays()
+        gens = np.array([G.index_of(g.exps) for g in G.gens])
+        conj = G.mult_indices(G.mult_indices(G.inv_table[gens], mem[:, None]), gens)
+        return bool(inside[conj].all())
 
     @property
     def is_elementary_abelian(self) -> bool:

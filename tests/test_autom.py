@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pgroups import (
+    DEFAULT_CAPS,
     Endo,
     InputError,
     NonInnerCertificate,
@@ -23,6 +24,7 @@ from pgroups import (
     order_via_formula,
     verify_certificate,
 )
+from pgroups import autom
 from pgroups.deriv import derivation_from_vector
 from pgroups.pcgroup import relator_pairs
 
@@ -273,3 +275,77 @@ def _break_only_a_power_relation(cert, G):
             if holds(images, comms) and not holds(images, powers):
                 return replace(cert, gen_images=tuple(images))
     raise AssertionError("no image breaks only a power relation")
+
+
+SCREEN_GROUPS = (
+    catalog.default_catalog(3, max_order=729)
+    + catalog.default_catalog(5, max_order=729)
+    + [catalog.heisenberg(7)]
+)
+
+
+def _scanned_targets(monkeypatch, groups):
+    """(module, representatives, limit) of every class scan the pipeline runs."""
+    calls = []
+    scan = autom._scan_classes
+
+    def recording(M, reps, limit, *args, **kwargs):
+        calls.append((M, reps, limit))
+        return scan(M, reps, limit, *args, **kwargs)
+
+    monkeypatch.setattr(autom, "_scan_classes", recording)
+    for G in groups:
+        if not G.is_abelian:
+            construct_noninner(G)
+    return calls
+
+
+def test_inner_screen_is_exact(monkeypatch):
+    """A combination's generator-value key is among the inner keys exactly
+    when the map it induces is conjugation by some element; and every inner
+    key is a derivation that induces a conjugation."""
+    targets = _scanned_targets(monkeypatch, SCREEN_GROUPS)
+    verdicts = {True: 0, False: 0}
+    for M, reps, limit in targets:
+        G = M.group
+        keys = autom._inner_keys(M)
+        for key in keys:
+            vec = np.frombuffer(key, dtype=np.int64)
+            witness, _ = is_inner(induce(derivation_from_vector(G, M, vec, check=True)))
+            assert witness is not None, (G.name, vec)
+        for vec in autom._iter_combos(reps, G.p, limit):
+            witness, _ = is_inner(induce(derivation_from_vector(G, M, vec, check=True)))
+            screened = vec.tobytes() in keys
+            assert screened == (witness is not None), (G.name, vec)
+            verdicts[screened] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("spec, most", [("extraspecial:3", 2), ("heisenberg:7", 50)])
+def test_screen_skips_inner_candidates(monkeypatch, spec, most):
+    """Inner combinations are screened out before any map is built: the
+    unscreened scans built 163 and 145 candidate maps here."""
+    G = catalog.parse_group_spec(spec)
+    built = []
+    real = autom.induce
+    monkeypatch.setattr(autom, "induce", lambda delta: built.append(delta) or real(delta))
+    cert, _ = construct_noninner(G)
+    assert verify_certificate(G, cert) == []
+    assert 1 <= len(built) <= most
+
+
+def test_scan_refuses_a_row_that_is_not_a_derivation(H3):
+    """Each representative row is checked against the cocycle relations once,
+    so a bad row is refused even when its combinations are never reached."""
+    from pgroups.series import trivial_subgroup
+
+    M = center_module(H3)
+    sp = derivation_space(H3, M)
+    bad = next(
+        vec
+        for vec in autom._iter_combos(np.eye(H3.n * M.dim, dtype=np.int64), H3.p, 10**6)
+        if not derivation_from_vector(H3, M, vec).satisfies_relations()
+    )
+    reps = np.vstack([bad, sp.der_array])
+    with pytest.raises(InputError):
+        autom._scan_classes(M, reps, 1, trivial_subgroup(H3), "test", {}, DEFAULT_CAPS)
