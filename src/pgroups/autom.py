@@ -21,13 +21,7 @@ from .deriv import (
     derivation_space,
     vanishing_subspace,
 )
-from .fpmod import (
-    FpModule,
-    conjugation_module,
-    fixed_points,
-    submodule_as_module,
-    submodules_of_dim,
-)
+from .fpmod import FpModule, conjugation_module
 from .pcgroup import (
     Element,
     PcPresentation,
@@ -37,7 +31,8 @@ from .pcgroup import (
 )
 from .series import (
     Subgroup,
-    SubgroupChain,
+    center,
+    greedy_elementary_abelian_normal,
     hypothesis_report,
     omega1,
     refine_chain,
@@ -221,10 +216,6 @@ def is_inner(phi: Endo, caps: Caps = DEFAULT_CAPS):
     return None, G.order
 
 
-def fixes_pointwise(phi: Endo, S: Subgroup) -> bool:
-    return all(phi.apply_index(x) == x for x in S.members)
-
-
 # -- certificates -----------------------------------------------------------------
 
 
@@ -361,19 +352,8 @@ def _certificate_from(
     caps: Caps,
     evidence: dict,
 ) -> NonInnerCertificate | None:
-    """Assemble and fully verify a candidate certificate; None if any check
-    fails (candidate rejected, not an error)."""
-    if not phi.is_automorphism or phi.is_identity:
-        return None
-    if not phi.power(G.p).is_identity:
-        return None
-    witness, scanned = is_inner(phi, caps)
-    if witness is not None:
-        return None
-    if not fixes_pointwise(phi, fixed):
-        return None
-    if phi.apply(moved) == moved:
-        return None
+    """The certificate for a candidate map, if `verify_certificate` finds no
+    failure in it; None otherwise (candidate rejected, not an error)."""
     cert = NonInnerCertificate(
         group_name=G.name,
         path=path,
@@ -381,15 +361,10 @@ def _certificate_from(
         order=G.p,
         fixed_subgroup_gens=tuple(g.exps for g in fixed.gen_elements),
         moved=moved.exps,
-        inner_scan_count=scanned,
+        inner_scan_count=G.order,
         evidence=tuple(sorted((str(k), str(v)) for k, v in evidence.items())),
     )
-    residual = verify_certificate(G, cert, caps)
-    if residual:
-        raise VerificationFailed(
-            f"internal: assembled certificate failed re-check: {residual}"
-        )  # pragma: no cover
-    return cert
+    return None if verify_certificate(G, cert, caps) else cert
 
 
 def _iter_combos(rows: np.ndarray, p: int, limit: int):
@@ -438,16 +413,17 @@ def _scan_classes(
     path: str,
     evidence: dict,
     caps: Caps,
-    pivot: Element | None = None,
-) -> NonInnerCertificate | None:
+) -> tuple[NonInnerCertificate | None, int]:
     """First certificate among the induced maps of the first `limit` nonzero
     combinations of the class representatives `reps` (rows: derivations
-    into M as generator-value vectors).
+    into M as generator-value vectors), and how many combinations were
+    tried.
 
     Combinations that induce an inner map are skipped before any map is
-    built; `_certificate_from` would refuse each of them. The moved witness
-    is `pivot`, which the derivation must not kill, or else the first pc
-    generator it does not kill (g d(g) != g exactly when d(g) != 0).
+    built; `_certificate_from` would refuse each of them. A combination
+    that sums to zero induces the identity, which is inner, so every
+    combination left moves some pc generator; the moved witness is the
+    first one (g d(g) != g exactly when d(g) != 0).
     """
     G = M.group
     # the cocycle relations are linear, so once every row satisfies them,
@@ -455,145 +431,92 @@ def _scan_classes(
     for row in reps:
         derivation_from_vector(G, M, row, check=True)
     inner = _inner_keys(M) if reps.shape[0] else set()
-    for vec in _iter_combos(reps, G.p, limit):
+    tried = 0
+    for tried, vec in enumerate(_iter_combos(reps, G.p, limit), 1):
         if vec.tobytes() in inner:
             continue
         delta = derivation_from_vector(G, M, vec, check=True)
-        if pivot is None:
-            moved = next((g for g in G.gens if delta.evaluate(g).any()), None)
-        else:
-            moved = pivot if delta.evaluate(pivot).any() else None
-        if moved is None:
-            continue
+        moved = next(g for g in G.gens if delta.evaluate(g).any())
         cert = _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence)
         if cert is not None:
-            return cert
-    return None
+            return cert, tried
+    return None, tried
 
 
-def _stage_search(
-    G: PcPresentation,
-    chain: SubgroupChain,
-    i: int,
-    caps: Caps,
-    trail: list[str],
-) -> NonInnerCertificate | None:
-    """Search the derivation spaces attached to chain position i."""
-    P_i = chain.links[i]
-    P_i1 = chain.links[i + 1]
-    ZP = subgroup_center(G, P_i) if not P_i.is_trivial else P_i
-    if P_i.is_trivial:
-        trail.append(f"i={i}: P_i trivial, nothing to do")
-        return None
-    W_sub = omega1(G, ZP)
-    if W_sub.is_trivial:
-        trail.append(f"i={i}: Omega_1(Z(P_i)) trivial")
-        return None
-    M = conjugation_module(G, W_sub)
-    space = derivation_space(G, M)
-    p = G.p
+def _targets(G: PcPresentation, hyp):
+    """The branch table: (path, target A, subgroup to vanish on and fix,
+    scan limit, evidence) in the order construct_noninner tries them.
 
-    # classes vanishing on P_i (quotient-action derivations), modulo inner
-    van_i = vanishing_subspace(space, list(P_i.gen_elements))
-    ider_in = la.intersect_rowspaces(space.ider_array, van_i, p) if van_i.size else van_i
-    reps = la.complement_in(ider_in, van_i, p)
-    h1_i = reps.shape[0]
-    trail.append(
-        f"i={i}: dim Der(G/P_i, W) = {van_i.shape[0]}, inner {ider_in.shape[0]}, classes {h1_i}"
-    )
-    cert = _scan_classes(
-        M,
-        reps,
-        400,
-        P_i,
-        PATH_STAGE.format(i=i),
-        {"method": "quotient-action class", "stage": str(i)},
-        caps,
-    )
-    if cert is not None:
-        return cert
-
-    # CR reduction of W, then classes vanishing on P_{i+1} but not on P_i
-    W1_choice = None
-    for dim in range(M.dim, 0, -1):
-        for sub in submodules_of_dim(M, dim):
-            candidate, _ = submodule_as_module(M, sub)
-            fixed_dim = fixed_points(candidate).dim
-            if fixed_dim != 1:
-                continue
-            cspace = derivation_space(G, candidate)
-            cvan = vanishing_subspace(cspace, list(P_i.gen_elements))
-            cider = (
-                la.intersect_rowspaces(cspace.ider_array, cvan, p) if cvan.size else cvan
-            )
-            if cvan.shape[0] - cider.shape[0] <= 1:
-                W1_choice = (candidate, cspace)
-                break
-        if W1_choice:
-            break
-    if W1_choice is None:
-        trail.append(f"i={i}: no CR reduction found")
-        return None
-    W1, w1_space = W1_choice
-    trail.append(f"i={i}: CR reduction dim {W1.dim}")
-    van_i1 = vanishing_subspace(w1_space, list(P_i1.gen_elements))
-    van_i_w1 = vanishing_subspace(w1_space, list(P_i.gen_elements))
-    ider_w1 = (
-        la.intersect_rowspaces(w1_space.ider_array, van_i1, p) if van_i1.size else van_i1
-    )
-    base = la.row_basis(np.vstack([van_i_w1, ider_w1]), p) if van_i_w1.size or ider_w1.size else van_i_w1
-    reps2 = la.complement_in(base, van_i1, p)
-    trail.append(
-        f"i={i}: dim Der(G/P_i+1, W1) = {van_i1.shape[0]}, new classes {reps2.shape[0]}"
-    )
-    if i >= len(chain.pivots):
-        return None
-    return _scan_classes(
-        W1,
-        reps2,
-        400,
-        P_i1,
-        PATH_STAGE.format(i=i),
-        {"method": "chain-step class", "stage": str(i)},
-        caps,
-        pivot=Element(G, G.elements[chain.pivots[i]]),
-    )
-
-
-def _fallback_certificate(
-    G: PcPresentation, path: str, caps: Caps, trail: list[str]
-) -> NonInnerCertificate:
-    """Certificate search that does not rely on the chain machinery: scan
-    derivation-induced maps into the p-torsion of the center and into a
-    greedily maximal elementary abelian normal subgroup, then exhaustive
-    backtracking (under the oracle cap)."""
-    from .series import center, greedy_elementary_abelian_normal
-
-    targets = []
+    With a cyclic center and T > 0, stage i takes A = Omega_1(Z(P_i)) and
+    the derivations vanishing on P_i. Then, under the label of the branch
+    (or of the first failed containment), come Omega_1(Z(G)) and a maximal
+    elementary abelian normal subgroup, with no vanishing condition. A
+    generator, so each target is built only after the ones before it fail.
+    """
+    chain = refine_chain(G)
+    if not hyp.center_cyclic:
+        path = PATH_CENTER
+    elif hyp.powerful:
+        path = PATH_POWERFUL
+    else:
+        for i, P_i in enumerate(chain.links[:-1]):
+            A = omega1(G, subgroup_center(G, P_i))
+            yield PATH_STAGE.format(i=i), A, P_i, 400, {
+                "method": "quotient-action class",
+                "stage": str(i),
+            }
+        if not hyp.cg_phi_in_phi:
+            path = PATH_LEMMA_A1
+        elif not hyp.omega1_center_in_bottom:
+            path = PATH_LEMMA_12
+        elif not hyp.main_hypothesis_holds:
+            path = PATH_HYP
+        else:
+            path = PATH_EXHAUSTED
+    trivial = trivial_subgroup(G)
     A0 = omega1(G, center(G))
-    if not A0.is_trivial:
-        targets.append(("Omega_1(Z(G))", A0))
+    yield path, A0, trivial, 800, {"method": "derivation scan over Omega_1(Z(G))"}
     A1 = greedy_elementary_abelian_normal(G)
-    if not A1.is_trivial and A1.members != A0.members:
-        targets.append(("maximal elementary abelian normal", A1))
-    for label, A in targets:
+    if A1.members != A0.members:
+        label = "maximal elementary abelian normal"
+        yield path, A1, trivial, 800, {"method": f"derivation scan over {label}"}
+
+
+def construct_noninner(
+    G: PcPresentation, caps: Caps = DEFAULT_CAPS
+) -> tuple[NonInnerCertificate, PipelineReport]:
+    """A verified order-p non-inner automorphism g -> g d(g), from the first
+    target of the branch table (`_targets`) whose derivation classes modulo
+    inner give one; exhaustive backtracking (under the oracle cap) when no
+    target does. The trail has one line per target tried.
+    """
+    if G.order > caps.enumeration:
+        raise InputError("group exceeds the enumeration cap")
+    hyp = hypothesis_report(G)
+    if hyp.abelian:
+        raise OutOfScope("abelian group: out of scope for the conjecture")
+    p = G.p
+    trail: list[str] = []
+    for path, A, K, limit, evidence in _targets(G, hyp):
         M = conjugation_module(G, A)
         space = derivation_space(G, M)
-        reps = la.complement_in(space.ider_array, space.der_array, G.p)
-        cert = _scan_classes(
-            M,
-            reps,
-            800,
-            trivial_subgroup(G),
-            path,
-            {"method": f"derivation scan over {label}"},
-            caps,
+        van = vanishing_subspace(space, list(K.gen_elements))
+        ider = la.intersect_rowspaces(space.ider_array, van, p) if van.size else van
+        reps = la.complement_in(ider, van, p)
+        cert, tried = _scan_classes(M, reps, limit, K, path, evidence, caps)
+        if cert is not None:
+            outcome = "certified"
+        elif tried == p ** reps.shape[0] - 1:
+            outcome = "exhausted"
+        else:
+            outcome = "limit reached"
+        trail.append(
+            f"{path}, {evidence['method']}: dim Der {van.shape[0]}, inner {ider.shape[0]}, "
+            f"classes {reps.shape[0]}, tried {tried}, {outcome}"
         )
         if cert is not None:
-            trail.append(f"fallback: derivation scan over {label} succeeded")
-            return cert
-        trail.append(f"fallback: derivation scan over {label} exhausted")
-    trail.append("fallback: backtracking search")
+            return cert, PipelineReport(G.name, path, tuple(trail), hyp.to_dict())
+    # the last target carries the fallback label, which the search keeps
     from .oracle import find_noninner_order_p
 
     phi = find_noninner_order_p(G, caps)
@@ -601,59 +524,10 @@ def _fallback_certificate(
         raise VerificationFailed(
             f"{G.name}: no non-inner automorphism of order p found by exhaustive search"
         )
-    moved = next(G.gen(k) for k in range(G.n) if phi.apply(G.gen(k)) != G.gen(k))
-    cert = _certificate_from(
-        G,
-        phi,
-        path,
-        trivial_subgroup(G),
-        moved,
-        caps,
-        {"method": "exhaustive backtracking search"},
-    )
+    moved = next(g for g in G.gens if phi.apply(g) != g)
+    evidence = {"method": "exhaustive backtracking search"}
+    cert = _certificate_from(G, phi, path, trivial_subgroup(G), moved, caps, evidence)
     if cert is None:  # pragma: no cover
         raise VerificationFailed(f"{G.name}: backtracking result failed verification")
-    return cert
-
-
-def construct_noninner(
-    G: PcPresentation, caps: Caps = DEFAULT_CAPS
-) -> tuple[NonInnerCertificate, PipelineReport]:
-    """Decision cascade producing a verified order-p non-inner automorphism.
-
-    Constructive chain stages are attempted whenever the chain is nontrivial;
-    certificates state the stage that produced them. Groups outside the
-    cyclic-center theory (or with an empty chain) fall back to a
-    derivation-scan / backtracking search, with the branch recorded.
-    """
-    if G.order > caps.enumeration:
-        raise InputError("group exceeds the enumeration cap")
-    hyp = hypothesis_report(G)
-    trail: list[str] = []
-    if hyp.abelian:
-        raise OutOfScope("abelian group: out of scope for the conjecture")
-    chain = refine_chain(G)
-    if not hyp.center_cyclic:
-        trail.append(f"center rank {hyp.center_rank} > 1: outside cyclic-center theory")
-        cert = _fallback_certificate(G, PATH_CENTER, caps, trail)
-        return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
-    if hyp.powerful:
-        trail.append("T = 0: powerful branch")
-        cert = _fallback_certificate(G, PATH_POWERFUL, caps, trail)
-        return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
-    for i in range(chain.T):
-        cert = _stage_search(G, chain, i, caps, trail)
-        if cert is not None:
-            return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
-    # constructive stages exhausted: dispatch by the failed containments
-    if not hyp.cg_phi_in_phi:
-        path = PATH_LEMMA_A1
-    elif not hyp.omega1_center_in_bottom:
-        path = PATH_LEMMA_12
-    elif not hyp.main_hypothesis_holds:
-        path = PATH_HYP
-    else:
-        path = PATH_EXHAUSTED
-    trail.append(f"chain stages exhausted; dispatching {path}")
-    cert = _fallback_certificate(G, path, caps, trail)
-    return cert, PipelineReport(G.name, cert.path, tuple(trail), hyp.to_dict())
+    trail.append(f"{path}, {evidence['method']}: certified")
+    return cert, PipelineReport(G.name, path, tuple(trail), hyp.to_dict())

@@ -243,15 +243,10 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
 def vanishing_subspace(space: CohomologySpace, elements: Sequence[Element]) -> np.ndarray:
     """Rows spanning {d in Der : d(x) = 0 for the given elements} (and hence
     on the subgroup they generate)."""
-    basis = space.der_basis
+    if not elements or not space.der_basis:
+        return space.der_array
     p = space.module.p
-    if not basis:
-        return space.der_array
-    rows = []
-    for b in basis:
-        rows.append(np.concatenate([b.evaluate(x) for x in elements]) if elements else la.zeros(0))
-    if not elements:
-        return space.der_array
+    rows = [np.concatenate([b.evaluate(x) for x in elements]) for b in space.der_basis]
     coeff = la.left_nullspace(np.array(rows, dtype=np.int64), p)
     if coeff.size == 0:
         return la.zeros((0, space.der_array.shape[1]))

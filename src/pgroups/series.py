@@ -3,13 +3,14 @@
 Subgroups are explicit closed element-index sets with generator witnesses.
 That is exact and O(1) for membership at the orders this library targets;
 no induced pc sequences are attempted. All operations are pure functions
-of immutable inputs and are memoized per (group, arguments).
+of immutable inputs and are memoized per (group, arguments) in a dict
+kept on the group object, so the results die with the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Iterable
 
 import numpy as np
@@ -17,6 +18,21 @@ import numpy as np
 from . import gflinalg as la
 from .errors import InputError
 from .pcgroup import Element, PcPresentation, closure_indices
+
+
+def _per_group(fn):
+    """Memoize fn(G, *args) in a dict stored on G, as the table
+    cached_propertys of PcPresentation are."""
+
+    @wraps(fn)
+    def memoized(G: PcPresentation, *args):
+        memo = G.__dict__.setdefault("_series_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(G, *args)
+        return memo[key]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -134,12 +150,12 @@ def subgroup_generated(G: PcPresentation, seed: Iterable) -> Subgroup:
     return make_subgroup(G, closure_indices(G, idxs))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def trivial_subgroup(G: PcPresentation) -> Subgroup:
     return Subgroup(G, frozenset([0]), ())
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def whole_group(G: PcPresentation) -> Subgroup:
     G._require_enumerable("subgroup computations")
     return make_subgroup(G, range(G.order))
@@ -153,13 +169,13 @@ def _centralizing(G: PcPresentation, gens: Iterable[int]) -> list[int]:
     return xs.tolist()
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def center(G: PcPresentation) -> Subgroup:
     G._require_enumerable("center")
     return make_subgroup(G, _centralizing(G, (g.index for g in G.gens)))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
     """C_G(S): elements commuting with every member (generators suffice)."""
     if S.parent != G:
@@ -169,7 +185,7 @@ def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
     return make_subgroup(G, _centralizing(G, S.gens))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
     gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
     current = set(closure_indices(G, seed))
@@ -186,7 +202,7 @@ def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
     return make_subgroup(G, current)
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def lower_central(G: PcPresentation, i: int) -> Subgroup:
     """gamma_i(G); gamma_1 = G, gamma_{k+1} = [gamma_k, G]."""
     if i < 1:
@@ -203,7 +219,7 @@ def lower_central(G: PcPresentation, i: int) -> Subgroup:
     return normal_closure(G, frozenset(seed))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def upper_central(G: PcPresentation, i: int) -> Subgroup:
     """Z_i(G); Z_0 = 1, Z_{k+1}/Z_k = Z(G/Z_k)."""
     if i < 0:
@@ -223,14 +239,14 @@ def upper_central(G: PcPresentation, i: int) -> Subgroup:
     return make_subgroup(G, xs.tolist())
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def agemo(G: PcPresentation) -> Subgroup:
     """G^p, generated by all p-th powers."""
     G._require_enumerable("agemo")
     return make_subgroup(G, closure_indices(G, set(G.power_p_table.tolist())))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def frattini(G: PcPresentation) -> Subgroup:
     """Phi(G) = G^p [G, G]."""
     gp = agemo(G)
@@ -238,7 +254,7 @@ def frattini(G: PcPresentation) -> Subgroup:
     return make_subgroup(G, closure_indices(G, gp.gens + g2.gens))
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def frattini_via_maximals(G: PcPresentation) -> Subgroup:
     """Independent route: intersection of all maximal subgroups, found as
     common kernels of the surjections onto C_p."""
@@ -263,7 +279,7 @@ def frattini_via_maximals(G: PcPresentation) -> Subgroup:
     return make_subgroup(G, mem)
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def omega1(G: PcPresentation, A: Subgroup) -> Subgroup:
     """Omega_1(A) for abelian A: elements of order dividing p."""
     if not A.is_abelian:
@@ -272,7 +288,7 @@ def omega1(G: PcPresentation, A: Subgroup) -> Subgroup:
     return make_subgroup(G, [x for x in A.members if pw[x] == 0])
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def gamma3_agemo(G: PcPresentation) -> Subgroup:
     """gamma_3(G) G^p."""
     g3 = lower_central(G, 3)
@@ -297,7 +313,7 @@ def subgroup_center(G: PcPresentation, S: Subgroup) -> Subgroup:
     return make_subgroup(G, c.members & S.members)
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
     """A (maximal under greedy extension) elementary abelian normal
     subgroup containing the p-torsion of the center. Deterministic: scans
@@ -351,7 +367,7 @@ class SubgroupChain:
                 raise InputError("chain links must be normal in G")
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def refine_chain(G: PcPresentation) -> SubgroupChain:
     """Refine Phi(G) over gamma_3(G) G^p into index-p normal steps.
 
@@ -446,7 +462,7 @@ def _containment_witness(
     return False, G.elements[min(diff)]
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def hypothesis_report(G: PcPresentation) -> HypothesisReport:
     z = center(G)
     abelian = z.order == G.order

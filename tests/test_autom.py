@@ -349,3 +349,61 @@ def test_scan_refuses_a_row_that_is_not_a_derivation(H3):
     reps = np.vstack([bad, sp.der_array])
     with pytest.raises(InputError):
         autom._scan_classes(M, reps, 1, trivial_subgroup(H3), "test", {}, DEFAULT_CAPS)
+
+
+def test_trail_has_one_line_per_target_in_table_order(H3):
+    """Stage 0, then Omega_1(Z(G)) and the maximal elementary abelian
+    normal target under the dispatched label, each with its outcome."""
+    _, report = construct_noninner(H3)
+    assert report.trail == (
+        "Theorem 01 at i=0, quotient-action class: "
+        "dim Der 2, inner 0, classes 2, tried 8, exhausted",
+        "oracle-fallback (Lemma a1), derivation scan over Omega_1(Z(G)): "
+        "dim Der 2, inner 0, classes 2, tried 8, exhausted",
+        "oracle-fallback (Lemma a1), derivation scan over maximal elementary abelian normal: "
+        "dim Der 4, inner 1, classes 3, tried 9, certified",
+    )
+
+
+def test_scan_reports_combinations_tried(H3):
+    """Every class of the central target of H3 induces an inner map, so a
+    scan tries min(limit, p^k - 1) combinations and certifies nothing."""
+    from pgroups import gflinalg as la
+    from pgroups.series import trivial_subgroup
+
+    M = center_module(H3)
+    sp = derivation_space(H3, M)
+    reps = la.complement_in(sp.ider_array, sp.der_array, H3.p)
+    args = (trivial_subgroup(H3), "test", {}, DEFAULT_CAPS)
+    assert autom._scan_classes(M, reps, 1, *args) == (None, 1)
+    assert autom._scan_classes(M, reps, 800, *args) == (None, H3.p ** reps.shape[0] - 1)
+
+
+def test_backtracking_fallback_when_no_target_certifies(monkeypatch, H3):
+    """With every target scan empty, the certificate comes from the
+    exhaustive backtracking search under the dispatched label, and is one of
+    the oracle's non-inner automorphisms of order p."""
+    from pgroups.oracle import enumerate_automorphisms
+
+    monkeypatch.setattr(autom, "_scan_classes", lambda *args: (None, 0))
+    cert, report = construct_noninner(H3)
+    assert cert.path == "oracle-fallback (Lemma a1)"
+    assert dict(cert.evidence) == {"method": "exhaustive backtracking search"}
+    assert report.trail[-1] == "oracle-fallback (Lemma a1), exhaustive backtracking search: certified"
+    assert verify_certificate(H3, cert) == []
+    noninner_p = {
+        tuple(i.index for i in a.images)
+        for a in enumerate_automorphisms(H3).automorphisms
+        if order_of(a) == H3.p and is_inner(a)[0] is None
+    }
+    assert tuple(H3.index_of(v) for v in cert.gen_images) in noninner_p
+
+
+def test_backtracking_fallback_refused_above_the_oracle_cap(monkeypatch):
+    from pgroups import CapExceeded
+
+    G = catalog.heisenberg(7)
+    assert G.order > DEFAULT_CAPS.oracle
+    monkeypatch.setattr(autom, "_scan_classes", lambda *args: (None, 0))
+    with pytest.raises(CapExceeded):
+        construct_noninner(G)

@@ -136,3 +136,20 @@ def test_subgroup_generated_witnesses(H3):
     S = subgroup_generated(H3, [a])
     assert S.order == 3
     assert a.index in S.members
+
+
+def test_series_memo_dies_with_its_group():
+    """Series results are memoized on the group itself, so dropping the
+    group frees it with its tables."""
+    import gc
+    import weakref
+
+    from pgroups import construct_noninner
+
+    G = catalog.parse_group_spec("wreath:3")
+    construct_noninner(G)
+    G.full_mult_table
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
