@@ -27,6 +27,7 @@ from .pcgroup import (
     direct_product,
     dump_presentation,
     enumerate_elements,
+    identity_endo,
     inverse,
     load_presentation,
     multiply,
@@ -103,11 +104,9 @@ from .deriv import (
     vanishing_subspace,
 )
 from .autom import (
-    Endo,
     NonInnerCertificate,
     PipelineReport,
     construct_noninner,
-    identity_endo,
     induce,
     inner_of,
     is_inner,

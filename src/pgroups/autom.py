@@ -9,8 +9,7 @@ evidence only: re-verification uses nothing but group arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 import numpy as np
 
 from . import gflinalg as la
@@ -22,13 +21,7 @@ from .deriv import (
     vanishing_subspace,
 )
 from .fpmod import FpModule, conjugation_module
-from .pcgroup import (
-    Element,
-    PcPresentation,
-    closure_indices,
-    images_respect_relations,
-    word_image_index,
-)
+from .pcgroup import Element, GroupHom, PcPresentation, closure_indices, identity_endo
 from .series import (
     Subgroup,
     center,
@@ -41,89 +34,13 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Endo:
-    """Endomorphism given by images of the pc generators.
-
-    `check` controls relator validation at construction; internal
-    compositions of already-valid endomorphisms skip it.
-    """
-
-    group: PcPresentation
-    images: tuple[Element, ...]
-    check: bool = field(default=True, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.images) != self.group.n:
-            raise InputError("need one image per pc generator")
-        for img in self.images:
-            if img.pres != self.group:
-                raise InputError("image in a different group")
-        if self.check and not images_respect_relations(
-            self.group, self.group, tuple(i.exps for i in self.images)
-        ):
-            raise InputError("generator images do not define an endomorphism")
-
-    @cached_property
-    def image_indices(self) -> tuple[int, ...]:
-        return tuple(img.index for img in self.images)
-
-    def apply(self, x: Element) -> Element:
-        G = self.group
-        return Element(G, G.elements[self.apply_index(x.index)])
-
-    def apply_index(self, x_idx: int) -> int:
-        G = self.group
-        return word_image_index(G, self.image_indices, enumerate(G.elements[x_idx]))
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
-
-    @property
-    def is_identity(self) -> bool:
-        G = self.group
-        return self.image_indices == tuple(G.index_of(G.gen(i).exps) for i in range(G.n))
-
-    @cached_property
-    def is_automorphism(self) -> bool:
-        """Images generate the whole group (checked exactly)."""
-        G = self.group
-        G._require_enumerable("automorphism check")
-        return len(closure_indices(G, self.image_indices)) == G.order
-
-    def compose(self, other: "Endo") -> "Endo":
-        """(self . other)(g) = self(other(g))."""
-        if other.group != self.group:
-            raise InputError("endomorphisms of different groups")
-        G = self.group
-        idxs = tuple(self.apply_index(i) for i in other.image_indices)
-        return Endo(G, tuple(Element(G, G.elements[i]) for i in idxs), check=False)
-
-    def power(self, k: int) -> "Endo":
-        result = identity_endo(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
-
-    def __repr__(self):
-        return f"Endo({tuple(i.exps for i in self.images)})"
-
-
-def identity_endo(G: PcPresentation) -> Endo:
-    return Endo(G, G.gens, check=False)
-
-
-def inner_of(x: Element) -> Endo:
+def inner_of(x: Element) -> GroupHom:
     """Conjugation g -> x^-1 g x."""
     G = x.pres
-    return Endo(G, tuple(g.conj(x) for g in G.gens))
+    return GroupHom(G, G, tuple(g.conj(x) for g in G.gens))
 
 
-def induce(delta: Derivation) -> Endo:
+def induce(delta: Derivation) -> GroupHom:
     """g -> g d(g) for a derivation into a module realized inside G."""
     M = delta.module
     if M.realization is None:
@@ -133,15 +50,15 @@ def induce(delta: Derivation) -> Endo:
     for i in range(G.n):
         g = G.gen(i)
         imgs.append(g * M.realization.decode(delta.evaluate(g)))
-    return Endo(G, tuple(imgs))
+    return GroupHom(G, G, tuple(imgs))
 
 
-def order_of(phi: Endo) -> int:
+def order_of(phi: GroupHom) -> int:
     """Least k >= 1 with phi^k = id, by direct iteration on image tuples."""
     if not phi.is_automorphism:
         raise InputError("order is defined for automorphisms")
-    G = phi.group
-    ident = tuple(G.index_of(G.gen(i).exps) for i in range(G.n))
+    G = phi.source
+    ident = identity_endo(G).image_indices
     cur = phi.image_indices
     k = 1
     bound = 8 * G.order
@@ -153,7 +70,7 @@ def order_of(phi: Endo) -> int:
     return k
 
 
-def order_via_formula(delta: Derivation, n: int) -> Endo:
+def order_via_formula(delta: Derivation, n: int) -> GroupHom:
     """phi^n computed from the binomial product formula
     phi^n(g) = prod_{i=0..n} (d^i(g))^C(n,i), d^0(g) = g."""
     M = delta.module
@@ -172,10 +89,10 @@ def order_via_formula(delta: Derivation, n: int) -> Endo:
             if i < n:
                 val = delta.evaluate(real.decode(val))
         imgs.append(acc)
-    return Endo(G, tuple(imgs))
+    return GroupHom(G, G, tuple(imgs))
 
 
-def order_of_fast(delta: Derivation, phi: Endo | None = None) -> int:
+def order_of_fast(delta: Derivation, phi: GroupHom | None = None) -> int:
     """Order via the binomial formula at p-power exponents, cross-checked
     against iterated composition at each step."""
     if phi is None:
@@ -189,7 +106,7 @@ def order_of_fast(delta: Derivation, phi: Endo | None = None) -> int:
     while True:
         by_formula = order_via_formula(delta, n)
         by_iteration = phi.power(n)
-        if by_formula.images != by_iteration.images:
+        if by_formula.image_indices != by_iteration.image_indices:
             raise VerificationFailed(
                 "binomial order formula disagrees with iterated composition"
             )
@@ -201,10 +118,10 @@ def order_of_fast(delta: Derivation, phi: Endo | None = None) -> int:
             raise InputError("order search exceeded bound")  # pragma: no cover
 
 
-def is_inner(phi: Endo, caps: Caps = DEFAULT_CAPS):
+def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
     """Exhaustive conjugation scan. Returns (witness Element or None, number
     of candidates scanned)."""
-    G = phi.group
+    G = phi.source
     if G.order > caps.enumeration:
         raise InputError("inner scan above the enumeration cap")
     # candidates x with g^x = phi(g), narrowed one generator at a time
@@ -278,9 +195,10 @@ def verify_certificate(
         return ["gen_images are not well-formed elements"]
     if len(images) != G.n:
         return ["wrong number of generator images"]
-    if not images_respect_relations(G, G, tuple(i.exps for i in images)):
+    try:
+        phi = GroupHom(G, G, images)
+    except InputError:
         return ["images do not define an endomorphism"]
-    phi = Endo(G, images, check=False)
     if not phi.is_automorphism:
         failures.append("images do not generate the group")
         return failures
@@ -345,7 +263,7 @@ class PipelineReport:
 
 def _certificate_from(
     G: PcPresentation,
-    phi: Endo,
+    phi: GroupHom,
     path: str,
     fixed: Subgroup,
     moved: Element,

@@ -80,10 +80,17 @@ def _load_group(args, caps: Caps) -> PcPresentation:
     return pres
 
 
-def _module_from_dict(G: PcPresentation, data: dict) -> FpModule:
+def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
     try:
         dim = int(data["dim"])
         action = data.get("action", {})
+        if dim > caps.module_dim:
+            raise CapExceeded("module dimension", dim, caps.module_dim)
+        if not isinstance(action, dict):
+            raise InputError("module action must be an object keyed by generator")
+        unknown = set(action) - {str(i + 1) for i in range(G.n)}
+        if unknown:
+            raise InputError(f"action for unknown generators {sorted(unknown)}")
         mats = []
         for i in range(G.n):
             raw = action.get(str(i + 1))
@@ -139,7 +146,7 @@ def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read module file: {exc}") from exc
-        return _module_from_dict(G, data)
+        return _module_from_dict(G, data, caps)
     raise InputError(f"unknown module spec {spec!r}")
 
 

@@ -207,6 +207,19 @@ def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_
     return FpModule(L, tuple(mats), labels=labels, check=False)
 
 
+def _span_encoding(G: PcPresentation, basis: Sequence[Element]) -> dict[int, tuple[int, ...]]:
+    """Index of b_1^c_1 ... b_m^c_m -> (c_1, ..., c_m), for every coordinate
+    tuple c over GF(p)."""
+    encode = {}
+    for coords in itertools.product(range(G.p), repeat=len(basis)):
+        el = G.identity
+        for b, c in zip(basis, coords):
+            if c:
+                el = el * (b ** c)
+        encode[el.index] = coords
+    return encode
+
+
 def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
     """Elementary abelian normal subgroup A as a G-module via conjugation,
     with a realization mapping vectors back to group elements."""
@@ -226,15 +239,8 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
         if x not in span:
             basis_idx.append(x)
             span = closure_indices(G, basis_idx)
-    m = len(basis_idx)
     basis = tuple(Element(G, G.elements[i]) for i in basis_idx)
-    encode: dict[int, tuple[int, ...]] = {}
-    for coords in itertools.product(range(G.p), repeat=m):
-        el = G.identity
-        for b, c in zip(basis, coords):
-            if c:
-                el = el * (b ** c)
-        encode[el.index] = coords
+    encode = _span_encoding(G, basis)
     if len(encode) != len(A.members):
         raise InputError("basis does not coordinatize the subgroup")  # pragma: no cover
     mats = []
@@ -281,22 +287,8 @@ def submodule_as_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray
     realization = None
     if M.realization is not None:
         sub_basis = tuple(M.realization.decode(row) for row in b)
-        members = set()
-        G = M.group
-        for coords in itertools.product(range(p), repeat=len(sub_basis)):
-            el = G.identity
-            for be, c in zip(sub_basis, coords):
-                if c:
-                    el = el * (be ** c)
-            members.add(el.index)
-        sub = make_subgroup(G, members)
-        encode = {}
-        for coords in itertools.product(range(p), repeat=len(sub_basis)):
-            el = G.identity
-            for be, c in zip(sub_basis, coords):
-                if c:
-                    el = el * (be ** c)
-            encode[el.index] = coords
+        encode = _span_encoding(M.group, sub_basis)
+        sub = make_subgroup(M.group, set(encode))
         realization = ModuleRealization(sub, sub_basis, tuple(sorted(encode.items())))
     return FpModule(M.group, tuple(mats), realization=realization, check=False), b
 

@@ -16,10 +16,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autom import Endo, is_inner, order_of
+from .autom import is_inner, order_of
 from .errors import CapExceeded, Caps, DEFAULT_CAPS, VerificationFailed
 from .fpmod import FpModule
-from .pcgroup import Element, PcPresentation
+from .pcgroup import Element, GroupHom, PcPresentation
 from .series import center
 
 
@@ -99,9 +99,8 @@ def _iter_homomorphism_images(
     yield from descend(n - 1)
 
 
-def _endo_from_indices(G: PcPresentation, idxs: Sequence[int]) -> Endo:
-    # relations were verified incrementally by the backtracking
-    return Endo(G, tuple(Element(G, G.elements[i]) for i in idxs), check=False)
+def _hom_from_indices(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> GroupHom:
+    return GroupHom(G, H, tuple(Element(H, H.elements[i]) for i in idxs))
 
 
 def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> bool:
@@ -117,7 +116,7 @@ class AutEnumeration:
     """Complete list of automorphisms with an order histogram."""
 
     group: PcPresentation
-    automorphisms: tuple[Endo, ...]
+    automorphisms: tuple[GroupHom, ...]
     inner_count: int
     order_histogram: tuple[tuple[int, int], ...]
 
@@ -140,14 +139,14 @@ def enumerate_automorphisms(
     """All automorphisms by relator-pruned backtracking, duplicate-free."""
     if G.order > caps.oracle:
         raise CapExceeded("automorphism enumeration", G.order, caps.oracle)
-    autos: list[Endo] = []
+    autos: list[GroupHom] = []
     seen: set[tuple[int, ...]] = set()
     for idxs in _iter_homomorphism_images(G, G):
         if idxs in seen:
             continue
         seen.add(idxs)
         if _is_bijective_images(G, G, idxs):
-            autos.append(_endo_from_indices(G, idxs))
+            autos.append(_hom_from_indices(G, G, idxs))
     z = center(G)
     inner = G.order // z.order
     hist: dict[int, int] = {}
@@ -160,11 +159,11 @@ def enumerate_automorphisms(
         raise VerificationFailed("inner automorphism count mismatch")
     # closure spot check
     rng = random.Random(spot_check_seed)
-    keys = {tuple(img.index for img in a.images) for a in autos}
+    keys = {a.image_indices for a in autos}
     for _ in range(min(100, len(autos) ** 2)):
         a, b = rng.choice(autos), rng.choice(autos)
         c = a.compose(b)
-        if tuple(img.index for img in c.images) not in keys:
+        if c.image_indices not in keys:
             raise VerificationFailed("composition left the enumerated set")
     return AutEnumeration(
         group=G,
@@ -174,7 +173,7 @@ def enumerate_automorphisms(
     )
 
 
-def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Endo | None:
+def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> GroupHom | None:
     """First non-inner automorphism of order p found by the backtracking
     enumeration; None only when the search exhausts every automorphism."""
     if G.order > caps.oracle:
@@ -183,7 +182,7 @@ def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Endo 
     for idxs in _iter_homomorphism_images(G, G):
         if not _is_bijective_images(G, G, idxs):
             continue
-        phi = _endo_from_indices(G, idxs)
+        phi = _hom_from_indices(G, G, idxs)
         if phi.is_identity:
             continue
         if not phi.power(p).is_identity:
@@ -195,13 +194,11 @@ def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Endo 
 
 def find_isomorphism(G: PcPresentation, H: PcPresentation):
     """Backtracking isomorphism search; a GroupHom or None."""
-    from .pcgroup import GroupHom
-
     if G.order != H.order or G.p != H.p:
         return None
     for idxs in _iter_homomorphism_images(G, H):
         if _is_bijective_images(G, H, idxs):
-            return GroupHom(G, H, tuple(Element(H, H.elements[i]) for i in idxs))
+            return _hom_from_indices(G, H, idxs)
     return None
 
 

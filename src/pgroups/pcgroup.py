@@ -609,76 +609,68 @@ def word_image_index(target: PcPresentation, images_idx: Sequence[int], word: Wo
     return acc
 
 
-def _word_image_exps(
-    target: PcPresentation, images: Sequence[tuple[int, ...]], word: Word
-) -> tuple[int, ...]:
-    """The same as a normal form, by collection."""
-    acc = target.identity_exps
-    for g, e in word:
-        if e:
-            acc = target.multiply_exps(acc, target.power_exps(images[g], e))
-    return acc
-
-
-def _word_images(target: PcPresentation, images: Sequence[tuple[int, ...]]):
-    """word -> normal form of its image when letter k goes to images[k]: by
-    table arithmetic up to FULL_TABLE_ORDER, by collection above it, where
-    no full table is built."""
-    if target.order <= FULL_TABLE_ORDER:
-        idx = [target.index_of(img) for img in images]
-        return lambda word: target.elements[word_image_index(target, idx, word)]
-    return lambda word: _word_image_exps(target, images, word)
-
-
 def images_respect_relations(
     source: PcPresentation, target: PcPresentation, images: Sequence[tuple[int, ...]]
 ) -> bool:
-    image = _word_images(target, images)
-    return all(image(lhs) == image(rhs) for lhs, rhs in relator_pairs(source))
+    """Whether sending source generator k to the target element with
+    exponents images[k] respects every defining relation of the source."""
+    idx = [target.index_of(img) for img in images]
+    return all(
+        word_image_index(target, idx, lhs) == word_image_index(target, idx, rhs)
+        for lhs, rhs in relator_pairs(source)
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupHom:
-    """Homomorphism given by images of the source pc generators."""
+    """Homomorphism given by the images of the source pc generators, kept
+    as target element indices; an endomorphism has source == target.
+
+    The constructor takes the images as Elements and checks every defining
+    relation of the source. `compose` and `power` skip that check: a
+    composite of homomorphisms is one."""
 
     source: PcPresentation
     target: PcPresentation
-    images: tuple[Element, ...]
+    image_indices: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.images) != self.source.n:
+    def __init__(self, source: PcPresentation, target: PcPresentation, images: Sequence[Element]):
+        if len(images) != source.n:
             raise InputError("need one image per source generator")
-        for img in self.images:
-            if img.pres != self.target:
+        for img in images:
+            if img.pres != target:
                 raise InputError("image lies in the wrong presentation")
-        if not images_respect_relations(
-            self.source, self.target, tuple(i.exps for i in self.images)
-        ):
+        if not images_respect_relations(source, target, tuple(i.exps for i in images)):
             raise InputError("generator images do not respect the relations")
+        vars(self).update(source=source, target=target, image_indices=tuple(i.index for i in images))
+
+    @classmethod
+    def _composite(cls, source: PcPresentation, target: PcPresentation, image_indices) -> "GroupHom":
+        """A map known to be a homomorphism, built without the check."""
+        hom = object.__new__(cls)
+        vars(hom).update(source=source, target=target, image_indices=tuple(image_indices))
+        return hom
+
+    @property
+    def images(self) -> tuple[Element, ...]:
+        return tuple(Element(self.target, self.target.elements[i]) for i in self.image_indices)
 
     def apply(self, x: Element) -> Element:
         if x.pres != self.source:
             raise InputError("element not in the source group")
-        image = _word_images(self.target, tuple(i.exps for i in self.images))
-        return Element(self.target, image(enumerate(x.exps)))
+        return Element(self.target, self.target.elements[self.apply_index(x.index)])
+
+    def apply_index(self, x: int) -> int:
+        """Index of the image of the source element with index x."""
+        word = enumerate(self.source.elements[x])
+        return word_image_index(self.target, self.image_indices, word)
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
 
     @cached_property
     def image_size(self) -> int:
-        self.target._require_enumerable("homomorphism image")
-        seen = {0}
-        frontier = [0]
-        gens = [i.index for i in self.images]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.target.mult_index(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen)
+        return len(closure_indices(self.target, self.image_indices))
 
     @property
     def is_surjective(self) -> bool:
@@ -693,20 +685,35 @@ class GroupHom:
         return self.is_injective and self.is_surjective
 
     @property
-    def kind(self) -> str:
-        if self.is_isomorphism:
-            return "iso"
-        if self.is_injective:
-            return "injective"
-        if self.is_surjective:
-            return "surjective"
-        return "hom"
+    def is_automorphism(self) -> bool:
+        return self.source == self.target and self.is_isomorphism
+
+    @property
+    def is_identity(self) -> bool:
+        return self == identity_endo(self.source)
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
+        """self o inner: x -> self(inner(x))."""
         if inner.target != self.source:
             raise InputError("composition mismatch")
-        return GroupHom(inner.source, self.target, tuple(self.apply(i) for i in inner.images))
+        return GroupHom._composite(
+            inner.source, self.target, (self.apply_index(i) for i in inner.image_indices)
+        )
+
+    def power(self, k: int) -> "GroupHom":
+        """The k-fold composite of an endomorphism with itself, k >= 0."""
+        result = identity_endo(self.source)
+        base = self
+        while k:
+            if k & 1:
+                result = result.compose(base)
+            base = base.compose(base)
+            k >>= 1
+        return result
+
+
+def identity_endo(G: PcPresentation) -> GroupHom:
+    return GroupHom._composite(G, G, (g.index for g in G.gens))
 
 
 # -- builders -----------------------------------------------------------------
@@ -998,13 +1005,15 @@ def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enume
         raise InputError(f"malformed presentation data: {exc}") from exc
     if len(powers) != n:
         raise InputError("powers table has wrong length")
+    if not isinstance(raw_comms, dict):
+        raise InputError("commutators must be an object keyed by \"j,i\"")
     comms = []
     for key, rhs in raw_comms.items():
         try:
             j_s, i_s = key.split(",")
             j, i = int(j_s) - 1, int(i_s) - 1
             vec = tuple(int(e) for e in rhs)
-        except (ValueError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed commutator entry {key!r}") from exc
         comms.append(((j, i), vec))
     try:

@@ -112,3 +112,14 @@ def reference_collect(pres, word) -> tuple:
     for g, e in sylls:
         exps[g] = e
     return tuple(exps)
+
+
+def word_image_exps(pres, images, word) -> tuple:
+    """Normal form of the image of a word of (letter, exponent) pairs when
+    letter k goes to the element with exponent tuple images[k]: the images
+    are spelled out letter by letter and collected by `reference_collect`."""
+    spelled = []
+    for g, e in word:
+        for _ in range(e):
+            spelled.extend((k, c) for k, c in enumerate(images[g]) if c)
+    return reference_collect(pres, spelled)

@@ -3,7 +3,7 @@ import pytest
 
 from pgroups import (
     DEFAULT_CAPS,
-    Endo,
+    GroupHom,
     InputError,
     NonInnerCertificate,
     OutOfScope,
@@ -39,12 +39,12 @@ def test_endo_validation(H3):
     a, b, c = H3.gens
     # [image(b), image(a)] must equal image(c): (a, b, e) violates it
     with pytest.raises(InputError):
-        Endo(H3, (a, b, H3.identity))
+        GroupHom(H3, H3, (a, b, H3.identity))
     # (a, a, e) is a genuine collapse endomorphism ([a, a] = 1)
-    collapse = Endo(H3, (a, a, H3.identity))
+    collapse = GroupHom(H3, H3, (a, a, H3.identity))
     assert not collapse.is_automorphism
     e = H3.identity
-    assert not Endo(H3, (e, e, e)).is_automorphism
+    assert not GroupHom(H3, H3, (e, e, e)).is_automorphism
     assert identity_endo(H3).is_automorphism
 
 
@@ -168,7 +168,7 @@ def test_pipeline_abelian_rejected(C9):
 def test_constructive_certificate_fixes_claimed_subgroup(W3):
     cert, report = construct_noninner(W3)
     G = W3
-    phi = Endo(G, tuple(G.element(v) for v in cert.gen_images))
+    phi = GroupHom(G, G, tuple(G.element(v) for v in cert.gen_images))
     from pgroups.pcgroup import closure_indices
 
     fixed = closure_indices(G, [G.index_of(v) for v in cert.fixed_subgroup_gens])

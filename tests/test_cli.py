@@ -46,6 +46,17 @@ def test_series_wrong_table_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "commutators", [1.5, {"2,1": 5}], ids=["commutators-not-an-object", "entry-not-a-list"]
+)
+def test_series_malformed_commutators_exit3(tmp_path, capsys, commutators):
+    data = {"name": "x", "p": 3, "n": 2, "powers": [[0, 0], [0, 0]], "commutators": commutators}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run_cli(capsys, "series", "--file", str(bad))
+    assert code == 3
+
+
 def test_series_file_roundtrip(tmp_path, capsys):
     G = catalog.heisenberg(3)
     path = tmp_path / "h3.json"
@@ -79,6 +90,23 @@ def test_h1_module_file_invalid_action(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 1, "action": {"1": [0]}}))
     code, _ = run_cli(capsys, "h1", "--group", "heisenberg:3", "--module", f"file:{path}")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "module, code",
+    [
+        ({"dim": 1, "action": 5}, 3),
+        ({"dim": 1, "action": {"9": [1]}}, 3),
+        # above Caps.module_dim (1024): refused before any matrix is built
+        ({"dim": 1025, "action": {"1": [0]}}, 2),
+    ],
+    ids=["action-not-an-object", "unknown-generator", "dim-over-cap"],
+)
+def test_h1_module_file_refused(tmp_path, capsys, module, code):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(module))
+    got, _ = run_cli(capsys, "h1", "--group", "heisenberg:3", "--module", f"file:{path}")
+    assert got == code
 
 
 def test_h1_omega1zp_module(capsys):

@@ -1,24 +1,28 @@
 """Collection from the left against the rewriting oracle, the overlap
 consistency proof against the exhaustive associativity audit, and the
-gather-derived tables and the table relation check against independent
-arithmetic."""
+gather-derived tables, the table relation check and homomorphism
+arithmetic against independent arithmetic."""
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from pgroups import PcPresentation, catalog, direct_product
+from pgroups import GroupHom, PcPresentation, catalog, direct_product
+from pgroups.deriv import derivation_from_vector, derivation_space
 from pgroups.errors import InputError
+from pgroups.fpmod import conjugation_module
 from pgroups.pcgroup import (
     FULL_TABLE_ORDER,
     PRIME_LIMIT,
-    _word_image_exps,
     images_respect_relations,
     relator_pairs,
 )
+from pgroups.series import center, omega1
 
-from .models import reference_collect
+from .models import reference_collect, word_image_exps
 from .test_order81 import scaffold_grid
 
 GROUPS = (
@@ -134,7 +138,7 @@ def test_derived_tables_match_independent_arithmetic(G):
 
 def _symbolic_verdict(G, images) -> bool:
     return all(
-        _word_image_exps(G, images, lhs) == _word_image_exps(G, images, rhs)
+        word_image_exps(G, images, lhs) == word_image_exps(G, images, rhs)
         for lhs, rhs in relator_pairs(G)
     )
 
@@ -167,4 +171,46 @@ def test_relation_check_above_full_table_order_stays_symbolic():
     # breaks that power relation and no commutator relation
     images[-2] = images[-1]
     assert not images_respect_relations(G, G, images)
-    assert "gen_tables" not in G.__dict__ and "full_mult_table" not in G.__dict__
+
+
+HOM_GROUPS = GROUPS + [catalog.parse_group_spec("d:3,3+cyclic:3,2")]
+
+
+@functools.cache
+def _centre_derivations(G):
+    """The module Omega_1(Z(G)) and a basis of Der(G, Omega_1(Z(G)))."""
+    M = conjugation_module(G, omega1(G, center(G)))
+    return M, derivation_space(G, M).der_array
+
+
+def _endomorphism_images(data, G, label):
+    """Exponent tuples of g -> (g d(g))^x for a random derivation d into
+    Omega_1(Z(G)) and a random x, by element arithmetic: a composite of two
+    endomorphisms, and an automorphism or not as d falls."""
+    M, rows = _centre_derivations(G)
+    coeffs = data.draw(
+        st.lists(st.integers(0, G.p - 1), min_size=len(rows), max_size=len(rows)), label=label
+    )
+    delta = derivation_from_vector(G, M, (np.array(coeffs, dtype=np.int64) @ rows) % G.p)
+    x = G.element(G.elements[data.draw(st.integers(0, G.order - 1), label=f"{label} conjugator")])
+    return [(g * M.realization.decode(delta.evaluate(g))).conj(x).exps for g in G.gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hom_apply_compose_power_match_symbolic(data):
+    """GroupHom's table arithmetic against words of images collected by the
+    rewriting collector, on both sides of FULL_TABLE_ORDER."""
+    G = data.draw(st.sampled_from(HOM_GROUPS), label="group")
+    outer, inner = (_endomorphism_images(data, G, label) for label in ("outer", "inner"))
+    phi = GroupHom(G, G, [G.element(v) for v in outer])
+    y = G.element(G.elements[data.draw(st.integers(0, G.order - 1), label="y")])
+    assert phi.apply(y).exps == word_image_exps(G, outer, enumerate(y.exps))
+    psi = GroupHom(G, G, [G.element(v) for v in inner])
+    composite = [word_image_exps(G, outer, enumerate(v)) for v in inner]
+    assert phi.compose(psi).images == tuple(G.element(v) for v in composite)
+    k = data.draw(st.integers(0, G.p + 1), label="k")
+    power = [g.exps for g in G.gens]
+    for _ in range(k):
+        power = [word_image_exps(G, outer, enumerate(v)) for v in power]
+    assert phi.power(k).images == tuple(G.element(v) for v in power)
