@@ -29,6 +29,7 @@ from .errors import (
     OutOfScope,
     PGroupError,
     VerificationFailed,
+    json_int,
 )
 from .fpmod import FpModule, conjugation_module, regular_module, trivial_module
 from .oracle import enumerate_automorphisms, verify_conjecture
@@ -82,7 +83,7 @@ def _load_group(args, caps: Caps) -> PcPresentation:
 
 def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
     try:
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "dim")
         action = data.get("action", {})
         if dim > caps.module_dim:
             raise CapExceeded("module dimension", dim, caps.module_dim)
@@ -97,7 +98,7 @@ def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
             if raw is None:
                 mats.append(tuple(tuple(int(v) for v in row) for row in la.eye(dim)))
                 continue
-            flat = [int(v) for v in raw]
+            flat = [json_int(v, "action entry") for v in raw]
             if len(flat) != dim * dim:
                 raise InputError(f"action for generator {i + 1} has wrong size")
             rows = [tuple(flat[r * dim : (r + 1) * dim]) for r in range(dim)]

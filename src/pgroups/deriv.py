@@ -398,9 +398,7 @@ def is_cr(L: PcPresentation, M: FpModule) -> tuple[bool, dict]:
     exact dimensions and whether L is elementary abelian."""
     fixed_dim = fixed_points(M).dim
     space = derivation_space(L, M)
-    elem_ab = L.is_abelian and all(
-        L.power_exps(L.gen(i).exps, L.p) == L.identity_exps for i in range(L.n)
-    )
+    elem_ab = L.is_abelian and not L.power_p_table[[g.index for g in L.gens]].any()
     verdict = fixed_dim == 1 and space.h1_dim <= 1
     return verdict, {
         "fixed_dim": fixed_dim,

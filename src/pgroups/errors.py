@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -21,6 +22,17 @@ class CapExceeded(PGroupError):
 
 class InputError(PGroupError):
     """Malformed or inconsistent user input (files, CLI specs, bad tables)."""
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from an input file. Floats, booleans and strings are
+    refused, not truncated or parsed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 class OutOfScope(PGroupError):

@@ -10,6 +10,11 @@ Conventions, fixed once and used everywhere:
     h^g = g^-1 h g          (conjugation)
     [x, y] = x^-1 y^-1 x y  (commutator)
 
+Element arithmetic reads index tables (an element's index is its exponent
+tuple read in base p), so it needs the group within the enumeration cap
+and raises CapExceeded above it. Collection serves the overlap consistency
+proof and `collect`, which gives normal forms at any order.
+
 Presentations and elements are immutable; lazily built lookup tables are
 idempotent caches, so sharing across threads is safe.
 """
@@ -24,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DEFAULT_CAPS, InputError
+from .errors import CapExceeded, DEFAULT_CAPS, InputError, json_int
 
 Word = Sequence[tuple[int, int]]
 
@@ -151,9 +156,6 @@ class PcPresentation:
 
     # -- collection ---------------------------------------------------------
 
-    def _exps_to_word(self, exps: Sequence[int]) -> list[tuple[int, int]]:
-        return [(i, e) for i, e in enumerate(exps) if e]
-
     @cached_property
     def _conj_gens(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """_conj_gens[i][j - i - 1] = g_j^(g_i) = g_j [g_j, g_i] for j > i.
@@ -168,28 +170,6 @@ class PcPresentation:
             rows.append(tuple(row))
         return tuple(rows)
 
-    @cached_property
-    def _tail_memo(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, ...]]:
-        """(i, t) -> exponents above i of the conjugate t^(g_i), where t is the
-        exponent vector of an element of <g_(i+1), ..., g_n> from index i + 1.
-
-        One entry per (i, t) at most, so fewer than |G|; it lives and dies
-        with the presentation."""
-        return {}
-
-    def _conj_tail(self, i: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-        memo = self._tail_memo
-        key = (i, tail)
-        out = memo.get(key)
-        if out is None:
-            # conjugation by g_i is a homomorphism: conjugate letter by letter
-            acc = self.identity_exps
-            for conj, e in zip(self._conj_gens[i], tail):
-                for _ in range(e):
-                    acc = self._mul_normal(acc, conj)
-            out = memo[key] = acc[i + 1 :]
-        return out
-
     def _times_gen(self, x: tuple[int, ...], i: int) -> tuple[int, ...]:
         """Normal form of x * g_i for a normal form x.
 
@@ -198,7 +178,12 @@ class PcPresentation:
         lies above i again."""
         tail = x[i + 1 :]
         if any(tail):
-            tail = self._conj_tail(i, tail)
+            # conjugation by g_i is a homomorphism: conjugate letter by letter
+            acc = self.identity_exps
+            for conj, e in zip(self._conj_gens[i], tail):
+                for _ in range(e):
+                    acc = self._mul_normal(acc, conj)
+            tail = acc[i + 1 :]
         e = x[i] + 1
         if e < self.p:
             return x[:i] + (e,) + tail
@@ -227,44 +212,6 @@ class PcPresentation:
                 x = self._times_gen(x, g)
         return x
 
-    def multiply_exps(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        return self.collect(self._exps_to_word(x) + self._exps_to_word(y))
-
-    def inverse_exps(self, x: Sequence[int]) -> tuple[int, ...]:
-        # Greedy: right-multiplying by g_i^a never disturbs exponents below i.
-        p = self.p
-        acc = tuple(x)
-        word: list[tuple[int, int]] = []
-        for i in range(self.n):
-            a = (-acc[i]) % p
-            if a:
-                word.append((i, a))
-                acc = self.collect(self._exps_to_word(acc) + [(i, a)])
-        return self.collect(word)
-
-    def power_exps(self, x: Sequence[int], k: int) -> tuple[int, ...]:
-        if k < 0:
-            return self.power_exps(self.inverse_exps(x), -k)
-        acc = self.identity_exps
-        base = tuple(x)
-        while k:
-            if k & 1:
-                acc = self.multiply_exps(acc, base)
-            base = self.multiply_exps(base, base)
-            k >>= 1
-        return acc
-
-    def conjugate_exps(self, h: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-        """h^g = g^-1 h g."""
-        gi = self.inverse_exps(g)
-        return self.multiply_exps(self.multiply_exps(gi, h), g)
-
-    def commutator_exps(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        """[x, y] = x^-1 y^-1 x y."""
-        xi = self.inverse_exps(x)
-        yi = self.inverse_exps(y)
-        return self.multiply_exps(self.multiply_exps(self.multiply_exps(xi, yi), x), y)
-
     # -- enumeration and tables ---------------------------------------------
 
     def _require_enumerable(self, what: str = "enumeration"):
@@ -283,6 +230,15 @@ class PcPresentation:
         for e in exps:
             idx = idx * self.p + e
         return idx
+
+    def exps_of(self, idx: int) -> tuple[int, ...]:
+        """Exponent tuple of the element with index idx: its base-p digits,
+        the inverse of index_of."""
+        exps = []
+        for _ in range(self.n):
+            idx, e = divmod(idx, self.p)
+            exps.append(e)
+        return tuple(reversed(exps))
 
     @cached_property
     def gen_tables(self) -> np.ndarray:
@@ -341,7 +297,7 @@ class PcPresentation:
         if self.order <= FULL_TABLE_ORDER:
             return int(self.full_mult_table[a, b])
         out = a
-        for i, e in enumerate(self.elements[b]):
+        for i, e in enumerate(self.exps_of(b)):
             t = self.gen_tables[i]
             for _ in range(e):
                 out = int(t[out])
@@ -506,36 +462,42 @@ class Element:
         if self.pres != other.pres:
             raise InputError("elements from different presentations")
 
+    def _at(self, idx) -> "Element":
+        return Element(self.pres, self.pres.exps_of(int(idx)))
+
     def __mul__(self, other: "Element") -> "Element":
         self._same(other)
-        return Element(self.pres, self.pres.multiply_exps(self.exps, other.exps))
+        return self._at(self.pres.mult_index(self.index, other.index))
 
     def inverse(self) -> "Element":
-        return Element(self.pres, self.pres.inverse_exps(self.exps))
+        return self._at(self.pres.inv_table[self.index])
 
     def __pow__(self, k: int) -> "Element":
-        return Element(self.pres, self.pres.power_exps(self.exps, k))
+        pres = self.pres
+        base = self.index if k >= 0 else int(pres.inv_table[self.index])
+        acc, k = 0, abs(k)
+        while k:
+            if k & 1:
+                acc = pres.mult_index(acc, base)
+            base = pres.mult_index(base, base)
+            k >>= 1
+        return self._at(acc)
 
     def conj(self, g: "Element") -> "Element":
         """self^g = g^-1 self g."""
         self._same(g)
-        return Element(self.pres, self.pres.conjugate_exps(self.exps, g.exps))
+        return self._at(self.pres.conj_index(self.index, g.index))
 
     def comm(self, other: "Element") -> "Element":
         self._same(other)
-        return Element(self.pres, self.pres.commutator_exps(self.exps, other.exps))
+        return self._at(self.pres.comm_index(self.index, other.index))
 
     @property
     def is_identity(self) -> bool:
         return not any(self.exps)
 
     def order(self) -> int:
-        k = 1
-        cur = self
-        while not cur.is_identity:
-            cur = cur ** self.pres.p
-            k *= self.pres.p
-        return k
+        return int(self.pres.element_orders[self.index])
 
     @property
     def index(self) -> int:
@@ -653,16 +615,16 @@ class GroupHom:
 
     @property
     def images(self) -> tuple[Element, ...]:
-        return tuple(Element(self.target, self.target.elements[i]) for i in self.image_indices)
+        return tuple(Element(self.target, self.target.exps_of(i)) for i in self.image_indices)
 
     def apply(self, x: Element) -> Element:
         if x.pres != self.source:
             raise InputError("element not in the source group")
-        return Element(self.target, self.target.elements[self.apply_index(x.index)])
+        return Element(self.target, self.target.exps_of(self.apply_index(x.index)))
 
     def apply_index(self, x: int) -> int:
         """Index of the image of the source element with index x."""
-        word = enumerate(self.source.elements[x])
+        word = enumerate(self.source.exps_of(x))
         return word_image_index(self.target, self.image_indices, word)
 
     def __call__(self, x: Element) -> Element:
@@ -782,6 +744,46 @@ def closure_indices(pres: PcPresentation, seed: Iterable[int]) -> frozenset[int]
     return frozenset(np.flatnonzero(member).tolist())
 
 
+def member_arrays(pres: PcPresentation, members: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The members as an index array and as a boolean mask over the group."""
+    mem = np.fromiter(members, dtype=np.int64, count=len(members))
+    inside = np.zeros(pres.order, dtype=bool)
+    inside[mem] = True
+    return mem, inside
+
+
+def is_normal_indices(pres: PcPresentation, members: frozenset[int]) -> bool:
+    """Whether a subgroup, given by its member indices, is normal: every
+    member conjugated by every pc generator, g^-1 x g, stays inside."""
+    mem, inside = member_arrays(pres, members)
+    gens = np.array([g.index for g in pres.gens])
+    conj = pres.mult_indices(pres.mult_indices(pres.inv_table[gens], mem[:, None]), gens)
+    return bool(inside[conj].all())
+
+
+def greedy_witnesses(pres: PcPresentation, members: frozenset[int]) -> tuple[int, ...]:
+    """Deterministic small generating set: greedy scan in index order. Each
+    witness lies outside the closure of those before it, so there are at
+    most n, and their closure covers the members."""
+    gens: list[int] = []
+    have: frozenset[int] = frozenset([0])
+    for x in sorted(members):
+        if x not in have:
+            gens.append(x)
+            have = closure_indices(pres, gens)
+            if have == members:
+                break
+    return tuple(gens)
+
+
+def _require_subgroup(pres: PcPresentation, members: frozenset[int]):
+    # The witnesses lie in the set and their closure covers it, so they
+    # generate exactly the set iff it is a subgroup (identity included).
+    # Closing n witnesses, not the whole set, keeps this at O(n |G|) memory.
+    if closure_indices(pres, greedy_witnesses(pres, members)) != members:
+        raise InputError("set is not a subgroup")
+
+
 def _tail_subgroup_indices(pres: PcPresentation) -> list[frozenset[int]]:
     """Index sets of the chain <g_i, ..., g_n>, i = 1..n+1 (last is trivial)."""
     chains: list[frozenset[int]] = [frozenset([0])]
@@ -866,11 +868,9 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     """
     pres._require_enumerable("quotient")
     members = _member_indices(pres, normal_members)
-    _check_subgroup_indices(pres, members)
-    for x in members:
-        for i in range(pres.n):
-            if pres.conj_index(x, pres.index_of(pres.gen(i).exps)) not in members:
-                raise InputError("subgroup is not normal")
+    _require_subgroup(pres, members)
+    if not is_normal_indices(pres, members):
+        raise InputError("subgroup is not normal")
     # canonical coset representative: minimal index in x * N
     rep = {}
     members_sorted = sorted(members)
@@ -919,12 +919,10 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
     """Pc presentation of a subgroup plus the embedding hom into the parent."""
     pres._require_enumerable("subgroup presentation")
     mem = _member_indices(pres, members)
-    _check_subgroup_indices(pres, mem)
+    _require_subgroup(pres, mem)
     if len(mem) == 1:
         raise InputError("trivial subgroup has no pc presentation here")
     tails = _tail_subgroup_indices(pres)
-    chain: list[frozenset[int]] = []
-    prev = None
     raw = [frozenset(mem & t) for t in tails]
     dedup = [raw[0]]
     chosen: list[int] = []
@@ -932,8 +930,7 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
         nxt = raw[i + 1]
         if nxt != dedup[-1]:
             # pick a witness in (mem & tails[i]) \ (mem & tails[i+1]) deterministically
-            jump = sorted(raw[i] - nxt)
-            chosen.append(jump[0])
+            chosen.append(min(raw[i] - nxt))
             dedup.append(nxt)
     spres, normal_form = _presentation_from_chain(
         pres.p,
@@ -945,7 +942,7 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
         f"{pres.name}|sub" if pres.name else "subgroup",
         pres.enumeration_cap,
     )
-    images = tuple(Element(pres, pres.elements[tok]) for tok in chosen)
+    images = tuple(Element(pres, pres.exps_of(tok)) for tok in chosen)
     embed = GroupHom(spres, pres, images)
     return spres, embed
 
@@ -966,18 +963,6 @@ def _member_indices(pres: PcPresentation, members: Iterable) -> frozenset[int]:
     return frozenset(out)
 
 
-def _check_subgroup_indices(pres: PcPresentation, members: frozenset[int]):
-    if 0 not in members:
-        raise InputError("subgroup must contain the identity")
-    for x in members:
-        if int(pres.inv_table[x]) not in members:
-            raise InputError("set is not inverse-closed")
-    for x in members:
-        for y in members:
-            if pres.mult_index(x, y) not in members:
-                raise InputError("set is not closed under multiplication")
-
-
 # -- JSON serialization ---------------------------------------------------------
 
 
@@ -996,10 +981,10 @@ def presentation_to_dict(pres: PcPresentation) -> dict:
 
 def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
     try:
-        p = int(data["p"])
-        n = int(data["n"])
+        p = json_int(data["p"], "p")
+        n = json_int(data["n"], "n")
         name = str(data.get("name", ""))
-        powers = [tuple(int(e) for e in row) for row in data["powers"]]
+        powers = [tuple(json_int(e, "exponent") for e in row) for row in data["powers"]]
         raw_comms = data.get("commutators", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation data: {exc}") from exc
@@ -1012,7 +997,7 @@ def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enume
         try:
             j_s, i_s = key.split(",")
             j, i = int(j_s) - 1, int(i_s) - 1
-            vec = tuple(int(e) for e in rhs)
+            vec = tuple(json_int(e, "exponent") for e in rhs)
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed commutator entry {key!r}") from exc
         comms.append(((j, i), vec))

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import InputError
-from .pcgroup import Element, PcPresentation, closure_indices
+from .pcgroup import (
+    Element,
+    PcPresentation,
+    closure_indices,
+    greedy_witnesses,
+    is_normal_indices,
+    member_arrays,
+)
 
 
 def _per_group(fn):
@@ -52,18 +59,11 @@ class Subgroup:
         if closure_indices(self.parent, self.gens) != self.members:
             raise InputError("witnesses do not generate the member set")
         G = self.parent
-        mem, inside = self._member_arrays()
+        mem, inside = member_arrays(G, self.members)
         if not inside[G.inv_table[mem]].all():
             raise InputError("member set is not inverse-closed")
         if self.gens and not inside[G.mult_indices(mem[:, None], np.array(self.gens))].all():
             raise InputError("member set is not multiplication-closed")
-
-    def _member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The members as an index array and as a boolean mask over G."""
-        mem = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[mem] = True
-        return mem, inside
 
     @property
     def order(self) -> int:
@@ -104,12 +104,7 @@ class Subgroup:
 
     @property
     def is_normal(self) -> bool:
-        """Every member conjugated by every pc generator, g^-1 x g, stays inside."""
-        G = self.parent
-        mem, inside = self._member_arrays()
-        gens = np.array([G.index_of(g.exps) for g in G.gens])
-        conj = G.mult_indices(G.mult_indices(G.inv_table[gens], mem[:, None]), gens)
-        return bool(inside[conj].all())
+        return is_normal_indices(self.parent, self.members)
 
     @property
     def is_elementary_abelian(self) -> bool:
@@ -125,22 +120,9 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name or 'G'})"
 
 
-def _minimal_witnesses(G: PcPresentation, members: frozenset[int]) -> tuple[int, ...]:
-    """Deterministic small generating set: greedy scan in index order."""
-    gens: list[int] = []
-    have: frozenset[int] = frozenset([0])
-    for x in sorted(members):
-        if x not in have:
-            gens.append(x)
-            have = closure_indices(G, gens)
-            if have == members:
-                break
-    return tuple(gens)
-
-
 def make_subgroup(G: PcPresentation, members: Iterable[int]) -> Subgroup:
     mem = frozenset(int(m) for m in members) | {0}
-    return Subgroup(G, mem, _minimal_witnesses(G, mem))
+    return Subgroup(G, mem, greedy_witnesses(G, mem))
 
 
 def subgroup_generated(G: PcPresentation, seed: Iterable) -> Subgroup:

@@ -1,10 +1,12 @@
 """Independent concrete models used as test oracles.
 
-These never touch the collection machinery: Heisenberg groups are modelled
-by unitriangular matrices, the modular group of order p^3 by affine maps
-on Z/p^2, and `reference_collect` is a separate syllable-rewriting
-collector that reads only the relations of a presentation. Multiplication
-tables built here are compared against collected normal forms.
+These never touch the library: Heisenberg groups are modelled by
+unitriangular matrices, the modular group of order p^3 by affine maps on
+Z/p^2, and `reference_collect` is a separate syllable-rewriting collector
+that reads only the relations of a presentation. The symbolic element
+arithmetic below (products, inverses, powers, conjugates, commutators,
+orders and images of words) is built on `reference_collect` alone; the
+library's collector and its index tables are checked against it.
 """
 
 from __future__ import annotations
@@ -112,6 +114,54 @@ def reference_collect(pres, word) -> tuple:
     for g, e in sylls:
         exps[g] = e
     return tuple(exps)
+
+
+def _word(exps) -> list:
+    return [(k, e) for k, e in enumerate(exps) if e]
+
+
+def multiply_exps(pres, x, y) -> tuple:
+    return reference_collect(pres, _word(x) + _word(y))
+
+
+def inverse_exps(pres, x) -> tuple:
+    """Greedy: right-multiplying by g_i^a never disturbs exponents below i,
+    so the letters g_i^a that reduce x to the identity spell x^-1."""
+    acc, word = tuple(x), []
+    for i in range(pres.n):
+        a = (-acc[i]) % pres.p
+        if a:
+            word.append((i, a))
+            acc = reference_collect(pres, _word(acc) + [(i, a)])
+    return reference_collect(pres, word)
+
+
+def power_exps(pres, x, k: int) -> tuple:
+    """x^k by |k| plain products; a negative k powers the inverse."""
+    base = tuple(x) if k >= 0 else inverse_exps(pres, x)
+    acc = (0,) * pres.n
+    for _ in range(abs(k)):
+        acc = multiply_exps(pres, acc, base)
+    return acc
+
+
+def conjugate_exps(pres, h, g) -> tuple:
+    """h^g = g^-1 h g."""
+    return reference_collect(pres, _word(inverse_exps(pres, g)) + _word(h) + _word(g))
+
+
+def commutator_exps(pres, x, y) -> tuple:
+    """[x, y] = x^-1 y^-1 x y."""
+    inverses = _word(inverse_exps(pres, x)) + _word(inverse_exps(pres, y))
+    return reference_collect(pres, inverses + _word(x) + _word(y))
+
+
+def order_exps(pres, x) -> int:
+    k = 1
+    while any(x):
+        x = power_exps(pres, x, pres.p)
+        k *= pres.p
+    return k
 
 
 def word_image_exps(pres, images, word) -> tuple:

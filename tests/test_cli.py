@@ -57,6 +57,35 @@ def test_series_malformed_commutators_exit3(tmp_path, capsys, commutators):
     assert code == 3
 
 
+def _set(data, path, value):
+    *outer, last = path
+    for key in outer:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("p",), 3.7),
+        (("n",), 3.9),
+        (("commutators", "2,1", 2), 1.5),
+        (("commutators", "2,1", 2), True),
+        (("p",), "3"),
+        (("powers", 0, 0), "0"),
+    ],
+    ids=["float-p", "float-n", "float-exponent", "bool-exponent", "string-p", "string-exponent"],
+)
+def test_series_file_non_integer_exit3(tmp_path, capsys, path, value):
+    """Each file would load as heisenberg:3 if numbers were truncated or parsed."""
+    data = pgroups.presentation_to_dict(catalog.heisenberg(3))
+    _set(data, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run_cli(capsys, "series", "--file", str(bad))
+    assert code == 3
+
+
 def test_series_file_roundtrip(tmp_path, capsys):
     G = catalog.heisenberg(3)
     path = tmp_path / "h3.json"
@@ -107,6 +136,28 @@ def test_h1_module_file_refused(tmp_path, capsys, module, code):
     path.write_text(json.dumps(module))
     got, _ = run_cli(capsys, "h1", "--group", "heisenberg:3", "--module", f"file:{path}")
     assert got == code
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("dim",), 1.5),
+        (("dim",), True),
+        (("dim",), "1"),
+        (("action", "1", 0), 1.0),
+        (("action", "1", 0), True),
+        (("action", "1", 0), "1"),
+    ],
+    ids=["float-dim", "bool-dim", "string-dim", "float-entry", "bool-entry", "string-entry"],
+)
+def test_h1_module_file_non_integer_exit3(tmp_path, capsys, path, value):
+    """Each file would load as the trivial module if numbers were truncated or parsed."""
+    module = {"dim": 1, "action": {"1": [1], "2": [1], "3": [1]}}
+    _set(module, path, value)
+    bad = tmp_path / "mod.json"
+    bad.write_text(json.dumps(module))
+    code, _ = run_cli(capsys, "h1", "--group", "heisenberg:3", "--module", f"file:{bad}")
+    assert code == 3
 
 
 def test_h1_omega1zp_module(capsys):

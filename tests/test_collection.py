@@ -1,7 +1,7 @@
 """Collection from the left against the rewriting oracle, the overlap
 consistency proof against the exhaustive associativity audit, and the
-gather-derived tables, the table relation check and homomorphism
-arithmetic against independent arithmetic."""
+gather-derived tables, element arithmetic, the table relation check and
+homomorphism arithmetic against independent arithmetic."""
 
 import functools
 import random
@@ -22,7 +22,16 @@ from pgroups.pcgroup import (
 )
 from pgroups.series import center, omega1
 
-from .models import reference_collect, word_image_exps
+from .models import (
+    commutator_exps,
+    conjugate_exps,
+    inverse_exps,
+    multiply_exps,
+    order_exps,
+    power_exps,
+    reference_collect,
+    word_image_exps,
+)
 from .test_order81 import scaffold_grid
 
 GROUPS = (
@@ -129,11 +138,11 @@ def test_derived_tables_match_independent_arithmetic(G):
     for x, exps in enumerate(G.elements):
         for i in range(G.n):
             assert gen[i][x] == G.index_of(reference_collect(G, _word(exps) + [(i, 1)]))
-        assert inv[x] == G.index_of(G.inverse_exps(exps))
-        assert pw[x] == G.index_of(G.power_exps(exps, G.p))
+        assert inv[x] == G.index_of(inverse_exps(G, exps))
+        assert pw[x] == G.index_of(power_exps(G, exps, G.p))
     # read only once the power table is known to be right: it iterates it to 1
     orders = G.element_orders
-    assert all(orders[x] == G.element(exps).order() for x, exps in enumerate(G.elements))
+    assert all(orders[x] == order_exps(G, exps) for x, exps in enumerate(G.elements))
 
 
 def _symbolic_verdict(G, images) -> bool:
@@ -214,3 +223,21 @@ def test_hom_apply_compose_power_match_symbolic(data):
     for _ in range(k):
         power = [word_image_exps(G, outer, enumerate(v)) for v in power]
     assert phi.power(k).images == tuple(G.element(v) for v in power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_matches_symbolic(data):
+    """Element products, inverses, powers, conjugates, commutators and
+    orders read the index tables; each against the rewriting collector's
+    arithmetic, on both sides of FULL_TABLE_ORDER."""
+    G = data.draw(st.sampled_from(HOM_GROUPS), label="group")
+    element = st.integers(0, G.order - 1).map(lambda x: G.element(G.elements[x]))
+    x, y = data.draw(element, label="x"), data.draw(element, label="y")
+    k = data.draw(st.integers(-2 * G.p, 2 * G.p), label="k")
+    assert (x * y).exps == multiply_exps(G, x.exps, y.exps)
+    assert x.inverse().exps == inverse_exps(G, x.exps)
+    assert (x**k).exps == power_exps(G, x.exps, k)
+    assert x.conj(y).exps == conjugate_exps(G, x.exps, y.exps)
+    assert x.comm(y).exps == commutator_exps(G, x.exps, y.exps)
+    assert x.order() == order_exps(G, x.exps)

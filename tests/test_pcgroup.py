@@ -16,7 +16,7 @@ from pgroups import (
 )
 from pgroups.oracle import find_isomorphism
 
-from .models import HeisenbergModel, ModularP3Model
+from .models import HeisenbergModel, ModularP3Model, inverse_exps, multiply_exps, power_exps
 
 
 def test_collect_identity_and_spec_words(H3):
@@ -44,10 +44,10 @@ def test_heisenberg_against_matrix_model(H3):
 
     for x in model.elements():
         for y in model.elements():
-            lhs = H3.multiply_exps(from_model(x), from_model(y))
+            lhs = multiply_exps(H3, from_model(x), from_model(y))
             assert to_model(lhs) == model.mul(x, y)
     for x in model.elements():
-        assert to_model(H3.inverse_exps(from_model(x))) == model.inv(x)
+        assert to_model(inverse_exps(H3, from_model(x))) == model.inv(x)
 
 
 def test_modular_p3_against_affine_model(M27):
@@ -69,7 +69,7 @@ def test_modular_p3_against_affine_model(M27):
     assert len(set(images.values())) == 27  # bijective
     for x in M27.elements:
         for y in M27.elements:
-            assert images[M27.multiply_exps(x, y)] == model.mul(images[x], images[y])
+            assert images[multiply_exps(M27, x, y)] == model.mul(images[x], images[y])
 
 
 def test_commutator_convention(H3):
@@ -118,7 +118,7 @@ def test_build_D_orders_and_exponent():
     D33 = build_D(3, 3)
     assert D33.order == 729
     D25 = build_D(2, 5)
-    assert all(D25.power_exps(e, 5) == D25.identity_exps for e in D25.elements)
+    assert all(power_exps(D25, e, 5) == D25.identity_exps for e in D25.elements)
     with pytest.raises(InputError):
         build_D(1, 3)
 
@@ -139,14 +139,23 @@ def test_audit_rejects_inconsistent_table():
 
 
 def test_quotient_rejects_non_normal(M27):
-    # <b> has order 3 but is not normal in the modular group
-    from pgroups import subgroup_generated
+    # <b> has order 3 but is not normal in the modular group; quotient and
+    # Subgroup.is_normal decide that by the same check
+    from pgroups import center, subgroup_generated
 
     b = M27.gen(1)
     S = subgroup_generated(M27, [b])
     assert S.order == 3
-    with pytest.raises(InputError):
+    assert not S.is_normal and center(M27).is_normal
+    with pytest.raises(InputError, match="not normal"):
         quotient(M27, S)
+
+
+def test_non_subgroup_refused(H3):
+    # {e, a} misses a^2
+    for build in (quotient, subgroup_presentation):
+        with pytest.raises(InputError, match="not a subgroup"):
+            build(H3, [H3.identity, H3.gen(0)])
 
 
 def test_quotient_by_trivial_is_isomorphic(H3):
@@ -163,7 +172,7 @@ def test_quotient_heisenberg_by_center(H3):
     Q, proj = quotient(H3, N)
     assert Q.order == 9
     assert Q.is_abelian
-    assert all(Q.power_exps(e, 3) == Q.identity_exps for e in Q.elements)
+    assert all(power_exps(Q, e, 3) == Q.identity_exps for e in Q.elements)
     assert proj.is_surjective
     # kernel is exactly N
     ker = [x for x in enumerate_elements(H3) if proj.apply(x).is_identity]
