@@ -1,7 +1,8 @@
 """Collection to normal form, group arithmetic, and consistency audits.
 
 Builds the extraspecial exponent-3 group of order 27, collects a few free
-words, and runs the exhaustive associativity audit; a larger group is
+words, and runs the exhaustive audit, which proves the full table
+associative from its generator columns (Light's test); a larger group is
 proved consistent by the overlap test instead.
 """
 

@@ -269,9 +269,9 @@ def _certificate_from(
     moved: Element,
     caps: Caps,
     evidence: dict,
-) -> NonInnerCertificate | None:
-    """The certificate for a candidate map, if `verify_certificate` finds no
-    failure in it; None otherwise (candidate rejected, not an error)."""
+) -> NonInnerCertificate:
+    """The certificate for a map that is known to qualify, proved by
+    `verify_certificate`; raises VerificationFailed if it finds a failure."""
     cert = NonInnerCertificate(
         group_name=G.name,
         path=path,
@@ -282,24 +282,20 @@ def _certificate_from(
         inner_scan_count=G.order,
         evidence=tuple(sorted((str(k), str(v)) for k, v in evidence.items())),
     )
-    return None if verify_certificate(G, cert, caps) else cert
+    failures = verify_certificate(G, cert, caps)
+    if failures:
+        raise VerificationFailed(f"{G.name}: {path} candidate failed: " + "; ".join(failures))
+    return cert
 
 
-def _iter_combos(rows: np.ndarray, p: int, limit: int):
-    """Nonzero coefficient combinations of the rows, basis vectors first."""
-    count = 0
-    k = rows.shape[0]
-    if k == 0:
-        return
-    import itertools as it
-
-    for coeffs in it.product(range(p), repeat=k):
-        if not any(coeffs):
-            continue
-        yield (np.array(coeffs, dtype=np.int64) @ rows) % p
-        count += 1
-        if count >= limit:
-            return
+def _coefficients(k: int, p: int, limit: int) -> np.ndarray:
+    """The first `limit` nonzero coefficient vectors over GF(p) of length k,
+    in itertools.product order: row t - 1 holds the k base-p digits of t."""
+    t = np.arange(1, min(limit, p**k - 1) + 1, dtype=np.int64)
+    digits = np.zeros((len(t), k), dtype=np.int64)
+    for j in reversed(range(k)):
+        t, digits[:, j] = np.divmod(t, p)
+    return digits
 
 
 def _inner_keys(M: FpModule) -> set[bytes]:
@@ -323,6 +319,29 @@ def _inner_keys(M: FpModule) -> set[bytes]:
     return {row.tobytes() for row in rows[(rows >= 0).all(axis=1)]}
 
 
+def _order_p_screen(
+    M: FpModule, derivs: list[Derivation], coeffs: np.ndarray, vecs: np.ndarray
+) -> np.ndarray:
+    """Whether each combination `coeffs @ derivs`, with generator-value
+    vectors `vecs`, induces an automorphism of order dividing p.
+
+    The realized subgroup A is elementary abelian and acts trivially on
+    itself, so d restricted to A is a linear map L on M, with rows d(a_j)
+    for the realization basis a_j. With phi(g) = g d(g), the binomial
+    formula gives phi^p(g) = g d^p(g) = g d(g) L^(p-1): the terms with
+    0 < i < p vanish mod p. So phi^p = 1, which also makes phi bijective,
+    exactly when D L^(p-1) = 0 for D with rows d(g_k). Both D and L are
+    linear in the combination, so they are batched over all of them.
+    """
+    p = M.p
+    L_rep = np.array([[d.evaluate(a) for a in M.realization.basis] for d in derivs])
+    L = np.einsum("tr,rij->tij", coeffs, L_rep) % p
+    D = vecs.reshape(len(vecs), M.group.n, M.dim)
+    for _ in range(p - 1):
+        D = (D @ L) % p
+    return ~D.any(axis=(1, 2))
+
+
 def _scan_classes(
     M: FpModule,
     reps: np.ndarray,
@@ -337,28 +356,34 @@ def _scan_classes(
     into M as generator-value vectors), and how many combinations were
     tried.
 
-    Combinations that induce an inner map are skipped before any map is
-    built; `_certificate_from` would refuse each of them. A combination
-    that sums to zero induces the identity, which is inner, so every
-    combination left moves some pc generator; the moved witness is the
-    first one (g d(g) != g exactly when d(g) != 0).
+    All the combinations are screened at once, before any map is built:
+    those that induce an inner map by their keys (`_inner_keys`), then
+    those whose map is not an automorphism of order p by the linear test
+    of `_order_p_screen`. Both screens are exact, and a combination that
+    sums to zero induces the identity, which is inner. So the first
+    survivor is a certificate: its map is non-inner of order p, fixes
+    `fixed` (the derivations vanish on it) and moves the first pc
+    generator with d(g) != 0. `verify_certificate` still proves it, and
+    a failure there raises VerificationFailed.
     """
     G = M.group
     # the cocycle relations are linear, so once every row satisfies them,
-    # every combination does; each candidate is still checked below
-    for row in reps:
-        derivation_from_vector(G, M, row, check=True)
-    inner = _inner_keys(M) if reps.shape[0] else set()
-    tried = 0
-    for tried, vec in enumerate(_iter_combos(reps, G.p, limit), 1):
-        if vec.tobytes() in inner:
-            continue
-        delta = derivation_from_vector(G, M, vec, check=True)
-        moved = next(g for g in G.gens if delta.evaluate(g).any())
-        cert = _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence)
-        if cert is not None:
-            return cert, tried
-    return None, tried
+    # every combination does; the certificate is still checked below
+    derivs = [derivation_from_vector(G, M, row, check=True) for row in reps]
+    if not derivs:
+        return None, 0
+    coeffs = _coefficients(len(derivs), G.p, limit)
+    vecs = (coeffs @ reps) % G.p
+    inner = _inner_keys(M)
+    keep = np.array([vec.tobytes() not in inner for vec in vecs], dtype=bool)
+    keep[keep] = _order_p_screen(M, derivs, coeffs[keep], vecs[keep])
+    tried = len(vecs)
+    if not keep.any():
+        return None, tried
+    first = int(np.argmax(keep))
+    delta = derivation_from_vector(G, M, vecs[first], check=True)
+    moved = next(g for g in G.gens if delta.evaluate(g).any())
+    return _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence), first + 1
 
 
 def _targets(G: PcPresentation, hyp):
@@ -445,7 +470,5 @@ def construct_noninner(
     moved = next(g for g in G.gens if phi.apply(g) != g)
     evidence = {"method": "exhaustive backtracking search"}
     cert = _certificate_from(G, phi, path, trivial_subgroup(G), moved, caps, evidence)
-    if cert is None:  # pragma: no cover
-        raise VerificationFailed(f"{G.name}: backtracking result failed verification")
     trail.append(f"{path}, {evidence['method']}: certified")
     return cert, PipelineReport(G.name, path, tuple(trail), hyp.to_dict())

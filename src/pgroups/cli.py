@@ -263,6 +263,8 @@ def cmd_noninner(args) -> int:
     caps = _build_caps(args)
     G = _load_group(args, caps)
     cert, report = construct_noninner(G, caps)
+    if args.trail:
+        print(json.dumps(report.to_dict()), file=sys.stderr)
     return emit_certificate(G, cert, args.pretty, caps)
 
 
@@ -346,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("noninner", help="construct a certified non-inner automorphism")
     common(sp)
+    sp.add_argument(
+        "--trail", action="store_true", help="write the pipeline trail to stderr as one JSON line"
+    )
     sp.set_defaults(func=cmd_noninner)
 
     sp = sub.add_parser("verify", help="oracle vs pipeline agreement report")

@@ -7,9 +7,13 @@ that reads only the relations of a presentation. The symbolic element
 arithmetic below (products, inverses, powers, conjugates, commutators,
 orders and images of words) is built on `reference_collect` alone; the
 library's collector and its index tables are checked against it.
+`table_is_group` decides the group axioms of a multiplication table by
+brute force over all N^3 triples, the reference for the consistency audit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 class HeisenbergModel:
     """Unitriangular 3x3 matrices over Z/p: rows (a, b, c) encode
@@ -173,3 +177,20 @@ def word_image_exps(pres, images, word) -> tuple:
         for _ in range(e):
             spelled.extend((k, c) for k, c in enumerate(images[g]) if c)
     return reference_collect(pres, spelled)
+
+
+def table_is_group(table: np.ndarray, block: int = 16) -> bool:
+    """Whether an N x N index table (x, y) -> xy is a group with identity 0:
+    (xy)z = x(yz) for every triple, compared `block` rows of x at a time so
+    that no N^3 array is built, 0 x = x 0 = x, and every row holds 0."""
+    t = np.asarray(table)
+    N = t.shape[0]
+    for lo in range(0, N, block):
+        rows = t[lo : lo + block]
+        # t[rows][x, y, z] = (xy)z; rows[:, t][x, y, z] = x(yz)
+        if not np.array_equal(t[rows], rows[:, t]):
+            return False
+    every = np.arange(N)
+    if not (np.array_equal(t[0], every) and np.array_equal(t[:, 0], every)):
+        return False
+    return bool((t == 0).any(axis=1).all())

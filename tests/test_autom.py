@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgroups import (
     DEFAULT_CAPS,
@@ -25,8 +28,9 @@ from pgroups import (
     verify_certificate,
 )
 from pgroups import autom
-from pgroups.deriv import derivation_from_vector
+from pgroups.deriv import derivation_from_vector, vanishing_subspace
 from pgroups.pcgroup import relator_pairs
+from pgroups.series import hypothesis_report
 
 from .models import reference_collect
 
@@ -284,41 +288,98 @@ SCREEN_GROUPS = (
 )
 
 
-def _scanned_targets(monkeypatch, groups):
-    """(module, representatives, limit) of every class scan the pipeline runs."""
-    calls = []
-    scan = autom._scan_classes
+@functools.cache
+def _pipeline_run():
+    """The pipeline on every nonabelian group of SCREEN_GROUPS: each class
+    scan it runs as (module, representatives, limit), how many maps it
+    induced, and its certificates."""
+    scans, induced = [], []
+    scan, real_induce = autom._scan_classes, autom.induce
 
-    def recording(M, reps, limit, *args, **kwargs):
-        calls.append((M, reps, limit))
-        return scan(M, reps, limit, *args, **kwargs)
+    def recording(M, reps, limit, *args):
+        scans.append((M, reps, limit))
+        return scan(M, reps, limit, *args)
 
-    monkeypatch.setattr(autom, "_scan_classes", recording)
-    for G in groups:
-        if not G.is_abelian:
-            construct_noninner(G)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autom, "_scan_classes", recording)
+        mp.setattr(autom, "induce", lambda delta: induced.append(delta) or real_induce(delta))
+        certs = [construct_noninner(G)[0] for G in SCREEN_GROUPS if not G.is_abelian]
+    return scans, len(induced), certs
 
 
-def test_inner_screen_is_exact(monkeypatch):
+def test_inner_screen_is_exact():
     """A combination's generator-value key is among the inner keys exactly
     when the map it induces is conjugation by some element; and every inner
     key is a derivation that induces a conjugation."""
-    targets = _scanned_targets(monkeypatch, SCREEN_GROUPS)
     verdicts = {True: 0, False: 0}
-    for M, reps, limit in targets:
+    for M, reps, limit in _pipeline_run()[0]:
         G = M.group
         keys = autom._inner_keys(M)
         for key in keys:
             vec = np.frombuffer(key, dtype=np.int64)
             witness, _ = is_inner(induce(derivation_from_vector(G, M, vec, check=True)))
             assert witness is not None, (G.name, vec)
-        for vec in autom._iter_combos(reps, G.p, limit):
+        for vec in autom._coefficients(reps.shape[0], G.p, limit) @ reps % G.p:
             witness, _ = is_inner(induce(derivation_from_vector(G, M, vec, check=True)))
             screened = vec.tobytes() in keys
             assert screened == (witness is not None), (G.name, vec)
             verdicts[screened] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+@functools.cache
+def _branch_targets():
+    """(module, basis of the derivations vanishing on the subgroup to fix)
+    for every target in the branch table of every nonabelian group of
+    SCREEN_GROUPS, whether the pipeline reaches it or not."""
+    targets = []
+    for G in SCREEN_GROUPS:
+        if G.is_abelian:
+            continue
+        for _, A, K, _, _ in autom._targets(G, hypothesis_report(G)):
+            M = conjugation_module(G, A)
+            basis = vanishing_subspace(derivation_space(G, M), list(K.gen_elements))
+            if basis.shape[0]:
+                targets.append((M, basis))
+    return tuple(targets)
+
+
+def test_order_p_screen_is_exact():
+    """The linear screen passes a derivation d exactly when g -> g d(g) is
+    an automorphism of order p, on batches of random combinations over
+    every target. d != 0, so order p means phi^p = 1; testing that first
+    keeps order_of_fast off maps whose order is not a power of p."""
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def screen_is_exact(data):
+        M, basis = data.draw(st.sampled_from(_branch_targets()), label="target")
+        G, p = M.group, M.p
+        coeffs = st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
+        batch = data.draw(st.lists(coeffs.filter(any), min_size=1, max_size=10), label="batch")
+        c = np.array(batch, dtype=np.int64)
+        vecs = c @ basis % p
+        derivs = [derivation_from_vector(G, M, row) for row in basis]
+        for coeff, vec, screened in zip(batch, vecs, autom._order_p_screen(M, derivs, c, vecs)):
+            delta = derivation_from_vector(G, M, vec, check=True)
+            phi = induce(delta)
+            order_p = (
+                phi.is_automorphism and phi.power(p).is_identity and order_of_fast(delta, phi) == p
+            )
+            assert screened == order_p, (G.name, coeff)
+            verdicts.add(bool(screened))
+
+    screen_is_exact()
+    assert verdicts == {True, False}
+
+
+def test_scan_builds_one_map_per_certificate():
+    """After both screens the first surviving combination is a certificate,
+    so the scans induce exactly one map per certificate they give."""
+    _, induced, certs = _pipeline_run()
+    from_scans = [c for c in certs if dict(c.evidence)["method"] != "exhaustive backtracking search"]
+    assert certs and induced == len(from_scans)
 
 
 @pytest.mark.parametrize("spec, most", [("extraspecial:3", 2), ("heisenberg:7", 50)])
@@ -343,7 +404,7 @@ def test_scan_refuses_a_row_that_is_not_a_derivation(H3):
     sp = derivation_space(H3, M)
     bad = next(
         vec
-        for vec in autom._iter_combos(np.eye(H3.n * M.dim, dtype=np.int64), H3.p, 10**6)
+        for vec in autom._coefficients(H3.n * M.dim, H3.p, 10**6)
         if not derivation_from_vector(H3, M, vec).satisfies_relations()
     )
     reps = np.vstack([bad, sp.der_array])

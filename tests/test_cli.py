@@ -190,6 +190,23 @@ def test_noninner_heisenberg(capsys):
     assert payload["inner_scan"] == "exhausted 27 candidates"
 
 
+def test_noninner_trail_goes_to_stderr_only(capsys):
+    """--trail writes the pipeline report to stderr as one JSON line and
+    leaves stdout byte for byte as it is without the flag."""
+    assert main(["noninner", "--group", "heisenberg:3"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["noninner", "--group", "heisenberg:3", "--trail"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out
+    assert traced.err.endswith("\n") and traced.err.count("\n") == 1
+    report = json.loads(traced.err)
+    assert report["group"] == "heisenberg:3"
+    assert report["branch"] == json.loads(plain.out)["path"]
+    assert report["trail"][-1].endswith("tried 9, certified")
+    assert report["hypothesis"]["center_cyclic"] is True
+
+
 def test_noninner_constructive_branch(capsys):
     code, payload = run_cli(capsys, "noninner", "--group", "wreath:3")
     assert code == 0

@@ -30,6 +30,7 @@ from .models import (
     order_exps,
     power_exps,
     reference_collect,
+    table_is_group,
     word_image_exps,
 )
 from .test_order81 import scaffold_grid
@@ -99,6 +100,28 @@ def test_overlaps_agree_with_exhaustive_on_random_presentations(p, n, count):
         verdicts.append(exhaustive)
     # both verdicts occur, so the agreement is not vacuous
     assert 0 < sum(verdicts) < count
+
+
+def test_audit_matches_brute_force_group_axioms():
+    """Light's test on the pc generators gives the verdict of the full N^3
+    associativity check plus the identity and inverse laws, on the
+    scaffold grid, seeded random presentations and both catalogs to 243;
+    the audit reports the n N^2 triples (x, g_i, y) it compared."""
+    presentations = list(scaffold_grid())
+    for p, n, count in [(3, 4, 120), (3, 5, 25), (5, 3, 120)]:
+        rng = random.Random(7 * p + n)
+        presentations += [_random_presentation(rng, p, n) for _ in range(count)]
+    presentations += catalog.default_catalog(3, max_order=243)
+    presentations += catalog.default_catalog(5, max_order=243)
+    verdicts = []
+    for P in presentations:
+        assert P.order <= 3**5
+        audited = _consistent(P.audit)
+        assert audited == table_is_group(P.full_mult_table), P
+        if audited:
+            assert P.audit() == {"mode": "exhaustive", "triples": P.n * P.order**2, "order": P.order}
+        verdicts.append(audited)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_overlap_audit_counts_and_rejection_above_exhaustive_order():

@@ -85,10 +85,16 @@ def test_omega1_requires_abelian(H3):
 
 
 def test_subgroup_closure_audit(H3):
+    """A member set that is not closed under inverses or products differs
+    from the closure of its witnesses, and is refused for that."""
     from pgroups.series import Subgroup
 
-    with pytest.raises(InputError):
-        Subgroup(H3, frozenset([0, 9]), (9,))  # {e, a} is not closed
+    a, b = H3.gen(0).index, H3.gen(1).index
+    with pytest.raises(InputError, match="do not generate"):
+        Subgroup(H3, frozenset([0, a]), (a,))  # {e, a} lacks a^-1
+    with pytest.raises(InputError, match="do not generate"):
+        # inverse-closed, but a b is missing
+        Subgroup(H3, frozenset([0, a, 2 * a, b, 2 * b]), (a, b))
     with pytest.raises(InputError):
         Subgroup(H3, frozenset([1, 2]), (1,))  # missing the identity
 
