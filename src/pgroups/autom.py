@@ -94,7 +94,11 @@ def order_via_formula(delta: Derivation, n: int) -> GroupHom:
 
 def order_of_fast(delta: Derivation, phi: GroupHom | None = None) -> int:
     """Order via the binomial formula at p-power exponents, cross-checked
-    against iterated composition at each step."""
+    against iterated composition at each step.
+
+    Each phi^(p^k) is the p-th power of the one before, so once a p-power
+    repeats without being the identity, the powers cycle and the order of
+    phi is not a power of p: that raises InputError."""
     if phi is None:
         phi = induce(delta)
     if phi.is_identity:
@@ -102,10 +106,14 @@ def order_of_fast(delta: Derivation, phi: GroupHom | None = None) -> int:
     G = delta.group
     p = G.p
     n = p
-    k = 1
+    by_iteration = phi
+    seen = {phi.image_indices}
     while True:
+        by_iteration = by_iteration.power(p)
+        if by_iteration.image_indices in seen:  # the identity is never in seen
+            raise InputError("the order of the map is not a power of p")
+        seen.add(by_iteration.image_indices)
         by_formula = order_via_formula(delta, n)
-        by_iteration = phi.power(n)
         if by_formula.image_indices != by_iteration.image_indices:
             raise VerificationFailed(
                 "binomial order formula disagrees with iterated composition"
@@ -113,9 +121,6 @@ def order_of_fast(delta: Derivation, phi: GroupHom | None = None) -> int:
         if by_formula.is_identity:
             return n
         n *= p
-        k += 1
-        if k > 12:
-            raise InputError("order search exceeded bound")  # pragma: no cover
 
 
 def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
@@ -163,6 +168,11 @@ class NonInnerCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "NonInnerCertificate":
+        if not isinstance(data, dict):
+            raise InputError("malformed certificate: expected a JSON object")
+        evidence = data.get("evidence", {})
+        if not isinstance(evidence, dict):
+            raise InputError("malformed certificate: evidence must be an object")
         try:
             scan = data.get("inner_scan", "exhausted 0 candidates")
             count = int(str(scan).split()[1])
@@ -176,9 +186,9 @@ class NonInnerCertificate:
                 ),
                 moved=tuple(int(v) for v in data["moved"]),
                 inner_scan_count=count,
-                evidence=tuple(sorted((str(k), str(v)) for k, v in data.get("evidence", {}).items())),
+                evidence=tuple(sorted((str(k), str(v)) for k, v in evidence.items())),
             )
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
 
 

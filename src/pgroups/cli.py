@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -268,36 +269,30 @@ def cmd_noninner(args) -> int:
     return emit_certificate(G, cert, args.pretty, caps)
 
 
-def _verify_one(spec: str, enum_cap: int, oracle_cap: int) -> dict:
-    caps = Caps(enumeration=enum_cap, oracle=oracle_cap)
-    G = parse_group_spec(spec, enum_cap)
-    return verify_conjecture([G], caps)[0]
+def _verify_spec(spec: str, caps: Caps, parse_cap: int) -> dict:
+    """One verify row: parse the group, compute its row and let it go."""
+    return verify_conjecture([parse_group_spec(spec, parse_cap)], caps)[0]
 
 
 def cmd_verify(args) -> int:
     caps = _build_caps(args)
     if args.all:
-        groups = default_catalog(args.p, args.max_order)
-        specs = [g.name for g in groups]  # catalog names are canonical specs
+        # catalog names are canonical specs, parsed as the catalog parses them
+        specs = [g.name for g in default_catalog(args.p, args.max_order)]
+        parse_cap = DEFAULT_CAPS.enumeration
     elif args.group:
         specs = [s for s in args.group.split(";") if s.strip()]
-        groups = [parse_group_spec(s, caps.enumeration) for s in specs]
+        parse_cap = caps.enumeration
     else:
         raise InputError("verify needs --all or --group")
+    row = functools.partial(_verify_spec, caps=caps, parse_cap=parse_cap)
     if args.jobs and args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    _verify_one,
-                    specs,
-                    [caps.enumeration] * len(specs),
-                    [caps.oracle] * len(specs),
-                )
-            )
+            rows = list(pool.map(row, specs))
     else:
-        rows = verify_conjecture(groups, caps)
+        rows = list(map(row, specs))
     payload = {"p": args.p, "rows": rows, "all_agree": all(r["agree"] for r in rows)}
     _emit(payload, args.pretty)
     if not payload["all_agree"]:

@@ -19,6 +19,11 @@ class CapExceeded(PGroupError):
         self.size = size
         self.cap = cap
 
+    def __reduce__(self):
+        # pickled by its arguments, so a refusal in a verify --jobs worker
+        # reaches the parent as a CapExceeded
+        return type(self), (self.what, self.size, self.cap)
+
 
 class InputError(PGroupError):
     """Malformed or inconsistent user input (files, CLI specs, bad tables)."""

@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .autom import is_inner, order_of
-from .errors import CapExceeded, Caps, DEFAULT_CAPS, VerificationFailed
+from .autom import construct_noninner, is_inner, order_of, verify_certificate
+from .errors import CapExceeded, Caps, DEFAULT_CAPS, OutOfScope, VerificationFailed
 from .fpmod import FpModule
 from .pcgroup import Element, GroupHom, PcPresentation
-from .series import center
+from .series import center, release_series
 
 
 def _iter_homomorphism_images(
@@ -238,41 +238,47 @@ def enumerate_derivations_bruteforce(
 
 
 def verify_conjecture(
-    groups: Sequence[PcPresentation], caps: Caps = DEFAULT_CAPS
+    groups: Iterable[PcPresentation], caps: Caps = DEFAULT_CAPS
 ) -> list[dict]:
     """Per-group agreement report between the exhaustive oracle and the
     construction pipeline. The oracle is skipped above its cap and on
     abelian groups; a disagreement shows up as agree=False (the CLI treats
-    any such row as a fatal verification failure)."""
-    from .autom import construct_noninner, verify_certificate
-    from .errors import OutOfScope
+    any such row as a fatal verification failure).
 
+    `groups` may be any iterable, and is read one group at a time. Each
+    group's series memo is released when its row is done, on every path,
+    so a group that the caller no longer holds is freed by refcounting
+    before the next one is built."""
     rows: list[dict] = []
     for G in groups:
-        row: dict = {"group": G.name, "order": G.order}
-        if G.order > caps.enumeration:
-            row.update({"oracle": "skipped", "pipeline": "skipped (cap)", "agree": True})
-            rows.append(row)
-            continue
-        abelian = center(G).order == G.order
-        if abelian:
-            row.update({"oracle": "skipped", "pipeline": "n/a (abelian)", "agree": True})
-            rows.append(row)
-            continue
         try:
-            cert, report = construct_noninner(G, caps)
-            failures = verify_certificate(G, cert, caps)
-            pipeline_ok = not failures
-            row["pipeline"] = cert.path
-        except OutOfScope as exc:  # pragma: no cover
-            pipeline_ok = False
-            row["pipeline"] = f"error: {exc}"
-        if G.order > caps.oracle:
-            row["oracle"] = "skipped"
-            row["agree"] = bool(pipeline_ok)
-        else:
-            phi = find_noninner_order_p(G, caps)
-            row["oracle"] = "exists" if phi is not None else "none"
-            row["agree"] = bool(pipeline_ok and phi is not None)
-        rows.append(row)
+            rows.append(_verify_row(G, caps))
+        finally:
+            release_series(G)
     return rows
+
+
+def _verify_row(G: PcPresentation, caps: Caps) -> dict:
+    row: dict = {"group": G.name, "order": G.order}
+    if G.order > caps.enumeration:
+        row.update({"oracle": "skipped", "pipeline": "skipped (cap)", "agree": True})
+        return row
+    if center(G).order == G.order:
+        row.update({"oracle": "skipped", "pipeline": "n/a (abelian)", "agree": True})
+        return row
+    try:
+        cert, report = construct_noninner(G, caps)
+        failures = verify_certificate(G, cert, caps)
+        pipeline_ok = not failures
+        row["pipeline"] = cert.path
+    except OutOfScope as exc:  # pragma: no cover
+        pipeline_ok = False
+        row["pipeline"] = f"error: {exc}"
+    if G.order > caps.oracle:
+        row["oracle"] = "skipped"
+        row["agree"] = bool(pipeline_ok)
+    else:
+        phi = find_noninner_order_p(G, caps)
+        row["oracle"] = "exists" if phi is not None else "none"
+        row["agree"] = bool(pipeline_ok and phi is not None)
+    return row

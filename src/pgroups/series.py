@@ -28,7 +28,13 @@ from .pcgroup import (
 
 def _per_group(fn):
     """Memoize fn(G, *args) in a dict stored on G, as the table
-    cached_propertys of PcPresentation are."""
+    cached_propertys of PcPresentation are.
+
+    The memo holds Subgroups, and each Subgroup's `parent` is G, so G, its
+    tables and the memo form a reference cycle: dropping the last outside
+    reference to G frees them only at the next full GC pass. A caller that
+    is done with G breaks the cycle with `release_series(G)`, and then
+    refcounting frees G as soon as it goes out of scope."""
 
     @wraps(fn)
     def memoized(G: PcPresentation, *args):
@@ -39,6 +45,12 @@ def _per_group(fn):
         return memo[key]
 
     return memoized
+
+
+def release_series(G: PcPresentation) -> None:
+    """Drop G's series memo, which breaks the G -> memo -> Subgroup -> G
+    cycle. Later series queries on G recompute their results."""
+    G.__dict__.pop("_series_memo", None)
 
 
 @dataclass(frozen=True)

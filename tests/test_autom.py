@@ -1,9 +1,14 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgroups
 from pgroups import (
     DEFAULT_CAPS,
     GroupHom,
@@ -135,6 +140,75 @@ def test_order_formula_matches_iteration(H3, M27, W3):
             assert order_via_formula(d, 3).images == phi.power(3).images
             checked += 1
     assert checked >= 30
+
+
+ORDER_TWO_SCRIPT = """
+from pgroups import InputError, catalog, conjugation_module, derivation_space
+from pgroups import induce, order_of, order_of_fast
+from pgroups.deriv import derivation_from_vector
+from pgroups.series import greedy_elementary_abelian_normal
+
+G = catalog.parse_group_spec("heisenberg:3")
+M = conjugation_module(G, greedy_elementary_abelian_normal(G))
+row = derivation_space(G, M).der_array[3]
+assert [int(v) for v in row] == [0, 0, 0, 1, 1, 0], row
+d = derivation_from_vector(G, M, row, check=True)
+assert order_of(induce(d)) == 2
+try:
+    order_of_fast(d)
+except InputError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_order_of_fast_refuses_an_order_prime_to_p():
+    """phi of order 2 on heisenberg:3: phi^3 = phi, so the p-powers repeat
+    and never reach the identity. Run in a subprocess so that a search that
+    does not stop fails on the timeout instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ORDER_TWO_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: the order of the map is not a power of p")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CERT_KEYS = (
+    "group", "path", "gen_images", "order", "fixed_subgroup", "moved", "inner_scan", "evidence"
+)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        JSON_VALUES,
+        st.fixed_dictionaries({}, optional={k: JSON_VALUES for k in CERT_KEYS}),
+    )
+)
+def test_certificate_loader_returns_or_raises_input_error(data):
+    """Any JSON value, or any object over the certificate's keys, loads or
+    is refused with InputError."""
+    try:
+        NonInnerCertificate.from_json_dict(data)
+    except InputError:
+        pass
+
+
+def test_certificate_loader_refuses_non_object_evidence(H3):
+    good = construct_noninner(H3)[0].to_json_dict()
+    for evidence in (5, [], "method"):
+        with pytest.raises(InputError, match="evidence must be an object"):
+            NonInnerCertificate.from_json_dict({**good, "evidence": evidence})
 
 
 def test_certificate_roundtrip_and_verify(H3):

@@ -308,6 +308,21 @@ def test_verify_jobs_parallel(capsys):
     assert code == 0 and payload["all_agree"] is True
 
 
+def test_verify_rows_same_for_one_and_two_jobs(capsys):
+    argv = ("verify", "--all", "--p", "3", "--max-order", "81")
+    code1, serial = run_cli(capsys, *argv, "--jobs", "1")
+    code2, parallel = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert serial["rows"] == parallel["rows"] and len(serial["rows"]) == 13
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_cap_refusal_same_for_any_jobs(capsys, jobs):
+    argv = ("verify", "--group", "cyclic:3,5", "--cap", "20", "--jobs", jobs)
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+
+
 def test_verify_jobs_with_explicit_specs(capsys):
     code, payload = run_cli(
         capsys,

@@ -174,3 +174,31 @@ def test_verify_conjecture_skips_above_cap():
     rows = verify_conjecture([G])
     assert rows[0]["oracle"] == "skipped"
     assert rows[0]["agree"]
+
+
+def test_verify_conjecture_releases_each_group():
+    """With the cyclic GC off, every group fed to verify_conjecture is freed
+    by refcounting once its row is done, on the abelian path too."""
+    import gc
+    import weakref
+
+    specs = [G.name for G in catalog.default_catalog(5, 625)]
+    refs = []
+
+    def groups():
+        for spec in specs:
+            G = catalog.parse_group_spec(spec)
+            refs.append(weakref.ref(G))
+            yield G
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = verify_conjecture(groups())
+        alive = [spec for spec, ref in zip(specs, refs) if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(rows) == len(refs) == 12
+    assert any(r["pipeline"] == "n/a (abelian)" for r in rows)
+    assert alive == []
