@@ -134,7 +134,7 @@ def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
     for g, t in zip(G.gens, phi.image_indices):
         xs = xs[G.mult_indices(G.mult_indices(G.inv_table[xs], g.index), xs) == t]
     if xs.size:
-        return Element(G, G.elements[xs[0]]), G.order
+        return Element(G, G.exps_of(xs[0])), G.order
     return None, G.order
 
 

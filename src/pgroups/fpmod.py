@@ -239,7 +239,7 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
         if x not in span:
             basis_idx.append(x)
             span = closure_indices(G, basis_idx)
-    basis = tuple(Element(G, G.elements[i]) for i in basis_idx)
+    basis = tuple(Element(G, G.exps_of(i)) for i in basis_idx)
     encode = _span_encoding(G, basis)
     if len(encode) != len(A.members):
         raise InputError("basis does not coordinatize the subgroup")  # pragma: no cover

@@ -19,7 +19,7 @@ import numpy as np
 from .autom import construct_noninner, is_inner, order_of, verify_certificate
 from .errors import CapExceeded, Caps, DEFAULT_CAPS, OutOfScope, VerificationFailed
 from .fpmod import FpModule
-from .pcgroup import Element, GroupHom, PcPresentation
+from .pcgroup import EXHAUSTIVE_AUDIT_ORDER, Element, GroupHom, PcPresentation
 from .series import center, release_series
 
 
@@ -38,15 +38,14 @@ def _iter_homomorphism_images(
     images: list[int | None] = [None] * n
     pow_p = H.power_p_table
     inv = H.inv_table
-    from .pcgroup import FULL_TABLE_ORDER
 
-    if order_h <= FULL_TABLE_ORDER:
+    if order_h <= EXHAUSTIVE_AUDIT_ORDER:
         table = H.full_mult_table
 
         def mult(a: int, b: int) -> int:
             return int(table[a, b])
 
-    else:  # pragma: no cover - above the oracle cap in practice
+    else:
         mult = H.mult_index
 
     comm_rhs_words = {
@@ -96,11 +95,17 @@ def _iter_homomorphism_images(
             yield from descend(k - 1)
         images[k] = None
 
-    yield from descend(n - 1)
+    try:
+        yield from descend(n - 1)
+    finally:
+        # descend calls itself through this closure cell; clearing it breaks
+        # the cycle, so the tables it holds go when the search ends instead
+        # of at the next cyclic collection.
+        descend = None
 
 
 def _hom_from_indices(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> GroupHom:
-    return GroupHom(G, H, tuple(Element(H, H.elements[i]) for i in idxs))
+    return GroupHom(G, H, tuple(Element(H, H.exps_of(i)) for i in idxs))
 
 
 def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> bool:

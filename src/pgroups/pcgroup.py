@@ -37,7 +37,10 @@ Word = Sequence[tuple[int, int]]
 # test on the n pc generator columns (n N^2 products); above it the overlap
 # test proves consistency.
 EXHAUSTIVE_AUDIT_ORDER = 3**5
-# Full |G| x |G| multiplication tables only below this order.
+# Products read the full |G| x |G| table up to EXHAUSTIVE_AUDIT_ORDER, where
+# the audit reads it too, and the two half tables above that up to this
+# order; above it they walk the generator tables. The full table is built
+# on request up to this order.
 FULL_TABLE_ORDER = 4096
 
 
@@ -233,6 +236,7 @@ class PcPresentation:
     def exps_of(self, idx: int) -> tuple[int, ...]:
         """Exponent tuple of the element with index idx: its base-p digits,
         the inverse of index_of."""
+        idx = int(idx)
         exps = []
         for _ in range(self.n):
             idx, e = divmod(idx, self.p)
@@ -293,8 +297,12 @@ class PcPresentation:
         return cur
 
     def mult_index(self, a: int, b: int) -> int:
-        if self.order <= FULL_TABLE_ORDER:
+        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
             return int(self.full_mult_table[a, b])
+        if self.order <= FULL_TABLE_ORDER:
+            head, tail = self.half_tables
+            h, t = divmod(b, tail.shape[1])
+            return int(tail[head[a, h], t])
         out = a
         for i, e in enumerate(self.exps_of(b)):
             t = self.gen_tables[i]
@@ -304,8 +312,12 @@ class PcPresentation:
 
     def mult_indices(self, a, b) -> np.ndarray:
         """Elementwise products a[t] * b[t] of index arrays (broadcast)."""
-        if self.order <= FULL_TABLE_ORDER:
+        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
             return self.full_mult_table[a, b]
+        if self.order <= FULL_TABLE_ORDER:
+            head, tail = self.half_tables
+            h, t = np.divmod(b, tail.shape[1])
+            return tail[head[a, h], t]
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return self._right_multiply(a, zip(self.gen_tables, self._exponent_columns(b)))
 
@@ -352,24 +364,44 @@ class PcPresentation:
         orders.setflags(write=False)
         return orders
 
+    def _word_table(self, lo: int, hi: int) -> np.ndarray:
+        """table[x, h] = index of x * g_lo^e_lo ... g_(hi-1)^e_(hi-1), where
+        h reads the exponents e in base p, g_lo most significant.
+
+        Built in slabs from g_(hi-1) up: the columns h < w spell the words
+        in the generators after g_k, and x g_k^e t = (x g_k^e) t, so the
+        slab of columns e w + t is the block of columns t < w gathered at
+        the rows x g_k^e."""
+        N, p = self.order, self.p
+        table = np.empty((N, p ** (hi - lo)), dtype=np.int32)
+        table[:, 0] = np.arange(N)
+        w = 1
+        for k in reversed(range(lo, hi)):
+            rows = np.arange(N)
+            for e in range(1, p):
+                rows = self.gen_tables[k][rows]
+                table[:, e * w : (e + 1) * w] = table[rows, :w]
+            w *= p
+        table.setflags(write=False)
+        return table
+
     @cached_property
     def full_mult_table(self) -> np.ndarray:
         """Dense |G| x |G| index multiplication table (small groups only)."""
         self._require_enumerable("multiplication table")
         if self.order > FULL_TABLE_ORDER:
             raise CapExceeded("multiplication table", self.order, FULL_TABLE_ORDER)
-        N = self.order
-        table = np.zeros((N, N), dtype=np.int32)
-        table[:, 0] = np.arange(N)
-        # column recurrence: col(y) = gen_tables[i][col(y')] where y = y' * g_i
-        for yi in range(1, N):
-            exps = self.elements[yi]
-            last = max(k for k, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[last] -= 1
-            table[:, yi] = self.gen_tables[last][table[:, self.index_of(prev)]]
-        table.setflags(write=False)
-        return table
+        return self._word_table(0, self.n)
+
+    @cached_property
+    def half_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(head, tail): with m = ceil(n/2), head[x, h] = x * g_1^e_1 ...
+        g_m^e_m and tail[x, t] = x * g_(m+1)^e_(m+1) ... g_n^e_n. An index
+        y splits as h = y // s, t = y % s with s = p^(n-m) the tail width,
+        so x y = tail[head[x, h], t]: two gathers over N (p^ceil(n/2) +
+        p^floor(n/2)) entries in place of the N^2 of the full table."""
+        m = (self.n + 1) // 2
+        return self._word_table(0, m), self._word_table(m, self.n)
 
     @cached_property
     def is_abelian(self) -> bool:

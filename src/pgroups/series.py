@@ -90,12 +90,12 @@ class Subgroup:
     @property
     def elements(self) -> list[Element]:
         return [
-            Element(self.parent, self.parent.elements[i]) for i in sorted(self.members)
+            Element(self.parent, self.parent.exps_of(i)) for i in sorted(self.members)
         ]
 
     @property
     def gen_elements(self) -> tuple[Element, ...]:
-        return tuple(Element(self.parent, self.parent.elements[i]) for i in self.gens)
+        return tuple(Element(self.parent, self.parent.exps_of(i)) for i in self.gens)
 
     @property
     def is_trivial(self) -> bool:
@@ -121,7 +121,7 @@ class Subgroup:
         return all(pw[x] == 0 for x in self.members)
 
     def gens_json(self) -> list[list[int]]:
-        return [list(self.parent.elements[g]) for g in self.gens]
+        return [list(self.parent.exps_of(g)) for g in self.gens]
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name or 'G'})"
@@ -448,7 +448,7 @@ def _containment_witness(
     diff = left.members - right.members
     if not diff:
         return True, None
-    return False, G.elements[min(diff)]
+    return False, G.exps_of(min(diff))
 
 
 @_per_group

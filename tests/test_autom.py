@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -209,6 +210,15 @@ def test_certificate_loader_refuses_non_object_evidence(H3):
     for evidence in (5, [], "method"):
         with pytest.raises(InputError, match="evidence must be an object"):
             NonInnerCertificate.from_json_dict({**good, "evidence": evidence})
+
+
+def test_noninner_certificate_builds_no_element_list():
+    """The pipeline and its certificate JSON on wreath:5 (order 15625) turn
+    indices into exponents one at a time, never through G.elements."""
+    G = catalog.parse_group_spec("wreath:5")
+    cert, _ = construct_noninner(G)
+    assert json.loads(json.dumps(cert.to_json_dict()))["group"] == "wreath:5"
+    assert "elements" not in G.__dict__
 
 
 def test_certificate_roundtrip_and_verify(H3):

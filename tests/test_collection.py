@@ -15,6 +15,7 @@ from pgroups.deriv import derivation_from_vector, derivation_space
 from pgroups.errors import InputError
 from pgroups.fpmod import conjugation_module
 from pgroups.pcgroup import (
+    EXHAUSTIVE_AUDIT_ORDER,
     FULL_TABLE_ORDER,
     PRIME_LIMIT,
     images_respect_relations,
@@ -264,3 +265,54 @@ def test_element_arithmetic_matches_symbolic(data):
     assert x.conj(y).exps == conjugate_exps(G, x.exps, y.exps)
     assert x.comm(y).exps == commutator_exps(G, x.exps, y.exps)
     assert x.order() == order_exps(G, x.exps)
+
+
+HALF_TABLE_GROUPS = [G for G in GROUPS if G.order > EXHAUSTIVE_AUDIT_ORDER]
+
+
+def _half_widths(G):
+    """Column counts of the head and tail tables: p^ceil(n/2), p^floor(n/2)."""
+    return G.p ** ((G.n + 1) // 2), G.p ** (G.n // 2)
+
+
+@pytest.mark.parametrize("G", HALF_TABLE_GROUPS, ids=lambda G: G.name)
+def test_half_table_products_equal_the_full_table(G):
+    """Above order 243 products read two half tables; entry for entry they
+    give the dense table, through the array and the scalar product."""
+    assert tuple(t.shape[1] for t in G.half_tables) == _half_widths(G)
+    every = np.arange(G.order)
+    full = G.full_mult_table
+    assert np.array_equal(G.mult_indices(every[:, None], every[None, :]), full)
+    rng = np.random.default_rng(G.order)
+    for a, b in rng.integers(0, G.order, size=(200, 2)):
+        assert G.mult_index(int(a), int(b)) == full[a, b]
+
+
+HALF_TABLE_SYMBOLIC = [catalog.parse_group_spec(s) for s in ("extraspecial:3,3", "d:2,5+cyclic:5,2")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_half_table_products_match_symbolic(data):
+    """Orders 2187 and 3125, where no dense table is built: the half-table
+    product against the rewriting collector, scalar and as arrays."""
+    G = data.draw(st.sampled_from(HALF_TABLE_SYMBOLIC), label="group")
+    index = st.integers(0, G.order - 1)
+    xs = data.draw(st.lists(index, min_size=1, max_size=4), label="x")
+    ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)), label="y")
+    want = [G.index_of(multiply_exps(G, G.exps_of(x), G.exps_of(y))) for x, y in zip(xs, ys)]
+    assert [G.mult_index(x, y) for x, y in zip(xs, ys)] == want
+    assert G.mult_indices(xs, ys).tolist() == want
+    assert tuple(t.shape[1] for t in G.half_tables) == _half_widths(G)
+
+
+def test_products_at_order_3125_build_no_full_table():
+    """The first product on a fresh group of order 3125 builds the half
+    tables, 3125 (5^3 + 5^2) int32 entries, about 1.79 MB, and not the
+    37 MB dense table."""
+    G = catalog.parse_group_spec("d:2,5+cyclic:5,2")
+    assert (G.gen(0) * G.gen(1)).exps == multiply_exps(G, G.gen(0).exps, G.gen(1).exps)
+    assert "full_mult_table" not in G.__dict__
+    size = sum(t.nbytes for t in G.half_tables)
+    assert size == 3125 * (5**3 + 5**2) * 4
+    assert size <= 2 * 2**20

@@ -202,3 +202,39 @@ def test_verify_conjecture_releases_each_group():
     assert len(rows) == len(refs) == 12
     assert any(r["pipeline"] == "n/a (abelian)" for r in rows)
     assert alive == []
+
+
+def test_backtracking_above_243_reads_no_dense_table():
+    """Past the default oracle cap the backtracker multiplies through
+    mult_index, so it builds no dense table and no element list."""
+    G = catalog.parse_group_spec("heisenberg:7")
+    assert G.order > Caps().oracle
+    assert find_isomorphism(G, G).is_identity
+    assert "full_mult_table" not in G.__dict__
+    assert "elements" not in G.__dict__
+
+
+def test_backtracking_frees_its_table_without_the_cycle_collector():
+    """Whether the search runs out (enumeration) or stops at its first hit
+    (isomorphism), the dense table it read dies with the group, so verify
+    holds no earlier group's table while the next one runs."""
+    import gc
+    import weakref
+
+    from pgroups.series import release_series
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        for search in (enumerate_automorphisms, lambda G: find_isomorphism(G, G)):
+            G = catalog.parse_group_spec("heisenberg:3")
+            refs.append(weakref.ref(G.full_mult_table))
+            assert search(G)
+            release_series(G)  # the center memo, as verify_conjecture does
+            del G
+        alive = [ref() is not None for ref in refs]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False]
