@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import gflinalg as la
 from .autom import construct_noninner, verify_certificate
 from .catalog import default_catalog, parse_group_spec
@@ -107,16 +105,6 @@ def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed module data: {exc}") from exc
     return FpModule(G, tuple(mats))
-
-
-def module_to_dict(M: FpModule) -> dict:
-    return {
-        "dim": M.dim,
-        "action": {
-            str(i + 1): [int(v) for v in np.asarray(m).reshape(-1)]
-            for i, m in enumerate(M.mats)
-        },
-    }
 
 
 def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:

@@ -37,10 +37,7 @@ Word = Sequence[tuple[int, int]]
 # test on the n pc generator columns (n N^2 products); above it the overlap
 # test proves consistency.
 EXHAUSTIVE_AUDIT_ORDER = 3**5
-# Products read the full |G| x |G| table up to EXHAUSTIVE_AUDIT_ORDER, where
-# the audit reads it too, and the two half tables above that up to this
-# order; above it they walk the generator tables. The full table is built
-# on request up to this order.
+# The full |G| x |G| table is built on request up to this order.
 FULL_TABLE_ORDER = 4096
 
 
@@ -251,7 +248,7 @@ class PcPresentation:
         g_1 by gathers through the rows already built: for x = head *
         g_i^e * t with t in <g_(i+1), ..., g_n> (the indices below w),
         x g_i = head * g_i^(e+1) * t^(g_i), where g_i^p = power_rhs[i].
-        The inverse, p-th power and full tables are derived from these."""
+        The inverse, p-th power and product tables are derived from these."""
         self._require_enumerable()
         p, n = self.p, self.n
         tabs = np.zeros((n, self.order), dtype=np.int64)
@@ -297,29 +294,18 @@ class PcPresentation:
         return cur
 
     def mult_index(self, a: int, b: int) -> int:
-        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
-            return int(self.full_mult_table[a, b])
-        if self.order <= FULL_TABLE_ORDER:
-            head, tail = self.half_tables
-            h, t = divmod(b, tail.shape[1])
-            return int(tail[head[a, h], t])
-        out = a
-        for i, e in enumerate(self.exps_of(b)):
-            t = self.gen_tables[i]
-            for _ in range(e):
-                out = int(t[out])
-        return out
+        for table, s in self.product_tables:
+            h, b = divmod(b, s)
+            a = table.item(a, h)
+        return a
 
     def mult_indices(self, a, b) -> np.ndarray:
-        """Elementwise products a[t] * b[t] of index arrays (broadcast)."""
-        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
-            return self.full_mult_table[a, b]
-        if self.order <= FULL_TABLE_ORDER:
-            head, tail = self.half_tables
-            h, t = np.divmod(b, tail.shape[1])
-            return tail[head[a, h], t]
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return self._right_multiply(a, zip(self.gen_tables, self._exponent_columns(b)))
+        """Elementwise products a[t] * b[t] of index arrays (broadcast), one
+        gather per product table."""
+        for table, s in self.product_tables:
+            h, b = np.divmod(b, s)
+            a = table[a, h]
+        return a
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -394,14 +380,25 @@ class PcPresentation:
         return self._word_table(0, self.n)
 
     @cached_property
-    def half_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(head, tail): with m = ceil(n/2), head[x, h] = x * g_1^e_1 ...
-        g_m^e_m and tail[x, t] = x * g_(m+1)^e_(m+1) ... g_n^e_n. An index
-        y splits as h = y // s, t = y % s with s = p^(n-m) the tail width,
-        so x y = tail[head[x, h], t]: two gathers over N (p^ceil(n/2) +
-        p^floor(n/2)) entries in place of the N^2 of the full table."""
-        m = (self.n + 1) // 2
-        return self._word_table(0, m), self._word_table(m, self.n)
+    def product_tables(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(table, s) per block of consecutive pc generators g_lo..g_(hi-1):
+        table = _word_table(lo, hi) and s = p^(n-hi). Once y is reduced mod
+        p^(n-lo), its digits in that block are h = y // s, so x y is one
+        gather per block, first block first: x = table[x, h], y = y mod s.
+
+        The block width b follows from N = p^n:
+          N <= EXHAUSTIVE_AUDIT_ORDER: one block, the full table itself,
+            which the audit and the oracle read anyway (N^2 entries);
+          N <= FULL_TABLE_ORDER: b = ceil(n/2), two half tables of
+            N (p^ceil(n/2) + p^floor(n/2)) entries in all;
+          above: b = 1, one table x -> x g_k^e per generator, N p n entries
+            in all, p/2 times the size of gen_tables."""
+        n = self.n
+        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
+            return ((self.full_mult_table, 1),)
+        b = (n + 1) // 2 if self.order <= FULL_TABLE_ORDER else 1
+        blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
+        return tuple((self._word_table(lo, hi), self.p ** (n - hi)) for lo, hi in blocks)
 
     @cached_property
     def is_abelian(self) -> bool:

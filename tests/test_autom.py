@@ -315,8 +315,14 @@ MUTATION_KINDS = [
 
 
 def test_certificate_mutations_all_caught(H3, M27):
+    """Every mutation kind is caught at order 27 and in each product range:
+    the dense table (243), two half tables (729) and one table per
+    generator (6561)."""
+    groups = [H3, M27] + [
+        catalog.parse_group_spec(s) for s in ("extraspecial:3", "d:3,3", "d:3,3+cyclic:3,2")
+    ]
     caught = 0
-    for G in (H3, M27):
+    for G in groups:
         cert, _ = construct_noninner(G)
         assert verify_certificate(G, cert) == []
         for kind in MUTATION_KINDS:
@@ -325,7 +331,7 @@ def test_certificate_mutations_all_caught(H3, M27):
             failures = verify_certificate(G, mutated)
             assert failures, f"mutation {kind} on {G.name} was not caught"
             caught += 1
-    assert caught >= 10
+    assert caught == len(groups) * len(MUTATION_KINDS)
     # one tampered image that breaks a power relation and no other (M27
     # has exponent p^2; in H3 every element satisfies x^p = 1)
     cert, _ = construct_noninner(M27)

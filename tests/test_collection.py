@@ -4,6 +4,7 @@ gather-derived tables, element arithmetic, the table relation check and
 homomorphism arithmetic against independent arithmetic."""
 
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_relation_check_by_tables_matches_symbolic(data):
     assert verdict == _symbolic_verdict(G, images)
 
 
-def test_relation_check_above_full_table_order_stays_symbolic():
+def test_relation_check_above_full_table_order():
     G = catalog.parse_group_spec("d:3,3+cyclic:3,2")
     assert G.order > FULL_TABLE_ORDER
     images = [g.exps for g in G.gens]
@@ -267,19 +268,39 @@ def test_element_arithmetic_matches_symbolic(data):
     assert x.order() == order_exps(G, x.exps)
 
 
-HALF_TABLE_GROUPS = [G for G in GROUPS if G.order > EXHAUSTIVE_AUDIT_ORDER]
+ABOVE_FULL_TABLE = [catalog.parse_group_spec(s) for s in ("d:3,3+cyclic:3,2", "wreath:5")]
 
 
-def _half_widths(G):
-    """Column counts of the head and tail tables: p^ceil(n/2), p^floor(n/2)."""
-    return G.p ** ((G.n + 1) // 2), G.p ** (G.n // 2)
+def _block_widths(G):
+    """Generators per product table: all n up to order 243, ceil(n/2) then
+    floor(n/2) up to 4096, one each above."""
+    if G.order <= EXHAUSTIVE_AUDIT_ORDER:
+        return (G.n,)
+    if G.order <= FULL_TABLE_ORDER:
+        return ((G.n + 1) // 2, G.n // 2)
+    return (1,) * G.n
 
 
-@pytest.mark.parametrize("G", HALF_TABLE_GROUPS, ids=lambda G: G.name)
-def test_half_table_products_equal_the_full_table(G):
-    """Above order 243 products read two half tables; entry for entry they
-    give the dense table, through the array and the scalar product."""
-    assert tuple(t.shape[1] for t in G.half_tables) == _half_widths(G)
+def _check_blocks(G):
+    """Each table has p^b columns for its block of b generators; its stride
+    is p to the number of generators after the block."""
+    widths = _block_widths(G)
+    done = itertools.accumulate(widths)
+    assert [t.shape for t, _ in G.product_tables] == [(G.order, G.p**b) for b in widths]
+    assert [s for _, s in G.product_tables] == [G.p ** (G.n - d) for d in done]
+
+
+@pytest.mark.parametrize("G", GROUPS + ABOVE_FULL_TABLE, ids=lambda G: G.name)
+def test_product_tables_equal_the_full_table(G):
+    """Products read one table per block of generators. Up to order 243 the
+    one table is the dense table itself. Wherever a dense table can be
+    built (here up to 729), the array and the scalar product give it entry
+    for entry."""
+    _check_blocks(G)
+    if G.order <= EXHAUSTIVE_AUDIT_ORDER:
+        assert G.product_tables[0][0] is G.full_mult_table
+    if G.order > FULL_TABLE_ORDER:
+        return
     every = np.arange(G.order)
     full = G.full_mult_table
     assert np.array_equal(G.mult_indices(every[:, None], every[None, :]), full)
@@ -288,31 +309,35 @@ def test_half_table_products_equal_the_full_table(G):
         assert G.mult_index(int(a), int(b)) == full[a, b]
 
 
-HALF_TABLE_SYMBOLIC = [catalog.parse_group_spec(s) for s in ("extraspecial:3,3", "d:2,5+cyclic:5,2")]
+BLOCK_SYMBOLIC = [
+    catalog.parse_group_spec(s) for s in ("extraspecial:3,3", "d:2,5+cyclic:5,2")
+] + ABOVE_FULL_TABLE
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_half_table_products_match_symbolic(data):
-    """Orders 2187 and 3125, where no dense table is built: the half-table
-    product against the rewriting collector, scalar and as arrays."""
-    G = data.draw(st.sampled_from(HALF_TABLE_SYMBOLIC), label="group")
+def test_block_products_match_symbolic(data):
+    """Orders 2187 to 15625, where no dense table is built: the product
+    through two half tables (up to 4096) and through one table per
+    generator (above), against the rewriting collector, scalar and as
+    arrays."""
+    G = data.draw(st.sampled_from(BLOCK_SYMBOLIC), label="group")
     index = st.integers(0, G.order - 1)
     xs = data.draw(st.lists(index, min_size=1, max_size=4), label="x")
     ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)), label="y")
     want = [G.index_of(multiply_exps(G, G.exps_of(x), G.exps_of(y))) for x, y in zip(xs, ys)]
     assert [G.mult_index(x, y) for x, y in zip(xs, ys)] == want
     assert G.mult_indices(xs, ys).tolist() == want
-    assert tuple(t.shape[1] for t in G.half_tables) == _half_widths(G)
+    _check_blocks(G)
 
 
 def test_products_at_order_3125_build_no_full_table():
-    """The first product on a fresh group of order 3125 builds the half
+    """The first product on a fresh group of order 3125 builds two half
     tables, 3125 (5^3 + 5^2) int32 entries, about 1.79 MB, and not the
     37 MB dense table."""
     G = catalog.parse_group_spec("d:2,5+cyclic:5,2")
     assert (G.gen(0) * G.gen(1)).exps == multiply_exps(G, G.gen(0).exps, G.gen(1).exps)
     assert "full_mult_table" not in G.__dict__
-    size = sum(t.nbytes for t in G.half_tables)
+    size = sum(t.nbytes for t, _ in G.product_tables)
     assert size == 3125 * (5**3 + 5**2) * 4
     assert size <= 2 * 2**20
