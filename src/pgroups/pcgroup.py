@@ -392,12 +392,18 @@ class PcPresentation:
           N <= FULL_TABLE_ORDER: b = ceil(n/2), two half tables of
             N (p^ceil(n/2) + p^floor(n/2)) entries in all;
           above: b = 1, one table x -> x g_k^e per generator, N p n entries
-            in all, p/2 times the size of gen_tables."""
-        n = self.n
-        if self.order <= EXHAUSTIVE_AUDIT_ORDER:
+            in all, p/2 times the size of gen_tables.
+        No block width needs fewer entries than b = 1, so when N p n exceeds
+        FULL_TABLE_ORDER^2, the size of the largest dense table, the group
+        is refused (CapExceeded) before anything is allocated."""
+        N, n = self.order, self.n
+        if N <= EXHAUSTIVE_AUDIT_ORDER:
             return ((self.full_mult_table, 1),)
-        b = (n + 1) // 2 if self.order <= FULL_TABLE_ORDER else 1
+        b = (n + 1) // 2 if N <= FULL_TABLE_ORDER else 1
         blocks = [(lo, min(lo + b, n)) for lo in range(0, n, b)]
+        entries = sum(N * self.p ** (hi - lo) for lo, hi in blocks)
+        if entries > FULL_TABLE_ORDER**2:
+            raise CapExceeded("product tables", entries, FULL_TABLE_ORDER**2)
         return tuple((self._word_table(lo, hi), self.p ** (n - hi)) for lo, hi in blocks)
 
     @cached_property

@@ -247,6 +247,25 @@ def test_huge_prime_file_refused_quickly(tmp_path):
     assert json.loads(proc.stderr)["kind"] == "cap"
 
 
+def test_oversized_product_tables_refused_on_load():
+    """cyclic:997,2 is within the enumeration cap, but its product tables
+    would take 997^3 * 2 int32 entries (7.4 GiB). Loading the group for any
+    command refuses it before they are built (cap, exit 2)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    env.pop("PGROUP_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgroups.cli", "series", "--group", "cyclic:997,2"],
+        env=env,
+        capture_output=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "product tables: size 1982053946 exceeds cap 16777216",
+        "kind": "cap",
+    }
+
+
 @pytest.mark.parametrize("spec", ["cyclic:1000000000000000003", "cyclic:3,100000000"])
 def test_huge_cyclic_spec_refused_quickly(spec):
     """The spec's order is checked against the cap before m^k is computed,

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from pgroups import GroupHom, PcPresentation, catalog, direct_product
 from pgroups.deriv import derivation_from_vector, derivation_space
-from pgroups.errors import InputError
+from pgroups.errors import CapExceeded, InputError
 from pgroups.fpmod import conjugation_module
 from pgroups.pcgroup import (
     EXHAUSTIVE_AUDIT_ORDER,
@@ -329,6 +329,21 @@ def test_block_products_match_symbolic(data):
     assert [G.mult_index(x, y) for x, y in zip(xs, ys)] == want
     assert G.mult_indices(xs, ys).tolist() == want
     _check_blocks(G)
+
+
+@pytest.mark.parametrize("spec", ["elemab:3,12", "heisenberg:97", "cyclic:997,2"])
+def test_product_tables_refused_above_the_dense_table_size(spec):
+    """Above order 4096 the tables take N p n entries, the fewest any block
+    width allows. Where that exceeds FULL_TABLE_ORDER^2, the size of the
+    largest dense table, the group is refused before any table is built,
+    the generator tables included (cyclic:997,2 would ask for 7.4 GiB)."""
+    G = catalog.parse_group_spec(spec)
+    assert G.order <= G.enumeration_cap
+    with pytest.raises(CapExceeded) as refused:
+        G.mult_index(0, 1)
+    assert refused.value.size == G.order * G.p * G.n > FULL_TABLE_ORDER**2
+    assert refused.value.cap == FULL_TABLE_ORDER**2
+    assert "gen_tables" not in G.__dict__
 
 
 def test_products_at_order_3125_build_no_full_table():
