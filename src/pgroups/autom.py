@@ -21,7 +21,7 @@ from .deriv import (
     vanishing_subspace,
 )
 from .fpmod import FpModule, conjugation_module
-from .pcgroup import Element, GroupHom, PcPresentation, closure_indices, identity_endo
+from .pcgroup import Element, GroupHom, PcPresentation, identity_endo
 from .series import (
     Subgroup,
     center,
@@ -224,13 +224,13 @@ def verify_certificate(
     if scanned != G.order:
         failures.append("inner scan did not cover the group")  # pragma: no cover
     try:
-        fixed_members = closure_indices(
-            G, [G.index_of(tuple(int(v) % p for v in row)) for row in cert.fixed_subgroup_gens]
-        )
+        fixed = [Element(G, tuple(int(v) % p for v in row)) for row in cert.fixed_subgroup_gens]
     except Exception:
         failures.append("fixed_subgroup generators are malformed")
-        fixed_members = frozenset([0])
-    if any(phi.apply_index(x) != x for x in fixed_members):
+        fixed = []
+    # phi is a homomorphism, so it fixes the subgroup that the claimed
+    # generators generate pointwise exactly when it fixes each generator
+    if any(phi.apply(g) != g for g in fixed):
         failures.append("claimed fixed subgroup is not fixed pointwise")
     try:
         moved_el = Element(G, tuple(int(v) % p for v in cert.moved))
@@ -317,9 +317,7 @@ def _inner_keys(M: FpModule) -> set[bytes]:
     whose commutators with the generators all lie in the realized subgroup.
     """
     G = M.group
-    coords = np.full((G.order, M.dim), -1, dtype=np.int64)
-    for idx, vec in M.realization.encode_table:
-        coords[idx] = vec
+    coords = M.realization.coords
     xs = np.arange(G.order, dtype=np.int64)
     blocks = []
     for g in G.gens:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, DEFAULT_CAPS, InputError
-from .pcgroup import Element, GroupHom, PcPresentation, relator_pairs
+from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_witnesses, relator_pairs
 from .series import Subgroup, make_subgroup
 
 
@@ -26,31 +26,37 @@ from .series import Subgroup, make_subgroup
 class ModuleRealization:
     """Identification of a module with an elementary abelian normal subgroup.
 
-    basis[k] is the group element realizing the k-th basis vector; encode
-    maps element indices to coordinate tuples.
+    basis[k] is the group element realizing the k-th basis vector, and
+    span[t] is the index of b_1^c_1 ... b_m^c_m, where t reads the
+    coordinates c in base p (itertools.product order).
     """
 
     subgroup: Subgroup
     basis: tuple[Element, ...]
-    encode_table: tuple[tuple[int, tuple[int, ...]], ...]
+    span: tuple[int, ...]
 
     @cached_property
-    def _encode(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.encode_table)
+    def coords(self) -> np.ndarray:
+        """coords[x] = coordinates of the element with index x, -1 outside."""
+        G = self.subgroup.parent
+        out = np.full((G.order, len(self.basis)), -1, dtype=np.int64)
+        span, t = np.array(self.span), np.arange(len(self.span))
+        for k in reversed(range(len(self.basis))):
+            t, out[span, k] = np.divmod(t, G.p)
+        out.setflags(write=False)
+        return out
 
     def encode(self, x: Element) -> np.ndarray:
-        try:
-            return np.array(self._encode[x.index], dtype=np.int64)
-        except KeyError:
-            raise InputError("element is not in the realized subgroup") from None
+        if x.index not in self.subgroup:
+            raise InputError("element is not in the realized subgroup")
+        return self.coords[x.index].copy()
 
     def decode(self, vec: Sequence[int]) -> Element:
         G = self.subgroup.parent
-        out = G.identity
-        for b, c in zip(self.basis, vec):
-            if c % G.p:
-                out = out * (b ** int(c % G.p))
-        return out
+        t = 0
+        for c in vec:
+            t = t * G.p + int(c) % G.p
+        return Element(G, G.exps_of(self.span[t]))
 
 
 @dataclass(frozen=True)
@@ -207,17 +213,16 @@ def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_
     return FpModule(L, tuple(mats), labels=labels, check=False)
 
 
-def _span_encoding(G: PcPresentation, basis: Sequence[Element]) -> dict[int, tuple[int, ...]]:
-    """Index of b_1^c_1 ... b_m^c_m -> (c_1, ..., c_m), for every coordinate
-    tuple c over GF(p)."""
-    encode = {}
-    for coords in itertools.product(range(G.p), repeat=len(basis)):
-        el = G.identity
-        for b, c in zip(basis, coords):
-            if c:
-                el = el * (b ** c)
-        encode[el.index] = coords
-    return encode
+def _span(G: PcPresentation, basis: Sequence[Element]) -> tuple[int, ...]:
+    """span[t] = index of b_1^c_1 ... b_m^c_m, where t reads the coordinate
+    tuple c over GF(p) in base p: one broadcast product per basis element."""
+    span = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        powers = [0]
+        for _ in range(1, G.p):
+            powers.append(G.mult_index(powers[-1], b.index))
+        span = G.mult_indices(span[:, None], np.array(powers)[None, :]).reshape(-1)
+    return tuple(span.tolist())
 
 
 def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
@@ -231,29 +236,16 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
         raise InputError("conjugation module needs an elementary abelian subgroup")
     if A.is_trivial:
         raise InputError("trivial subgroup carries no useful module")
-    basis_idx: list[int] = []
-    from .pcgroup import closure_indices
-
-    span = frozenset([0])
-    for x in sorted(A.members):
-        if x not in span:
-            basis_idx.append(x)
-            span = closure_indices(G, basis_idx)
+    basis_idx = greedy_witnesses(G, A.members)
     basis = tuple(Element(G, G.exps_of(i)) for i in basis_idx)
-    encode = _span_encoding(G, basis)
-    if len(encode) != len(A.members):
+    span = _span(G, basis)
+    if len(set(span)) != A.order:
         raise InputError("basis does not coordinatize the subgroup")  # pragma: no cover
-    mats = []
-    for i in range(G.n):
-        g = G.gen(i)
-        rows = []
-        for b in basis:
-            rows.append(encode[b.conj(g).index])
-        mats.append(tuple(tuple(int(v) for v in row) for row in rows))
-    realization = ModuleRealization(
-        subgroup=A, basis=basis, encode_table=tuple(sorted(encode.items()))
-    )
-    return FpModule(G, tuple(mats), realization=realization)
+    realization = ModuleRealization(subgroup=A, basis=basis, span=span)
+    # row k of generator i's matrix: coordinates of b_k^(g_i)
+    conj = realization.coords[conjugates(G, basis_idx)]
+    mats = tuple(tuple(map(tuple, conj[:, i].tolist())) for i in range(G.n))
+    return FpModule(G, mats, realization=realization)
 
 
 def pullback_module(M: FpModule, pi: GroupHom) -> FpModule:
@@ -287,9 +279,8 @@ def submodule_as_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray
     realization = None
     if M.realization is not None:
         sub_basis = tuple(M.realization.decode(row) for row in b)
-        encode = _span_encoding(M.group, sub_basis)
-        sub = make_subgroup(M.group, set(encode))
-        realization = ModuleRealization(sub, sub_basis, tuple(sorted(encode.items())))
+        span = _span(M.group, sub_basis)
+        realization = ModuleRealization(make_subgroup(M.group, span), sub_basis, span)
     return FpModule(M.group, tuple(mats), realization=realization, check=False), b
 
 

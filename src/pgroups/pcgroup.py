@@ -788,27 +788,35 @@ def closure_indices(pres: PcPresentation, seed: Iterable[int]) -> frozenset[int]
     return frozenset(np.flatnonzero(member).tolist())
 
 
+def conjugates(pres: PcPresentation, members: Iterable[int]) -> np.ndarray:
+    """conj[k, i] = index of g_i^-1 x g_i for the k-th given index x: every
+    member conjugated by every pc generator, one gather per product."""
+    mem = np.fromiter(members, dtype=np.int64)
+    gens = np.array([g.index for g in pres.gens])
+    return pres.mult_indices(pres.mult_indices(pres.inv_table[gens], mem[:, None]), gens)
+
+
 def is_normal_indices(pres: PcPresentation, members: frozenset[int]) -> bool:
     """Whether a subgroup, given by its member indices, is normal: every
-    member conjugated by every pc generator, g^-1 x g, stays inside."""
-    mem = np.fromiter(members, dtype=np.int64, count=len(members))
+    conjugate of a member by a pc generator stays inside."""
     inside = np.zeros(pres.order, dtype=bool)
-    inside[mem] = True
-    gens = np.array([g.index for g in pres.gens])
-    conj = pres.mult_indices(pres.mult_indices(pres.inv_table[gens], mem[:, None]), gens)
-    return bool(inside[conj].all())
+    inside[list(members)] = True
+    return bool(inside[conjugates(pres, members)].all())
 
 
-def greedy_witnesses(pres: PcPresentation, members: frozenset[int]) -> tuple[int, ...]:
-    """Deterministic small generating set: greedy scan in index order. Each
-    witness lies outside the closure of those before it, so there are at
-    most n, and their closure covers the members."""
+def greedy_witnesses(
+    pres: PcPresentation, members: frozenset[int], base: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """Deterministic small generating set of the members over the subgroup
+    generated by `base`: greedy scan in index order. Each witness lies
+    outside the closure of the base and the witnesses before it, so there
+    are at most n, and with the base they generate the members."""
     gens: list[int] = []
-    have: frozenset[int] = frozenset([0])
+    have = closure_indices(pres, base)
     for x in sorted(members):
         if x not in have:
             gens.append(x)
-            have = closure_indices(pres, gens)
+            have = closure_indices(pres, (*base, *gens))
             if have == members:
                 break
     return tuple(gens)
@@ -910,15 +918,11 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     if not is_normal_indices(pres, members):
         raise InputError("subgroup is not normal")
     # canonical coset representative: minimal index in x * N
-    rep = {}
-    members_sorted = sorted(members)
-    for x in range(pres.order):
-        if x in rep:
-            continue
-        coset = sorted(pres.mult_index(x, nmem) for nmem in members_sorted)
-        r = coset[0]
-        for y in coset:
-            rep[y] = r
+    every = np.arange(pres.order)
+    rep = every
+    for m in members:
+        rep = np.minimum(rep, pres.mult_indices(every, m))
+    rep = rep.tolist()
 
     def qmult(a, b):
         return rep[pres.mult_index(a, b)]

@@ -21,6 +21,7 @@ from .pcgroup import (
     Element,
     PcPresentation,
     closure_indices,
+    conjugates,
     greedy_witnesses,
     is_normal_indices,
 )
@@ -117,8 +118,7 @@ class Subgroup:
     def is_elementary_abelian(self) -> bool:
         if not self.is_abelian:
             return False
-        pw = self.parent.power_p_table
-        return all(pw[x] == 0 for x in self.members)
+        return not self.parent.power_p_table[list(self.members)].any()
 
     def gens_json(self) -> list[list[int]]:
         return [list(self.parent.exps_of(g)) for g in self.gens]
@@ -150,9 +150,11 @@ def whole_group(G: PcPresentation) -> Subgroup:
     return make_subgroup(G, range(G.order))
 
 
-def _centralizing(G: PcPresentation, gens: Iterable[int]) -> list[int]:
-    """Indices of the elements that commute with every given element."""
-    xs = np.arange(G.order)
+def _centralizing(G: PcPresentation, gens: Iterable[int], xs: np.ndarray | None = None) -> list[int]:
+    """Indices of the elements (of xs, all when None) that commute with
+    every given element."""
+    if xs is None:
+        xs = np.arange(G.order)
     for g in gens:
         xs = xs[G.mult_indices(xs, g) == G.mult_indices(g, xs)]
     return xs.tolist()
@@ -176,18 +178,12 @@ def centralizer(G: PcPresentation, S: Subgroup) -> Subgroup:
 
 @_per_group
 def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
-    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
-    current = set(closure_indices(G, seed))
-    while True:
-        extra = set()
-        for x in current:
-            for g in gens:
-                y = G.conj_index(x, g)
-                if y not in current:
-                    extra.add(y)
-        if not extra:
-            break
-        current = set(closure_indices(G, frozenset(current | extra)))
+    """Close the seed, then add the conjugates of its generating witnesses
+    by the pc generators, until the closure is normal."""
+    current = closure_indices(G, seed)
+    while not is_normal_indices(G, current):
+        gens = greedy_witnesses(G, current)
+        current = closure_indices(G, gens + tuple(conjugates(G, gens).ravel().tolist()))
     return make_subgroup(G, current)
 
 
@@ -273,8 +269,8 @@ def omega1(G: PcPresentation, A: Subgroup) -> Subgroup:
     """Omega_1(A) for abelian A: elements of order dividing p."""
     if not A.is_abelian:
         raise InputError("omega1 is only provided for abelian subgroups")
-    pw = G.power_p_table
-    return make_subgroup(G, [x for x in A.members if pw[x] == 0])
+    mem = np.fromiter(A.members, dtype=np.int64)
+    return make_subgroup(G, mem[G.power_p_table[mem] == 0].tolist())
 
 
 @_per_group
@@ -309,27 +305,24 @@ def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
     order-p elements in index order and keeps every extension that stays
     elementary abelian and normal."""
     A = omega1(G, center(G))
-    gens = [G.index_of(G.gen(i).exps) for i in range(G.n)]
-    pw = G.power_p_table
+    order_p = np.flatnonzero(G.element_orders == G.p)
     changed = True
     while changed:
-        changed = False
-        for x in range(1, G.order):
-            if x in A.members:
-                continue
-            if int(G.element_orders[x]) != G.p:
-                continue
-            if any(
-                G.mult_index(x, a) != G.mult_index(a, x) for a in A.gens
-            ):
-                continue
-            cand = closure_indices(G, tuple(A.gens) + (x,))
-            if any(pw[y] != 0 for y in cand):
-                continue
-            if any(G.conj_index(y, g) not in cand for y in cand for g in gens):
-                continue
-            A = make_subgroup(G, cand)
-            changed = True
+        changed, after = False, 0
+        while after is not None:
+            # A has grown at `after`: the rest of the pass scans the order-p
+            # elements past it that commute with the new A
+            xs = _centralizing(G, A.gens, order_p[order_p > after])
+            after = None
+            for x in xs:
+                if x in A.members:
+                    continue
+                cand = closure_indices(G, A.gens + (x,))
+                if G.power_p_table[list(cand)].any() or not is_normal_indices(G, cand):
+                    continue
+                A = make_subgroup(G, cand)
+                changed, after = True, x
+                break
     return A
 
 
@@ -373,16 +366,9 @@ def refine_chain(G: PcPresentation) -> SubgroupChain:
     current = phi
     while current.members != bottom.members:
         # greedy lex basis of current over bottom
-        basis: list[int] = []
-        span = bottom.members
-        for x in sorted(current.members):
-            if x not in span:
-                basis.append(x)
-                span = closure_indices(G, tuple(bottom.gens) + tuple(basis))
+        basis = greedy_witnesses(G, current.members, bottom.gens)
         pivot = basis[0]
-        nxt = make_subgroup(
-            G, closure_indices(G, tuple(bottom.gens) + tuple(basis[1:]))
-        )
+        nxt = make_subgroup(G, closure_indices(G, bottom.gens + basis[1:]))
         links.append(nxt)
         pivots.append(pivot)
         current = nxt

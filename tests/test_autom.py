@@ -35,7 +35,7 @@ from pgroups import (
 )
 from pgroups import autom
 from pgroups.deriv import derivation_from_vector, vanishing_subspace
-from pgroups.pcgroup import relator_pairs
+from pgroups.pcgroup import PcPresentation, relator_pairs
 from pgroups.series import hypothesis_report
 
 from .models import reference_collect
@@ -267,6 +267,28 @@ def test_constructive_certificate_fixes_claimed_subgroup(W3):
     assert phi.apply(moved) != moved
 
 
+@pytest.mark.parametrize("spec", ["wreath:5", "extraspecial:3,4"])
+def test_pipeline_makes_few_scalar_products(spec, monkeypatch):
+    """construct_noninner and one verify_certificate read whole subgroups
+    through array gathers: the scalar products left are per generator and
+    per relator, fewer than 2,000 on these groups of order 15625 and 19683.
+    A conj_index or Element loop over the members of a subgroup makes tens
+    of thousands here."""
+    G = catalog.parse_group_spec(spec)
+    scalar = PcPresentation.mult_index
+    calls = 0
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return scalar(self, a, b)
+
+    monkeypatch.setattr(PcPresentation, "mult_index", counting)
+    cert, _ = construct_noninner(G)
+    assert verify_certificate(G, cert) == []
+    assert calls < 2000, calls
+
+
 def _mutate(cert: NonInnerCertificate, kind: str, G) -> NonInnerCertificate:
     from dataclasses import replace
 
@@ -293,6 +315,9 @@ def _mutate(cert: NonInnerCertificate, kind: str, G) -> NonInnerCertificate:
         return replace(cert, order=G.p * G.p)
     if kind == "fixed_subgroup_moved":
         return replace(cert, fixed_subgroup_gens=(cert.moved,))
+    if kind == "fixed_subgroup_short_row":
+        # read as a shorter base-p number, the row would name another element
+        return replace(cert, fixed_subgroup_gens=((0,) * (G.n - 1),))
     if kind == "moved_witness_identity":
         return replace(cert, moved=(0,) * G.n)
     if kind == "images_malformed":
@@ -309,6 +334,7 @@ MUTATION_KINDS = [
     "order_one",
     "order_psquared",
     "fixed_subgroup_moved",
+    "fixed_subgroup_short_row",
     "moved_witness_identity",
     "images_malformed",
 ]

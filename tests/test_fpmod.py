@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ from pgroups import (
     trivial_module,
     whole_group,
 )
+from pgroups.series import greedy_elementary_abelian_normal
+
+from .test_series import SCAN_GROUPS
 
 
 def test_regular_module_basics(C3, C33):
@@ -134,16 +139,29 @@ def test_quotient_module_dims(C33):
     assert fixed_points(Q).dim == 2
 
 
-def test_conjugation_module_realization(H3):
-    Z = omega1(H3, center(H3))
-    M = conjugation_module(H3, Z)
-    assert M.dim == 1
-    real = M.realization
-    c = H3.gen(2)
-    assert tuple(real.encode(c)) == (1,)
-    assert real.decode((2,)) == c * c
-    with pytest.raises(InputError):
-        conjugation_module(H3, whole_group(H3))
+@pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.name)
+def test_conjugation_module_realization(G):
+    """On Omega_1(Z(G)) and the greedy elementary abelian normal subgroup:
+    decode inverts encode on every member, encode refuses the rest, and
+    span lists the products of basis powers in itertools.product order."""
+    for A in (omega1(G, center(G)), greedy_elementary_abelian_normal(G)):
+        real = conjugation_module(G, A).realization
+        for x in A.elements:
+            assert real.decode(real.encode(x)) == x
+        outside = min(set(range(G.order)) - A.members, default=None)
+        if outside is not None:
+            with pytest.raises(InputError):
+                real.encode(G.element(G.exps_of(outside)))
+        span = []
+        for coeffs in itertools.product(range(G.p), repeat=len(real.basis)):
+            el = G.identity
+            for b, c in zip(real.basis, coeffs):
+                el = el * b**c
+            span.append(el.index)
+        assert real.span == tuple(span)
+    if not whole_group(G).is_elementary_abelian:
+        with pytest.raises(InputError):
+            conjugation_module(G, whole_group(G))
 
 
 def test_pullback_module(H3):

@@ -11,13 +11,24 @@ from pgroups import (
     gamma3_agemo,
     hypothesis_report,
     lower_central,
+    make_subgroup,
     min_generators,
+    normal_closure,
     omega1,
     refine_chain,
     subgroup_generated,
     trivial_subgroup,
     upper_central,
     whole_group,
+)
+from pgroups.pcgroup import closure_indices
+from pgroups.series import greedy_elementary_abelian_normal
+
+# p = 3 and p = 5 to order 729, and two groups above the half-table range
+SCAN_GROUPS = (
+    catalog.default_catalog(3, max_order=729)
+    + catalog.default_catalog(5, max_order=729)
+    + [catalog.parse_group_spec(s) for s in ("d:3,3+cyclic:3,2", "wreath:5")]
 )
 
 
@@ -159,3 +170,61 @@ def test_series_memo_dies_with_its_group():
     del G
     gc.collect()
     assert ref() is None
+
+
+def _normal_closure_by_conj_index(G, seed):
+    """Scalar reference: while some conjugate g^-1 x g of a member x by a pc
+    generator g lies outside, add the least such to the seed and close."""
+    gens, seed = [g.index for g in G.gens], list(seed)
+    while True:
+        current = closure_indices(G, seed)
+        outside = {G.conj_index(x, g) for x in current for g in gens} - current
+        if not outside:
+            return current
+        seed.append(min(outside))
+
+
+@pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.name)
+def test_normal_closure_matches_scalar_reference(G):
+    """Seeds: each pc generator, the product of them all, and the
+    commutators of pairs of pc generators (the seed of gamma_2)."""
+    gens = [g.index for g in G.gens]
+    seeds = [{g} for g in gens] + [{G.index_of((1,) * G.n)}]
+    seeds.append({G.comm_index(a, b) for a in gens for b in gens})
+    for seed in seeds:
+        got = normal_closure(G, frozenset(seed))
+        assert got.members == _normal_closure_by_conj_index(G, seed), seed
+        assert got.is_normal
+
+
+def _greedy_by_element_loop(G):
+    """Scalar reference: every pass scans the indices in order and keeps an
+    order-p x when x commutes with A's witnesses and <A, x> is elementary
+    abelian and closed under conjugation by the pc generators."""
+    pw = G.power_p_table
+    A = make_subgroup(G, [x for x in center(G).members if pw[x] == 0])
+    gens = [g.index for g in G.gens]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(1, G.order):
+            if x in A.members or int(G.element_orders[x]) != G.p:
+                continue
+            if any(G.mult_index(x, a) != G.mult_index(a, x) for a in A.gens):
+                continue
+            cand = closure_indices(G, A.gens + (x,))
+            if any(pw[y] for y in cand):
+                continue
+            if any(G.conj_index(y, g) not in cand for y in cand for g in gens):
+                continue
+            A = make_subgroup(G, cand)
+            changed = True
+    return A
+
+
+@pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.name)
+def test_greedy_elementary_abelian_normal_matches_scalar_reference(G):
+    A = greedy_elementary_abelian_normal(G)
+    want = _greedy_by_element_loop(G)
+    assert (A.members, A.gens) == (want.members, want.gens)
+    assert omega1(G, center(G)).members <= A.members
