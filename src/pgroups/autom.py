@@ -9,7 +9,8 @@ evidence only: re-verification uses nothing but group arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from . import gflinalg as la
@@ -18,6 +19,7 @@ from .deriv import (
     Derivation,
     derivation_from_vector,
     derivation_space,
+    satisfies_cocycle,
     vanishing_subspace,
 )
 from .fpmod import FpModule, conjugation_module
@@ -141,8 +143,7 @@ def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
 # -- certificates -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonInnerCertificate:
+class NonInnerCertificate(NamedTuple):
     """Automorphism of order p with re-checkable non-innerness evidence."""
 
     group_name: str
@@ -253,8 +254,7 @@ PATH_HYP = "oracle-fallback (hypothesis fails)"
 PATH_EXHAUSTED = "oracle-fallback (construction exhausted)"
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Decision trail of construct_noninner."""
 
     group_name: str
@@ -364,34 +364,42 @@ def _scan_classes(
     into M as generator-value vectors), and how many combinations were
     tried.
 
-    All the combinations are screened at once, before any map is built:
-    those that induce an inner map by their keys (`_inner_keys`), then
-    those whose map is not an automorphism of order p by the linear test
-    of `_order_p_screen`. Both screens are exact, and a combination that
-    sums to zero induces the identity, which is inner. So the first
-    survivor is a certificate: its map is non-inner of order p, fixes
-    `fixed` (the derivations vanish on it) and moves the first pc
-    generator with d(g) != 0. `verify_certificate` still proves it, and
-    a failure there raises VerificationFailed.
+    The combinations are screened in chunks of 1, 2, 4, ... up to the
+    first chunk that holds a survivor, before any map is built: those that
+    induce an inner map by their keys (`_inner_keys`), then those whose map
+    is not an automorphism of order p by the linear test of
+    `_order_p_screen`. Both screens are exact, and a combination that sums
+    to zero induces the identity, which is inner. So the first survivor is
+    a certificate: its map is non-inner of order p, fixes `fixed` (the
+    derivations vanish on it) and moves the first pc generator with
+    d(g) != 0. `verify_certificate` still proves it, and a failure there
+    raises VerificationFailed.
     """
-    G = M.group
+    G, p = M.group, M.p
     # the cocycle relations are linear, so once every row satisfies them,
     # every combination does; the certificate is still checked below
-    derivs = [derivation_from_vector(G, M, row, check=True) for row in reps]
+    if not satisfies_cocycle(M, la.asmod(reps, p).reshape(len(reps), G.n, M.dim)).all():
+        raise InputError("generator images violate the cocycle relations")
+    derivs = [derivation_from_vector(G, M, row) for row in reps]
     if not derivs:
         return None, 0
-    coeffs = _coefficients(len(derivs), G.p, limit)
-    vecs = (coeffs @ reps) % G.p
+    coeffs = _coefficients(len(derivs), p, limit)
     inner = _inner_keys(M)
-    keep = np.array([vec.tobytes() not in inner for vec in vecs], dtype=bool)
-    keep[keep] = _order_p_screen(M, derivs, coeffs[keep], vecs[keep])
-    tried = len(vecs)
-    if not keep.any():
-        return None, tried
-    first = int(np.argmax(keep))
-    delta = derivation_from_vector(G, M, vecs[first], check=True)
-    moved = next(g for g in G.gens if delta.evaluate(g).any())
-    return _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence), first + 1
+    start, size = 0, 1
+    while start < len(coeffs):
+        chunk = coeffs[start : start + size]
+        vecs = (chunk @ reps) % p
+        keep = np.array([vec.tobytes() not in inner for vec in vecs], dtype=bool)
+        if keep.any():
+            keep[keep] = _order_p_screen(M, derivs, chunk[keep], vecs[keep])
+        if keep.any():
+            first = int(np.argmax(keep))
+            delta = derivation_from_vector(G, M, vecs[first], check=True)
+            moved = next(g for g in G.gens if delta.evaluate(g).any())
+            cert = _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence)
+            return cert, start + first + 1
+        start, size = start + size, 2 * size
+    return None, len(coeffs)
 
 
 def _targets(G: PcPresentation, hyp):

@@ -10,7 +10,6 @@ cap; the oracle cap is never raised above its default.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -73,7 +72,7 @@ def _load_group(args, caps: Caps) -> PcPresentation:
     else:
         raise InputError("need --group or --file")
     if pres.enumeration_cap != caps.enumeration:
-        pres = dataclasses.replace(pres, enumeration_cap=caps.enumeration)
+        pres = PcPresentation(pres.p, pres.power_rhs, pres.comm_rhs, pres.name, caps.enumeration)
     if pres.order > caps.enumeration:
         raise CapExceeded("group order", pres.order, caps.enumeration)
     pres.audit()

@@ -14,7 +14,6 @@ inflation, which is injective).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -32,24 +31,44 @@ from .pcgroup import Element, GroupHom, PcPresentation, relator_pairs, subgroup_
 from .series import Subgroup, frattini
 
 
-@dataclass(frozen=True)
+def word_values(M: FpModule, images: np.ndarray, word) -> np.ndarray:
+    """d(word) for each stack images[t] of generator values, shape (k, n,
+    dim): the cocycle rule d(x g) = d(x)^g + d(g), letter by letter, on
+    all k stacks at once. One row of d(word) per stack."""
+    p, mats = M.p, M.mats
+    val = la.zeros((len(images), M.dim))
+    for g, e in word:
+        for _ in range(e):
+            val = (val @ mats[g] + images[:, g]) % p
+    return val
+
+
+def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
+    """Whether each stack images[t] of generator values (shape (k, n, dim))
+    respects every defining relation of M's group under the cocycle rule,
+    that is, defines a derivation into M."""
+    ok = np.ones(len(images), dtype=bool)
+    for lhs, rhs in relator_pairs(M.group):
+        ok &= (word_values(M, images, lhs) == word_values(M, images, rhs)).all(axis=1)
+        if not ok.any():
+            break
+    return ok
+
+
 class Derivation:
     """Derivation determined by one module vector per pc generator."""
 
-    group: PcPresentation
-    module: FpModule
-    gen_images: tuple  # tuple of coordinate tuples
-    check: bool = True
-
-    def __post_init__(self):
-        if self.module.group != self.group:
+    def __init__(self, group: PcPresentation, module: FpModule, gen_images: tuple, check: bool = True):
+        # gen_images: tuple of coordinate tuples
+        self.group, self.module, self.gen_images, self.check = group, module, gen_images, check
+        if module.group != group:
             raise InputError("module is over a different group")
-        if len(self.gen_images) != self.group.n:
+        if len(gen_images) != group.n:
             raise InputError("need one image per pc generator")
-        for v in self.gen_images:
-            if len(v) != self.module.dim:
+        for v in gen_images:
+            if len(v) != module.dim:
                 raise InputError("image vector has wrong dimension")
-        if self.check and not self.satisfies_relations():
+        if check and not self.satisfies_relations():
             raise InputError("generator images violate the cocycle relations")
 
     @cached_property
@@ -57,18 +76,7 @@ class Derivation:
         return la.asmod(np.array(self.gen_images, dtype=np.int64), self.module.p)
 
     def satisfies_relations(self) -> bool:
-        for lhs, rhs in relator_pairs(self.group):
-            if not np.array_equal(self._eval_word(lhs), self._eval_word(rhs)):
-                return False
-        return True
-
-    def _eval_word(self, word) -> np.ndarray:
-        p = self.module.p
-        val = la.zeros(self.module.dim)
-        for g, e in word:
-            for _ in range(e):
-                val = (val @ self.module.mats[g] + self._images[g]) % p
-        return val
+        return bool(satisfies_cocycle(self.module, self._images[None])[0])
 
     def __call__(self, x: Element) -> np.ndarray:
         return self.evaluate(x)
@@ -76,7 +84,8 @@ class Derivation:
     def evaluate(self, x: Element) -> np.ndarray:
         if x.pres != self.group:
             raise InputError("element from a different group")
-        return self._eval_word([(i, e) for i, e in enumerate(x.exps) if e])
+        word = [(i, e) for i, e in enumerate(x.exps) if e]
+        return word_values(self.module, self._images[None], word)[0]
 
     @property
     def is_zero(self) -> bool:
@@ -139,15 +148,15 @@ def _word_coefficients(G: PcPresentation, M: FpModule, word) -> list[np.ndarray]
     return coeff
 
 
-@dataclass(frozen=True)
 class CohomologySpace:
-    """Der(G, M) with its inner subspace and chosen H^1 representatives."""
+    """Der(G, M) with its inner subspace and chosen H^1 representatives.
 
-    group: PcPresentation
-    module: FpModule
-    der_matrix: tuple       # rows: basis of Der as flattened image vectors
-    ider_matrix: tuple      # rows: basis of Ider
-    h1_matrix: tuple        # rows: coset representatives extending Ider
+    The matrices are tuples of rows: a basis of Der as flattened image
+    vectors, a basis of Ider, and coset representatives extending Ider."""
+
+    def __init__(self, group: PcPresentation, module: FpModule, der_matrix, ider_matrix, h1_matrix):
+        self.group, self.module = group, module
+        self.der_matrix, self.ider_matrix, self.h1_matrix = der_matrix, ider_matrix, h1_matrix
 
     @cached_property
     def der_array(self) -> np.ndarray:
@@ -217,7 +226,7 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
     for lhs, rhs in relator_pairs(G):
         cl = _word_coefficients(G, M, lhs)
         cr = _word_coefficients(G, M, rhs)
-        block = np.vstack([np.hstack([(cl[g] - cr[g]) % p]) for g in range(G.n)])
+        block = np.vstack([(cl[g] - cr[g]) % p for g in range(G.n)])
         # block has shape (n*d, d): unknown row-vector u (len n*d) times block = 0
         blocks.append(block.reshape(G.n * d, d))
     system = np.hstack(blocks) if blocks else la.zeros((G.n * d, 0))

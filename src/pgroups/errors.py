@@ -1,9 +1,10 @@
-"""Exception types and size caps shared across the library."""
+"""Exception types, size caps and the immutable value base shared across
+the library."""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PGroupError(Exception):
@@ -48,8 +49,7 @@ class VerificationFailed(PGroupError):
     """A certificate or internal cross-check failed re-verification."""
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Size limits. Operations refuse (raise CapExceeded) above these.
 
     enumeration: max group order for element enumeration and scans.
@@ -66,3 +66,20 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+
+class Frozen:
+    """Base of the immutable values: __init__ sets the fields through
+    vars(self), assigning an attribute afterwards raises, and instances are
+    equal and hash alike when their `_key()` tuples are equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._key() == other._key())
+
+    def __hash__(self):
+        return hash(self._key())

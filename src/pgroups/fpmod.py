@@ -10,20 +10,18 @@ vectors and group elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import gflinalg as la
-from .errors import CapExceeded, DEFAULT_CAPS, InputError
+from .errors import CapExceeded, DEFAULT_CAPS, Frozen, InputError
 from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_witnesses, relator_pairs
 from .series import Subgroup, make_subgroup
 
 
-@dataclass(frozen=True)
-class ModuleRealization:
+class ModuleRealization(Frozen):
     """Identification of a module with an elementary abelian normal subgroup.
 
     basis[k] is the group element realizing the k-th basis vector, and
@@ -31,9 +29,11 @@ class ModuleRealization:
     coordinates c in base p (itertools.product order).
     """
 
-    subgroup: Subgroup
-    basis: tuple[Element, ...]
-    span: tuple[int, ...]
+    def __init__(self, subgroup: Subgroup, basis: tuple[Element, ...], span: tuple[int, ...]):
+        vars(self).update(subgroup=subgroup, basis=basis, span=span)
+
+    def _key(self) -> tuple:
+        return (self.subgroup, self.basis, self.span)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -59,29 +59,32 @@ class ModuleRealization:
         return Element(G, G.exps_of(self.span[t]))
 
 
-@dataclass(frozen=True)
-class FpModule:
+class FpModule(Frozen):
     """Finite-dimensional right GF(p)(L)-module given by generator matrices."""
 
-    group: PcPresentation
-    action: tuple  # one (dim x dim) int tuple-of-tuples per pc generator
-    labels: tuple[str, ...] = ()
-    realization: ModuleRealization | None = None
-    check: bool = True
-
-    def __post_init__(self):
-        n = self.group.n
-        if len(self.action) != n:
+    def __init__(
+        self,
+        group: PcPresentation,
+        action: tuple,  # one (dim x dim) int tuple-of-tuples per pc generator
+        labels: tuple[str, ...] = (),
+        realization: ModuleRealization | None = None,
+        check: bool = True,
+    ):
+        vars(self).update(group=group, action=action, labels=labels, realization=realization, check=check)
+        if len(action) != group.n:
             raise InputError("need one action matrix per pc generator")
         d = self.dim
-        for a in self.action:
+        for a in action:
             m = np.array(a, dtype=np.int64)
             if m.shape != (d, d):
                 raise InputError("action matrices must be square of equal size")
             if not la.det_nonzero(m, self.p):
                 raise InputError("action matrix is singular")
-        if self.check and not self.relations_hold():
+        if check and not self.relations_hold():
             raise InputError("action matrices violate the group relations")
+
+    def _key(self) -> tuple:
+        return (self.group, self.action, self.labels, self.realization, self.check)
 
     @property
     def p(self) -> int:
@@ -109,7 +112,8 @@ class FpModule:
     def _word_matrix(self, word) -> np.ndarray:
         acc = la.eye(self.dim)
         for g, e in word:
-            acc = (acc @ la.mat_pow(self.mats[g], e, self.p)) % self.p
+            m = self.mats[g] if e == 1 else la.mat_pow(self.mats[g], e, self.p)
+            acc = (acc @ m) % self.p
         return acc
 
     def action_of(self, x: Element) -> np.ndarray:
@@ -140,18 +144,15 @@ class FpModule:
         return f"FpModule(dim={self.dim} over {self.group.name or 'G'})"
 
 
-@dataclass(frozen=True)
 class Submodule:
-    module: FpModule
-    basis: tuple  # echelonized rows, tuple-of-tuples
-
-    def __post_init__(self):
+    def __init__(self, module: FpModule, basis: tuple):  # echelonized rows, tuple-of-tuples
+        self.module, self.basis = module, basis
         b = self.basis_array
         if b.size == 0:
             return
-        p = self.module.p
+        p = module.p
         r0 = la.rank(b, p)
-        for m in self.module.mats:
+        for m in module.mats:
             if la.rank(np.vstack([b, (b @ m) % p]), p) != r0:
                 raise InputError("subspace is not action-stable")
 
@@ -177,8 +178,7 @@ def _echelon_submodule(M: FpModule, rows) -> Submodule:
     return Submodule(M, tuple(tuple(int(v) for v in r) for r in basis))
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Increasing socle-style layers (and radical layers when applicable)."""
 
     module: FpModule

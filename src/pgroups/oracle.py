@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,8 +115,7 @@ def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[in
     return len(closure_indices(H, idxs)) == H.order
 
 
-@dataclass(frozen=True)
-class AutEnumeration:
+class AutEnumeration(NamedTuple):
     """Complete list of automorphisms with an order histogram."""
 
     group: PcPresentation

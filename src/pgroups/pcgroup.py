@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DEFAULT_CAPS, InputError, json_int
+from .errors import CapExceeded, DEFAULT_CAPS, Frozen, InputError, json_int
 
 Word = Sequence[tuple[int, int]]
 
@@ -70,8 +69,7 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PcPresentation:
+class PcPresentation(Frozen):
     """Weighted power-commutator presentation of a group of order p^n.
 
     power_rhs[i] is the exponent vector of g_i^p; commutators are stored
@@ -79,30 +77,42 @@ class PcPresentation:
     (0-based), omitted pairs commute.
     """
 
-    p: int
-    power_rhs: tuple[tuple[int, ...], ...]
-    comm_rhs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    name: str = ""
-    enumeration_cap: int = DEFAULT_CAPS.enumeration
-
-    def __post_init__(self):
-        if self.p >= PRIME_LIMIT:
-            raise InputError(f"p = {self.p} is too large: primes are decided below {PRIME_LIMIT}")
-        if not _is_odd_prime(self.p):
-            raise InputError(f"p must be an odd prime, got {self.p}")
-        n = len(self.power_rhs)
+    def __init__(
+        self,
+        p: int,
+        power_rhs: tuple[tuple[int, ...], ...],
+        comm_rhs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...],
+        name: str = "",
+        enumeration_cap: int = DEFAULT_CAPS.enumeration,
+    ):
+        vars(self).update(
+            p=p, power_rhs=power_rhs, comm_rhs=comm_rhs, name=name, enumeration_cap=enumeration_cap
+        )
+        if p >= PRIME_LIMIT:
+            raise InputError(f"p = {p} is too large: primes are decided below {PRIME_LIMIT}")
+        if not _is_odd_prime(p):
+            raise InputError(f"p must be an odd prime, got {p}")
+        n = len(power_rhs)
         if n == 0:
             raise InputError("need at least one generator")
-        for i, rhs in enumerate(self.power_rhs):
+        for i, rhs in enumerate(power_rhs):
             self._check_rhs(rhs, strictly_above=i, what=f"power_rhs[{i}]")
         seen = set()
-        for (j, i), rhs in self.comm_rhs:
+        for (j, i), rhs in comm_rhs:
             if not (0 <= i < j < n):
                 raise InputError(f"bad commutator key ({j},{i})")
             if (j, i) in seen:
                 raise InputError(f"duplicate commutator key ({j},{i})")
             seen.add((j, i))
             self._check_rhs(rhs, strictly_above=j, what=f"comm_rhs[{j},{i}]")
+
+    def _key(self) -> tuple:
+        return (self.p, self.power_rhs, self.comm_rhs, self.name, self.enumeration_cap)
+
+    def __reduce__(self):
+        # pickled by its defining fields: the tables and the series memo are
+        # rebuilt on demand
+        return PcPresentation, self._key()
 
     def _check_rhs(self, rhs: tuple[int, ...], strictly_above: int, what: str):
         if len(rhs) != self.n:
@@ -294,18 +304,21 @@ class PcPresentation:
         return cur
 
     def mult_index(self, a: int, b: int) -> int:
-        for table, s in self.product_tables:
+        *head, (last, _) = self.product_tables
+        for table, s in head:
             h, b = divmod(b, s)
             a = table.item(a, h)
-        return a
+        return last.item(a, b)
 
     def mult_indices(self, a, b) -> np.ndarray:
         """Elementwise products a[t] * b[t] of index arrays (broadcast), one
-        gather per product table."""
-        for table, s in self.product_tables:
+        gather per product table. The last block has s = 1: its digits are
+        what is left of b."""
+        *head, (last, _) = self.product_tables
+        for table, s in head:
             h, b = np.divmod(b, s)
             a = table[a, h]
-        return a
+        return last[a, b]
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -489,18 +502,18 @@ class PcPresentation:
         return f"PcPresentation({self.name or 'unnamed'}, p={self.p}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """Group element in normal form, immutable."""
 
-    pres: PcPresentation
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exps) != self.pres.n:
+    def __init__(self, pres: PcPresentation, exps: tuple[int, ...]):
+        if len(exps) != pres.n:
             raise InputError("exponent vector has wrong length")
-        if any(not 0 <= e < self.pres.p for e in self.exps):
+        if min(exps) < 0 or max(exps) >= pres.p:
             raise InputError("exponents out of range")
+        vars(self).update(pres=pres, exps=exps)
+
+    def _key(self) -> tuple:
+        return (self.pres, self.exps)
 
     def _same(self, other: "Element"):
         if self.pres != other.pres:
@@ -627,18 +640,13 @@ def images_respect_relations(
     )
 
 
-@dataclass(frozen=True, init=False)
-class GroupHom:
+class GroupHom(Frozen):
     """Homomorphism given by the images of the source pc generators, kept
     as target element indices; an endomorphism has source == target.
 
     The constructor takes the images as Elements and checks every defining
     relation of the source. `compose` and `power` skip that check: a
     composite of homomorphisms is one."""
-
-    source: PcPresentation
-    target: PcPresentation
-    image_indices: tuple[int, ...]
 
     def __init__(self, source: PcPresentation, target: PcPresentation, images: Sequence[Element]):
         if len(images) != source.n:
@@ -656,6 +664,9 @@ class GroupHom:
         hom = object.__new__(cls)
         vars(hom).update(source=source, target=target, image_indices=tuple(image_indices))
         return hom
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.image_indices)
 
     @property
     def images(self) -> tuple[Element, ...]:
@@ -804,13 +815,15 @@ def is_normal_indices(pres: PcPresentation, members: frozenset[int]) -> bool:
     return bool(inside[conjugates(pres, members)].all())
 
 
-def greedy_witnesses(
-    pres: PcPresentation, members: frozenset[int], base: Sequence[int] = ()
-) -> tuple[int, ...]:
+def greedy_closure(
+    pres: PcPresentation, members: Iterable[int], base: Sequence[int] = ()
+) -> tuple[tuple[int, ...], frozenset[int]]:
     """Deterministic small generating set of the members over the subgroup
-    generated by `base`: greedy scan in index order. Each witness lies
-    outside the closure of the base and the witnesses before it, so there
-    are at most n, and with the base they generate the members."""
+    generated by `base`, with the closure it reaches: greedy scan in index
+    order. Each witness lies outside the closure of the base and the
+    witnesses before it, so there are at most n. The closure holds every
+    member, and it equals the members exactly when they form a subgroup
+    containing the base."""
     gens: list[int] = []
     have = closure_indices(pres, base)
     for x in sorted(members):
@@ -819,14 +832,20 @@ def greedy_witnesses(
             have = closure_indices(pres, (*base, *gens))
             if have == members:
                 break
-    return tuple(gens)
+    return tuple(gens), have
+
+
+def greedy_witnesses(
+    pres: PcPresentation, members: frozenset[int], base: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """The witnesses of `greedy_closure`."""
+    return greedy_closure(pres, members, base)[0]
 
 
 def _require_subgroup(pres: PcPresentation, members: frozenset[int]):
-    # The witnesses lie in the set and their closure covers it, so they
-    # generate exactly the set iff it is a subgroup (identity included).
-    # Closing n witnesses, not the whole set, keeps this at O(n |G|) memory.
-    if closure_indices(pres, greedy_witnesses(pres, members)) != members:
+    # Closing at most n witnesses, not the whole set, keeps this at
+    # O(n |G|) memory.
+    if greedy_closure(pres, members)[1] != members:
         raise InputError("set is not a subgroup")
 
 

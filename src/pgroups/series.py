@@ -9,19 +9,19 @@ kept on the group object, so the results die with the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import gflinalg as la
-from .errors import InputError
+from .errors import Frozen, InputError
 from .pcgroup import (
     Element,
     PcPresentation,
     closure_indices,
     conjugates,
+    greedy_closure,
     greedy_witnesses,
     is_normal_indices,
 )
@@ -54,24 +54,33 @@ def release_series(G: PcPresentation) -> None:
     G.__dict__.pop("_series_memo", None)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup as a closed element-index set plus generator witnesses."""
+class Subgroup(Frozen):
+    """Subgroup as a closed element-index set plus generator witnesses.
 
-    parent: PcPresentation
-    members: frozenset[int]
-    gens: tuple[int, ...]
+    Without witnesses, the greedy witnesses of the members are taken
+    (`greedy_closure`). Either way the set is refused unless the closure
+    of the witnesses is the set: the closure is a subgroup of the finite
+    group, so equality also makes the members closed under products and
+    inverses."""
 
-    def __post_init__(self):
-        if 0 not in self.members:
+    def __init__(
+        self, parent: PcPresentation, members: frozenset[int], gens: Sequence[int] | None = None
+    ):
+        if 0 not in members:
             raise InputError("subgroup must contain the identity")
-        for g in self.gens:
-            if g not in self.members:
-                raise InputError("generator witness outside the subgroup")
-        # the closure of the witnesses is a subgroup of the finite group, so
-        # equality also makes the members closed under products and inverses
-        if closure_indices(self.parent, self.gens) != self.members:
+        if gens is None:
+            gens, closure = greedy_closure(parent, members)
+        else:
+            for g in gens:
+                if g not in members:
+                    raise InputError("generator witness outside the subgroup")
+            closure = closure_indices(parent, gens)
+        if closure != members:
             raise InputError("witnesses do not generate the member set")
+        vars(self).update(parent=parent, members=members, gens=tuple(gens))
+
+    def _key(self) -> tuple:
+        return (self.parent, self.members, self.gens)
 
     @property
     def order(self) -> int:
@@ -128,8 +137,7 @@ class Subgroup:
 
 
 def make_subgroup(G: PcPresentation, members: Iterable[int]) -> Subgroup:
-    mem = frozenset(int(m) for m in members) | {0}
-    return Subgroup(G, mem, greedy_witnesses(G, mem))
+    return Subgroup(G, frozenset(int(m) for m in members) | {0})
 
 
 def subgroup_generated(G: PcPresentation, seed: Iterable) -> Subgroup:
@@ -228,7 +236,9 @@ def upper_central(G: PcPresentation, i: int) -> Subgroup:
 def agemo(G: PcPresentation) -> Subgroup:
     """G^p, generated by all p-th powers."""
     G._require_enumerable("agemo")
-    return make_subgroup(G, closure_indices(G, set(G.power_p_table.tolist())))
+    # the closure of the greedy witnesses of the p-th powers, not of the
+    # powers themselves: each closure then starts from at most n seeds
+    return make_subgroup(G, greedy_closure(G, set(G.power_p_table.tolist()))[1])
 
 
 @_per_group
@@ -326,27 +336,23 @@ def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
     return A
 
 
-@dataclass(frozen=True)
 class SubgroupChain:
     """Chain Phi(G) = P_0 >= P_1 >= ... >= P_T = gamma_3(G) G^p with
     index-p steps; pivots[i] is the element generating P_i over P_{i+1}."""
 
-    group: PcPresentation
-    links: tuple[Subgroup, ...]
-    pivots: tuple[int, ...]
+    def __init__(self, group: PcPresentation, links: tuple[Subgroup, ...], pivots: tuple[int, ...]):
+        p = group.p
+        for a, b in zip(links, links[1:]):
+            if not b < a or a.order != p * b.order:
+                raise InputError("chain steps must have index p")
+        for link in links:
+            if not link.is_normal:
+                raise InputError("chain links must be normal in G")
+        self.group, self.links, self.pivots = group, links, pivots
 
     @property
     def T(self) -> int:
         return len(self.links) - 1
-
-    def __post_init__(self):
-        p = self.group.p
-        for a, b in zip(self.links, self.links[1:]):
-            if not b < a or a.order != p * b.order:
-                raise InputError("chain steps must have index p")
-        for link in self.links:
-            if not link.is_normal:
-                raise InputError("chain links must be normal in G")
 
 
 @_per_group
@@ -375,8 +381,7 @@ def refine_chain(G: PcPresentation) -> SubgroupChain:
     return SubgroupChain(G, tuple(links), tuple(pivots))
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Containment facts steering the non-inner construction, with witnesses
     (an element of the left side outside the right side) where containment
     fails."""

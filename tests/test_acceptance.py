@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +230,7 @@ def test_criterion_10_certificate_integrity():
 
     G = catalog.heisenberg(3)
     cert, _ = construct_noninner(G)
-    bad = replace(cert, order=1)
+    bad = cert._replace(order=1)
     with pytest.raises(VerificationFailed):
         cli_mod.emit_certificate(G, bad, pretty=False, caps=Caps())
     original = cli_mod.construct_noninner

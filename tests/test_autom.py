@@ -33,8 +33,9 @@ from pgroups import (
     order_via_formula,
     verify_certificate,
 )
+import pgroups.gflinalg as la
 from pgroups import autom
-from pgroups.deriv import derivation_from_vector, vanishing_subspace
+from pgroups.deriv import derivation_from_vector, satisfies_cocycle, vanishing_subspace
 from pgroups.pcgroup import PcPresentation, relator_pairs
 from pgroups.series import hypothesis_report
 
@@ -290,38 +291,36 @@ def test_pipeline_makes_few_scalar_products(spec, monkeypatch):
 
 
 def _mutate(cert: NonInnerCertificate, kind: str, G) -> NonInnerCertificate:
-    from dataclasses import replace
-
     if kind == "forced_image_bump":
         # the image of the last pc generator is forced by the relations of
         # the earlier images; any change breaks the endomorphism check
         rows = [list(r) for r in cert.gen_images]
         rows[-1][-1] = (rows[-1][-1] + 1) % G.p
-        return replace(cert, gen_images=tuple(tuple(r) for r in rows))
+        return cert._replace(gen_images=tuple(tuple(r) for r in rows))
     if kind == "forced_image_bump2":
         rows = [list(r) for r in cert.gen_images]
         rows[-1][-1] = (rows[-1][-1] + 2) % G.p
-        return replace(cert, gen_images=tuple(tuple(r) for r in rows))
+        return cert._replace(gen_images=tuple(tuple(r) for r in rows))
     if kind == "images_inner":
         x = G.gen(0)
-        return replace(cert, gen_images=tuple(g.conj(x).exps for g in G.gens))
+        return cert._replace(gen_images=tuple(g.conj(x).exps for g in G.gens))
     if kind == "images_identity":
-        return replace(cert, gen_images=tuple(g.exps for g in G.gens))
+        return cert._replace(gen_images=tuple(g.exps for g in G.gens))
     if kind == "images_collapse":
-        return replace(cert, gen_images=tuple(G.identity_exps for _ in range(G.n)))
+        return cert._replace(gen_images=tuple(G.identity_exps for _ in range(G.n)))
     if kind == "order_one":
-        return replace(cert, order=1)
+        return cert._replace(order=1)
     if kind == "order_psquared":
-        return replace(cert, order=G.p * G.p)
+        return cert._replace(order=G.p * G.p)
     if kind == "fixed_subgroup_moved":
-        return replace(cert, fixed_subgroup_gens=(cert.moved,))
+        return cert._replace(fixed_subgroup_gens=(cert.moved,))
     if kind == "fixed_subgroup_short_row":
         # read as a shorter base-p number, the row would name another element
-        return replace(cert, fixed_subgroup_gens=((0,) * (G.n - 1),))
+        return cert._replace(fixed_subgroup_gens=((0,) * (G.n - 1),))
     if kind == "moved_witness_identity":
-        return replace(cert, moved=(0,) * G.n)
+        return cert._replace(moved=(0,) * G.n)
     if kind == "images_malformed":
-        return replace(cert, gen_images=cert.gen_images[:-1])
+        return cert._replace(gen_images=cert.gen_images[:-1])
     raise AssertionError(kind)
 
 
@@ -376,8 +375,6 @@ def _break_only_a_power_relation(cert, G):
     """First single-image change, in generator then index order, after which
     every commutator relation still holds and some power relation fails,
     judged by the rewriting collector."""
-    from dataclasses import replace
-
     relators = relator_pairs(G)
     powers, comms = relators[: G.n], relators[G.n :]
 
@@ -393,7 +390,7 @@ def _break_only_a_power_relation(cert, G):
                 continue
             images[k] = y
             if holds(images, comms) and not holds(images, powers):
-                return replace(cert, gen_images=tuple(images))
+                return cert._replace(gen_images=tuple(images))
     raise AssertionError("no image breaks only a power relation")
 
 
@@ -458,6 +455,40 @@ def _branch_targets():
             if basis.shape[0]:
                 targets.append((M, basis))
     return tuple(targets)
+
+
+def test_batched_cocycle_check_matches_one_row_check():
+    """satisfies_cocycle on a stack of rows gives each row the verdict of
+    the one-row Derivation.satisfies_relations, and of membership in the
+    solved Der(G, M), on every target. The rows are drawn as combinations
+    of the Der basis and as arbitrary vectors, so both verdicts occur."""
+    verdicts = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def batched_matches(data):
+        M, _ = data.draw(st.sampled_from(_branch_targets()), label="target")
+        G, p = M.group, M.p
+        der = derivation_space(G, M).der_array
+        width = G.n * M.dim
+
+        def digits(k):
+            return st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+
+        row = st.one_of(
+            digits(der.shape[0]).map(lambda c: np.array(c, dtype=np.int64) @ der % p),
+            digits(width).map(lambda v: np.array(v, dtype=np.int64)),
+        )
+        rows = np.array(data.draw(st.lists(row, min_size=1, max_size=8), label="rows"))
+        batched = satisfies_cocycle(M, rows.reshape(len(rows), G.n, M.dim))
+        assert batched.shape == (len(rows),)
+        for verdict, vec in zip(batched, rows):
+            assert verdict == derivation_from_vector(G, M, vec).satisfies_relations()
+            assert verdict == la.in_rowspace(vec, der, p)
+            verdicts.add(bool(verdict))
+
+    batched_matches()
+    assert verdicts == {True, False}
 
 
 def test_order_p_screen_is_exact():

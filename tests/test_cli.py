@@ -372,15 +372,13 @@ def test_pretty_flag(capsys):
 
 def test_tampered_certificate_exit5(capsys):
     """The emit guard refuses certificates that fail re-verification."""
-    from dataclasses import replace
-
     from pgroups import construct_noninner
     from pgroups.cli import emit_certificate
     from pgroups.errors import Caps, VerificationFailed
 
     G = catalog.heisenberg(3)
     cert, _ = construct_noninner(G)
-    bad = replace(cert, order=1)
+    bad = cert._replace(order=1)
     with pytest.raises(VerificationFailed):
         emit_certificate(G, bad, pretty=False, caps=Caps())
     # through main(): simulate by monkeypatching construct_noninner

@@ -21,8 +21,8 @@ from pgroups import (
     upper_central,
     whole_group,
 )
-from pgroups.pcgroup import closure_indices
-from pgroups.series import greedy_elementary_abelian_normal
+from pgroups.pcgroup import closure_indices, greedy_witnesses
+from pgroups.series import Subgroup, greedy_elementary_abelian_normal
 
 # p = 3 and p = 5 to order 729, and two groups above the half-table range
 SCAN_GROUPS = (
@@ -108,6 +108,41 @@ def test_subgroup_closure_audit(H3):
         Subgroup(H3, frozenset([0, a, 2 * a, b, 2 * b]), (a, b))
     with pytest.raises(InputError):
         Subgroup(H3, frozenset([1, 2]), (1,))  # missing the identity
+
+
+@pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.name)
+def test_subgroup_without_witnesses_takes_the_greedy_ones(G):
+    """Subgroup(G, members) takes exactly greedy_witnesses(G, members)."""
+    subgroups = (center(G), frattini(G), lower_central(G, 2), agemo(G), whole_group(G))
+    for S in subgroups:
+        built = Subgroup(G, S.members)
+        assert built.gens == greedy_witnesses(G, S.members)
+        assert built == S
+
+
+def test_subgroup_without_witnesses_refuses_a_non_subgroup(H3):
+    a, b = H3.gen(0).index, H3.gen(1).index
+    with pytest.raises(InputError, match="do not generate"):
+        Subgroup(H3, frozenset([0, a]))  # lacks a^-1
+    with pytest.raises(InputError, match="do not generate"):
+        Subgroup(H3, frozenset([0, a, 2 * a, b, 2 * b]))  # lacks a b
+    with pytest.raises(InputError, match="identity"):
+        Subgroup(H3, frozenset([a, 2 * a]))
+
+
+AGEMO_GROUPS = (
+    catalog.default_catalog(3, max_order=729)
+    + catalog.default_catalog(5, max_order=729)
+    + [catalog.parse_group_spec(s) for s in ("cyclic:3,8", "cyclic:5,6")]
+)
+
+
+@pytest.mark.parametrize("G", AGEMO_GROUPS, ids=lambda G: G.name)
+def test_agemo_is_the_closure_of_every_pth_power(G):
+    powers = set(G.power_p_table.tolist())
+    gp = agemo(G)
+    assert gp.members == closure_indices(G, powers)
+    assert gp.gens == greedy_witnesses(G, gp.members)
 
 
 def test_refine_chain_heisenberg(H3):

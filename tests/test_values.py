@@ -1,0 +1,78 @@
+"""The library's value classes are plain classes: no module of pgroups
+defines a dataclass or imports `dataclasses`, and the immutable values
+compare, hash, refuse assignment and pickle by value."""
+
+import dataclasses
+import importlib
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pgroups
+from pgroups import catalog, center, conjugation_module, construct_noninner, omega1
+from pgroups.errors import Caps
+from pgroups.pcgroup import Element
+from pgroups.series import make_subgroup
+
+MODULES = ("errors", "pcgroup", "catalog", "gflinalg", "series", "fpmod", "deriv", "autom", "oracle", "cli")
+
+
+def test_no_class_in_pgroups_is_a_dataclass():
+    classes = []
+    for name in MODULES:
+        mod = importlib.import_module(f"pgroups.{name}")
+        classes += [c for _, c in inspect.getmembers(mod, inspect.isclass) if c.__module__ == mod.__name__]
+    assert len(classes) >= 16
+    assert not [c for c in classes if dataclasses.is_dataclass(c)]
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pgroups.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _values():
+    """(value, an equal value built separately, a different value, a field
+    to assign), by class name."""
+    G, G2 = catalog.heisenberg(3), catalog.heisenberg(3)
+    other = catalog.wreath_cyclic(3)
+    z = center(G)
+    cert, _ = construct_noninner(G)
+    cert2, _ = construct_noninner(G2)
+    return {
+        "PcPresentation": (G, G2, other, "p"),
+        "Element": (G.gen(0), Element(G2, (1, 0, 0)), G.gen(1), "exps"),
+        "Subgroup": (z, make_subgroup(G2, z.members), make_subgroup(G, range(G.order)), "members"),
+        "FpModule": (
+            conjugation_module(G, omega1(G, z)),
+            conjugation_module(G2, omega1(G2, center(G2))),
+            conjugation_module(other, omega1(other, center(other))),
+            "action",
+        ),
+        "Caps": (Caps(), Caps(enumeration=10**6), Caps(enumeration=27), "oracle"),
+        "NonInnerCertificate": (cert, cert2, cert._replace(order=1), "order"),
+    }
+
+
+VALUES = _values()
+
+
+@pytest.mark.parametrize("value, equal, different, field", list(VALUES.values()), ids=list(VALUES))
+def test_value_semantics(value, equal, different, field):
+    assert value is not equal
+    assert value == equal and hash(value) == hash(equal)
+    assert value != different
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(different, field))
+    assert getattr(value, field) == getattr(equal, field)
+    assert pickle.loads(pickle.dumps(value)) == value
