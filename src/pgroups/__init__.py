@@ -87,11 +87,9 @@ from .deriv import (
     CohomologySpace,
     Derivation,
     central_restriction_check,
-    der_dim_vanishing_on,
     derivation_space,
     derivation_with_values,
     derivation_power_map,
-    h1_dimension,
     inflate,
     inner_derivation,
     is_cr,

@@ -19,11 +19,12 @@ from .deriv import (
     Derivation,
     derivation_from_vector,
     derivation_space,
+    derivation_values,
     satisfies_cocycle,
     vanishing_subspace,
 )
 from .fpmod import FpModule, conjugation_module
-from .pcgroup import Element, GroupHom, PcPresentation, identity_endo
+from .pcgroup import Element, GroupHom, PcPresentation
 from .series import (
     Subgroup,
     center,
@@ -39,7 +40,8 @@ from .series import (
 def inner_of(x: Element) -> GroupHom:
     """Conjugation g -> x^-1 g x."""
     G = x.pres
-    return GroupHom(G, G, tuple(g.conj(x) for g in G.gens))
+    images = G.mult_indices(G.mult_indices(G.inv_table[x.index], np.array(G.gen_indices)), x.index)
+    return GroupHom._checked(G, G, images)
 
 
 def induce(delta: Derivation) -> GroupHom:
@@ -48,11 +50,8 @@ def induce(delta: Derivation) -> GroupHom:
     if M.realization is None:
         raise InputError("inducing needs a module realized inside the group")
     G = delta.group
-    imgs = []
-    for i in range(G.n):
-        g = G.gen(i)
-        imgs.append(g * M.realization.decode(delta.evaluate(g)))
-    return GroupHom(G, G, tuple(imgs))
+    values = M.realization.element_indices(delta.gen_images)
+    return GroupHom._checked(G, G, G.mult_indices(np.array(G.gen_indices), values))
 
 
 def order_of(phi: GroupHom) -> int:
@@ -60,7 +59,7 @@ def order_of(phi: GroupHom) -> int:
     if not phi.is_automorphism:
         raise InputError("order is defined for automorphisms")
     G = phi.source
-    ident = identity_endo(G).image_indices
+    ident = G.gen_indices
     cur = phi.image_indices
     k = 1
     bound = 8 * G.order
@@ -133,8 +132,8 @@ def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
         raise InputError("inner scan above the enumeration cap")
     # candidates x with g^x = phi(g), narrowed one generator at a time
     xs = np.arange(G.order)
-    for g, t in zip(G.gens, phi.image_indices):
-        xs = xs[G.mult_indices(G.mult_indices(G.inv_table[xs], g.index), xs) == t]
+    for g, t in zip(G.gen_indices, phi.image_indices):
+        xs = xs[G.mult_indices(G.mult_indices(G.inv_table[xs], g), xs) == t]
     if xs.size:
         return Element(G, G.exps_of(xs[0])), G.order
     return None, G.order
@@ -200,14 +199,16 @@ def verify_certificate(
     failures (empty means the certificate is valid)."""
     failures: list[str] = []
     p = G.p
+    # exponent rows are refused unless they have n entries in 0..p-1, not
+    # reduced: an out-of-range digit would read as another element's index
     try:
-        images = tuple(Element(G, tuple(int(v) % p for v in row)) for row in cert.gen_images)
-    except Exception:
+        images = [Element(G, tuple(int(v) for v in row)).index for row in cert.gen_images]
+    except (InputError, TypeError, ValueError):
         return ["gen_images are not well-formed elements"]
     if len(images) != G.n:
         return ["wrong number of generator images"]
     try:
-        phi = GroupHom(G, G, images)
+        phi = GroupHom._checked(G, G, images)
     except InputError:
         return ["images do not define an endomorphism"]
     if not phi.is_automorphism:
@@ -225,19 +226,19 @@ def verify_certificate(
     if scanned != G.order:
         failures.append("inner scan did not cover the group")  # pragma: no cover
     try:
-        fixed = [Element(G, tuple(int(v) % p for v in row)) for row in cert.fixed_subgroup_gens]
-    except Exception:
+        fixed = [Element(G, tuple(int(v) for v in row)).index for row in cert.fixed_subgroup_gens]
+    except (InputError, TypeError, ValueError):
         failures.append("fixed_subgroup generators are malformed")
         fixed = []
     # phi is a homomorphism, so it fixes the subgroup that the claimed
     # generators generate pointwise exactly when it fixes each generator
-    if any(phi.apply(g) != g for g in fixed):
+    if any(phi.apply_index(g) != g for g in fixed):
         failures.append("claimed fixed subgroup is not fixed pointwise")
     try:
-        moved_el = Element(G, tuple(int(v) % p for v in cert.moved))
-        if phi.apply(moved_el) == moved_el:
+        moved = Element(G, tuple(int(v) for v in cert.moved)).index
+        if phi.apply_index(moved) == moved:
             failures.append("claimed moved witness is fixed")
-    except Exception:
+    except (InputError, TypeError, ValueError):
         failures.append("moved witness is malformed")
     return failures
 
@@ -276,19 +277,20 @@ def _certificate_from(
     phi: GroupHom,
     path: str,
     fixed: Subgroup,
-    moved: Element,
+    moved: int,
     caps: Caps,
     evidence: dict,
 ) -> NonInnerCertificate:
-    """The certificate for a map that is known to qualify, proved by
-    `verify_certificate`; raises VerificationFailed if it finds a failure."""
+    """The certificate for a map that is known to qualify and moves the
+    element with index `moved`, proved by `verify_certificate`; raises
+    VerificationFailed if it finds a failure."""
     cert = NonInnerCertificate(
         group_name=G.name,
         path=path,
-        gen_images=tuple(img.exps for img in phi.images),
+        gen_images=tuple(G.exps_of(i) for i in phi.image_indices),
         order=G.p,
-        fixed_subgroup_gens=tuple(g.exps for g in fixed.gen_elements),
-        moved=moved.exps,
+        fixed_subgroup_gens=tuple(G.exps_of(g) for g in fixed.gens),
+        moved=G.exps_of(moved),
         inner_scan_count=G.order,
         evidence=tuple(sorted((str(k), str(v)) for k, v in evidence.items())),
     )
@@ -317,21 +319,20 @@ def _inner_keys(M: FpModule) -> set[bytes]:
     whose commutators with the generators all lie in the realized subgroup.
     """
     G = M.group
-    coords = M.realization.coords
-    xs = np.arange(G.order, dtype=np.int64)
-    blocks = []
-    for g in G.gens:
-        g_inv_x_inv = G.mult_indices(G.inv_table[g.index], G.inv_table)
-        blocks.append(coords[G.mult_indices(g_inv_x_inv, G.mult_indices(g.index, xs))])
-    rows = np.concatenate(blocks, axis=1)
+    gens = np.array(G.gen_indices)
+    xs = np.arange(G.order, dtype=np.int64)[:, None]
+    g_inv_x_inv = G.mult_indices(G.inv_table[gens], G.inv_table[xs])
+    comms = G.mult_indices(g_inv_x_inv, G.mult_indices(gens, xs))
+    rows = M.realization.coords[comms].reshape(G.order, -1)
     return {row.tobytes() for row in rows[(rows >= 0).all(axis=1)]}
 
 
 def _order_p_screen(
-    M: FpModule, derivs: list[Derivation], coeffs: np.ndarray, vecs: np.ndarray
+    M: FpModule, reps: np.ndarray, coeffs: np.ndarray, vecs: np.ndarray
 ) -> np.ndarray:
-    """Whether each combination `coeffs @ derivs`, with generator-value
-    vectors `vecs`, induces an automorphism of order dividing p.
+    """Whether each combination `coeffs @ reps` of derivations, with
+    generator-value vectors `vecs`, induces an automorphism of order
+    dividing p.
 
     The realized subgroup A is elementary abelian and acts trivially on
     itself, so d restricted to A is a linear map L on M, with rows d(a_j)
@@ -342,7 +343,7 @@ def _order_p_screen(
     linear in the combination, so they are batched over all of them.
     """
     p = M.p
-    L_rep = np.array([[d.evaluate(a) for a in M.realization.basis] for d in derivs])
+    L_rep = derivation_values(M, reps, [a.exps for a in M.realization.basis])
     L = np.einsum("tr,rij->tij", coeffs, L_rep) % p
     D = vecs.reshape(len(vecs), M.group.n, M.dim)
     for _ in range(p - 1):
@@ -380,10 +381,9 @@ def _scan_classes(
     # every combination does; the certificate is still checked below
     if not satisfies_cocycle(M, la.asmod(reps, p).reshape(len(reps), G.n, M.dim)).all():
         raise InputError("generator images violate the cocycle relations")
-    derivs = [derivation_from_vector(G, M, row) for row in reps]
-    if not derivs:
+    if not len(reps):
         return None, 0
-    coeffs = _coefficients(len(derivs), p, limit)
+    coeffs = _coefficients(len(reps), p, limit)
     inner = _inner_keys(M)
     start, size = 0, 1
     while start < len(coeffs):
@@ -391,11 +391,11 @@ def _scan_classes(
         vecs = (chunk @ reps) % p
         keep = np.array([vec.tobytes() not in inner for vec in vecs], dtype=bool)
         if keep.any():
-            keep[keep] = _order_p_screen(M, derivs, chunk[keep], vecs[keep])
+            keep[keep] = _order_p_screen(M, reps, chunk[keep], vecs[keep])
         if keep.any():
             first = int(np.argmax(keep))
             delta = derivation_from_vector(G, M, vecs[first], check=True)
-            moved = next(g for g in G.gens if delta.evaluate(g).any())
+            moved = G.gen_indices[int(np.argmax(vecs[first].reshape(G.n, M.dim).any(axis=1)))]
             cert = _certificate_from(G, induce(delta), path, fixed, moved, caps, evidence)
             return cert, start + first + 1
         start, size = start + size, 2 * size
@@ -483,7 +483,7 @@ def construct_noninner(
         raise VerificationFailed(
             f"{G.name}: no non-inner automorphism of order p found by exhaustive search"
         )
-    moved = next(g for g in G.gens if phi.apply(g) != g)
+    moved = next(g for g, img in zip(G.gen_indices, phi.image_indices) if img != g)
     evidence = {"method": "exhaustive backtracking search"}
     cert = _certificate_from(G, phi, path, trivial_subgroup(G), moved, caps, evidence)
     trail.append(f"{path}, {evidence['method']}: certified")

@@ -27,7 +27,7 @@ from .fpmod import (
     pullback_module,
     twist_extend_raw,
 )
-from .pcgroup import Element, GroupHom, PcPresentation, relator_pairs, subgroup_presentation
+from .pcgroup import Element, GroupHom, PcPresentation, subgroup_presentation
 from .series import Subgroup, frattini
 
 
@@ -43,12 +43,23 @@ def word_values(M: FpModule, images: np.ndarray, word) -> np.ndarray:
     return val
 
 
+def derivation_values(M: FpModule, rows: np.ndarray, xs: Sequence[Sequence[int]]) -> np.ndarray:
+    """values[t, j] = d_t(x_j), shape (k, len(xs), dim), for the k
+    derivations into M with generator-value rows `rows` and the elements
+    with exponent tuples xs: one `word_values` call per element."""
+    images = np.asarray(rows).reshape(len(rows), M.group.n, M.dim)
+    values = la.zeros((len(rows), len(xs), M.dim))
+    for j, exps in enumerate(xs):
+        values[:, j] = word_values(M, images, enumerate(exps))
+    return values
+
+
 def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
     """Whether each stack images[t] of generator values (shape (k, n, dim))
     respects every defining relation of M's group under the cocycle rule,
     that is, defines a derivation into M."""
     ok = np.ones(len(images), dtype=bool)
-    for lhs, rhs in relator_pairs(M.group):
+    for lhs, rhs in M.group.relators:
         ok &= (word_values(M, images, lhs) == word_values(M, images, rhs)).all(axis=1)
         if not ok.any():
             break
@@ -84,8 +95,7 @@ class Derivation:
     def evaluate(self, x: Element) -> np.ndarray:
         if x.pres != self.group:
             raise InputError("element from a different group")
-        word = [(i, e) for i, e in enumerate(x.exps) if e]
-        return word_values(self.module, self._images[None], word)[0]
+        return derivation_values(self.module, self._images[None], [x.exps])[0, 0]
 
     @property
     def is_zero(self) -> bool:
@@ -223,7 +233,7 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
     p = M.p
     d = M.dim
     blocks = []
-    for lhs, rhs in relator_pairs(G):
+    for lhs, rhs in G.relators:
         cl = _word_coefficients(G, M, lhs)
         cr = _word_coefficients(G, M, rhs)
         block = np.vstack([(cl[g] - cr[g]) % p for g in range(G.n)])
@@ -252,19 +262,14 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
 def vanishing_subspace(space: CohomologySpace, elements: Sequence[Element]) -> np.ndarray:
     """Rows spanning {d in Der : d(x) = 0 for the given elements} (and hence
     on the subgroup they generate)."""
-    if not elements or not space.der_basis:
+    if not elements or not space.der_dim:
         return space.der_array
     p = space.module.p
-    rows = [np.concatenate([b.evaluate(x) for x in elements]) for b in space.der_basis]
-    coeff = la.left_nullspace(np.array(rows, dtype=np.int64), p)
+    values = derivation_values(space.module, space.der_array, [x.exps for x in elements])
+    coeff = la.left_nullspace(values.reshape(len(values), -1), p)
     if coeff.size == 0:
         return la.zeros((0, space.der_array.shape[1]))
     return la.row_basis((coeff @ space.der_array) % p, p)
-
-
-def der_dim_vanishing_on(space: CohomologySpace, S: Subgroup | Sequence[Element]) -> int:
-    gens = list(S.gen_elements) if isinstance(S, Subgroup) else list(S)
-    return vanishing_subspace(space, gens).shape[0]
 
 
 def derivation_with_values(
@@ -273,12 +278,10 @@ def derivation_with_values(
     """A derivation in the computed span taking the prescribed values, or
     None; values on non-minimal pc generators follow from the relations."""
     p = space.module.p
-    basis = space.der_basis
-    if not basis:
+    if not space.der_dim:
         return None
-    rows = np.array(
-        [np.concatenate([b.evaluate(x) for x, _ in pairs]) for b in basis], dtype=np.int64
-    )
+    values = derivation_values(space.module, space.der_array, [x.exps for x, _ in pairs])
+    rows = values.reshape(len(values), -1)
     target = np.concatenate([la.asmod(v, p).reshape(-1) for _, v in pairs])
     coeffs = la.solve_right(rows, target, p)
     if coeffs is None:
@@ -303,11 +306,6 @@ def quotient_h1_dims(
     der_dim = van.shape[0]
     ider_dim = ider_van.shape[0] if ider_van.size else 0
     return der_dim, ider_dim, der_dim - ider_dim
-
-
-def h1_dimension(G: PcPresentation, M: FpModule) -> int:
-    space = derivation_space(G, M)
-    return space.h1_dim
 
 
 # -- inflation / restriction ----------------------------------------------------
@@ -340,11 +338,10 @@ def restrict(delta: Derivation, H: Subgroup) -> tuple[Derivation, GroupHom]:
 def restriction_image_dim(space: CohomologySpace, H: Subgroup) -> int:
     """Dimension of the image of Der(G, M) under restriction to H (a
     restriction is determined by its values on generators of H)."""
-    gens = list(H.gen_elements)
-    if not gens or not space.der_basis:
+    if not H.gens or not space.der_dim:
         return 0
-    rows = [np.concatenate([b.evaluate(x) for x in gens]) for b in space.der_basis]
-    return la.rank(np.array(rows, dtype=np.int64), space.module.p)
+    values = derivation_values(space.module, space.der_array, [H.parent.exps_of(g) for g in H.gens])
+    return la.rank(values.reshape(len(values), -1), space.module.p)
 
 
 def central_restriction_check(delta: Derivation, L1: Subgroup) -> bool:
@@ -407,7 +404,7 @@ def is_cr(L: PcPresentation, M: FpModule) -> tuple[bool, dict]:
     exact dimensions and whether L is elementary abelian."""
     fixed_dim = fixed_points(M).dim
     space = derivation_space(L, M)
-    elem_ab = L.is_abelian and not L.power_p_table[[g.index for g in L.gens]].any()
+    elem_ab = L.is_abelian and not L.power_p_table[list(L.gen_indices)].any()
     verdict = fixed_dim == 1 and space.h1_dim <= 1
     return verdict, {
         "fixed_dim": fixed_dim,
@@ -468,8 +465,7 @@ def theta_cr_build(
     lifted: list[Derivation] = []
     for t in taus:
         # re-express tau inside the enlarged module (pad with zeros)
-        pad = [tuple(int(v) for v in t.evaluate(L.gen(i))) + (0,) * (current.dim - K.dim)
-               for i in range(L.n)]
+        pad = [row + (0,) * (current.dim - K.dim) for row in t.gen_images]
         tau_cur = Derivation(L, current, tuple(pad), check=True)
         lifted.append(tau_cur)
         current = twist_extend(current, tau_cur)

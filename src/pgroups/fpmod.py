@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, DEFAULT_CAPS, Frozen, InputError
-from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_witnesses, relator_pairs
+from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_witnesses
 from .series import Subgroup, make_subgroup
 
 
@@ -51,12 +51,16 @@ class ModuleRealization(Frozen):
             raise InputError("element is not in the realized subgroup")
         return self.coords[x.index].copy()
 
+    def element_indices(self, vecs) -> np.ndarray:
+        """Index of the element realizing each vector (the last axis holds
+        the coordinates, read mod p)."""
+        G = self.subgroup.parent
+        weights = G.p ** np.arange(len(self.basis) - 1, -1, -1)
+        return np.asarray(self.span)[la.asmod(vecs, G.p) @ weights]
+
     def decode(self, vec: Sequence[int]) -> Element:
         G = self.subgroup.parent
-        t = 0
-        for c in vec:
-            t = t * G.p + int(c) % G.p
-        return Element(G, G.exps_of(self.span[t]))
+        return Element(G, G.exps_of(self.element_indices(vec)))
 
 
 class FpModule(Frozen):
@@ -104,7 +108,7 @@ class FpModule(Frozen):
         return tuple(out)
 
     def relations_hold(self) -> bool:
-        for lhs, rhs in relator_pairs(self.group):
+        for lhs, rhs in self.group.relators:
             if not np.array_equal(self._word_matrix(lhs), self._word_matrix(rhs)):
                 return False
         return True

@@ -18,7 +18,13 @@ import numpy as np
 from .autom import construct_noninner, is_inner, order_of, verify_certificate
 from .errors import CapExceeded, Caps, DEFAULT_CAPS, OutOfScope, VerificationFailed
 from .fpmod import FpModule
-from .pcgroup import EXHAUSTIVE_AUDIT_ORDER, Element, GroupHom, PcPresentation
+from .pcgroup import (
+    EXHAUSTIVE_AUDIT_ORDER,
+    GroupHom,
+    PcPresentation,
+    closure_indices,
+    respects_relations,
+)
 from .series import center, release_series
 
 
@@ -72,12 +78,12 @@ def _iter_homomorphism_images(
     candidate_lists: list[list[int]] = []
     for k in range(n):
         if G == H:
-            own = G.index_of(G.gen(k).exps)
+            own = G.gen_indices[k]
             base = [own] + [x for x in range(order_h) if x != own]
         else:
             base = list(range(order_h))
         if require_order_divides:
-            gk_order = int(G.element_orders[G.index_of(G.gen(k).exps)])
+            gk_order = int(G.element_orders[G.gen_indices[k]])
             base = [x for x in base if gk_order % int(H.element_orders[x]) == 0]
         candidate_lists.append(base)
 
@@ -103,16 +109,8 @@ def _iter_homomorphism_images(
         descend = None
 
 
-def _hom_from_indices(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> GroupHom:
-    return GroupHom(G, H, tuple(Element(H, H.exps_of(i)) for i in idxs))
-
-
 def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> bool:
-    if G.order != H.order:
-        return False
-    from .pcgroup import closure_indices
-
-    return len(closure_indices(H, idxs)) == H.order
+    return G.order == H.order and len(closure_indices(H, idxs)) == H.order
 
 
 class AutEnumeration(NamedTuple):
@@ -142,14 +140,14 @@ def enumerate_automorphisms(
     """All automorphisms by relator-pruned backtracking, duplicate-free."""
     if G.order > caps.oracle:
         raise CapExceeded("automorphism enumeration", G.order, caps.oracle)
-    autos: list[GroupHom] = []
-    seen: set[tuple[int, ...]] = set()
-    for idxs in _iter_homomorphism_images(G, G):
-        if idxs in seen:
-            continue
-        seen.add(idxs)
-        if _is_bijective_images(G, G, idxs):
-            autos.append(_hom_from_indices(G, G, idxs))
+    found = [
+        idxs for idxs in dict.fromkeys(_iter_homomorphism_images(G, G))
+        if _is_bijective_images(G, G, idxs)
+    ]
+    # the backtracking's own relator checks are re-proved, all tuples at once
+    if not respects_relations(G, G, found).all():
+        raise VerificationFailed("backtracking returned images that break a relation")
+    autos = [GroupHom._composite(G, G, idxs) for idxs in found]
     z = center(G)
     inner = G.order // z.order
     hist: dict[int, int] = {}
@@ -185,7 +183,7 @@ def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Group
     for idxs in _iter_homomorphism_images(G, G):
         if not _is_bijective_images(G, G, idxs):
             continue
-        phi = _hom_from_indices(G, G, idxs)
+        phi = GroupHom._checked(G, G, idxs)
         if phi.is_identity:
             continue
         if not phi.power(p).is_identity:
@@ -201,7 +199,7 @@ def find_isomorphism(G: PcPresentation, H: PcPresentation):
         return None
     for idxs in _iter_homomorphism_images(G, H):
         if _is_bijective_images(G, H, idxs):
-            return _hom_from_indices(G, H, idxs)
+            return GroupHom._checked(G, H, idxs)
     return None
 
 
@@ -210,15 +208,13 @@ def enumerate_derivations_bruteforce(
 ) -> set[tuple[tuple[int, ...], ...]]:
     """All generator-image tuples satisfying every relation, by filtering
     the full p^(n*dim) candidate space through the cocycle law."""
-    from .pcgroup import relator_pairs
-
     p = G.p
     m = M.dim
     total = p ** (G.n * m)
     if total > caps.derivation_bruteforce:
         raise CapExceeded("derivation brute force", total, caps.derivation_bruteforce)
     mats = M.mats
-    relators = relator_pairs(G)
+    relators = G.relators
 
     def eval_word(images, word):
         val = np.zeros(m, dtype=np.int64)

@@ -141,6 +141,33 @@ class PcPresentation(Frozen):
         """Normal form of [g_j, g_i] for j > i."""
         return self._comm_dict.get((j, i), (0,) * self.n)
 
+    @cached_property
+    def relators(self) -> tuple[tuple[Word, Word], ...]:
+        """Defining relations as (left word, right word) pairs over 0-based
+        letters. Power: g_i^p = power_rhs[i]. Commutator (stated
+        inverse-free): g_j g_i = g_i g_j [g_j, g_i]."""
+
+        def word(exps):
+            return tuple((k, e) for k, e in enumerate(exps) if e)
+
+        powers = [(((i, self.p),), word(rhs)) for i, rhs in enumerate(self.power_rhs)]
+        comms = [(((j, 1), (i, 1)), ((i, 1), (j, 1)) + word(self.comm(j, i)))
+                 for j in range(self.n) for i in range(j)]
+        return tuple(powers + comms)
+
+    @cached_property
+    def relator_letters(self) -> np.ndarray:
+        """The relator program: row s spells relator side s one letter per
+        unit of exponent, the left sides of `relators` first and then the
+        right sides, padded to one length with the letter n, which stands
+        for the identity."""
+        lhs, rhs = zip(*self.relators)
+        spelled = [[g for g, e in side for _ in range(e)] for side in lhs + rhs]
+        width = max(map(len, spelled))
+        letters = np.array([side + [self.n] * (width - len(side)) for side in spelled])
+        letters.setflags(write=False)
+        return letters
+
     @property
     def identity_exps(self) -> tuple[int, ...]:
         return (0,) * self.n
@@ -159,6 +186,11 @@ class PcPresentation(Frozen):
     @property
     def gens(self) -> tuple["Element", ...]:
         return tuple(self.gen(i) for i in range(self.n))
+
+    @cached_property
+    def gen_indices(self) -> tuple[int, ...]:
+        """Index of each pc generator: g_i has index p^(n-1-i)."""
+        return tuple(self.p ** (self.n - 1 - i) for i in range(self.n))
 
     def element(self, exps: Sequence[int]) -> "Element":
         return Element(self, tuple(int(e) % self.p for e in exps))
@@ -483,7 +515,7 @@ class PcPresentation(Frozen):
             raise InputError("identity law failed")
         if N <= EXHAUSTIVE_AUDIT_ORDER:
             t = self.full_mult_table
-            gens = [g.index for g in self.gens]
+            gens = self.gen_indices
             if len(closure_indices(self, gens)) != N:
                 raise InputError(f"{self.name or 'presentation'}: generators do not span the table")
             mode, checked = "exhaustive", 0
@@ -597,72 +629,51 @@ def enumerate_elements(pres: PcPresentation) -> list[Element]:
 # -- homomorphisms ------------------------------------------------------------
 
 
-def relator_pairs(pres: PcPresentation) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """Defining relations as (left word, right word) pairs over 0-based letters.
-
-    Power: g_i^p = power_rhs[i]. Commutator (stated inverse-free):
-    g_j g_i = g_i g_j [g_j, g_i].
-    """
-    out = []
-    for i in range(pres.n):
-        lhs = [(i, pres.p)]
-        rhs = [(k, e) for k, e in enumerate(pres.power_rhs[i]) if e]
-        out.append((lhs, rhs))
-    for j in range(pres.n):
-        for i in range(j):
-            lhs = [(j, 1), (i, 1)]
-            rhs = [(i, 1), (j, 1)] + [(k, e) for k, e in enumerate(pres.comm(j, i)) if e]
-            out.append((lhs, rhs))
-    return out
-
-
-def word_image_index(target: PcPresentation, images_idx: Sequence[int], word: Word) -> int:
-    """Index of the image of a word of (letter, exponent) pairs when letter k
-    goes to the element with index images_idx[k], by table arithmetic.
-    An exponent vector x is the word enumerate(x)."""
-    acc = 0
-    for g, e in word:
-        img = images_idx[g]
-        for _ in range(e):
-            acc = target.mult_index(acc, img)
-    return acc
-
-
-def images_respect_relations(
-    source: PcPresentation, target: PcPresentation, images: Sequence[tuple[int, ...]]
-) -> bool:
-    """Whether sending source generator k to the target element with
-    exponents images[k] respects every defining relation of the source."""
-    idx = [target.index_of(img) for img in images]
-    return all(
-        word_image_index(target, idx, lhs) == word_image_index(target, idx, rhs)
-        for lhs, rhs in relator_pairs(source)
-    )
+def respects_relations(source: PcPresentation, target: PcPresentation, images) -> np.ndarray:
+    """Whether each row of `images`, a (k, n) stack of target indices that
+    sends source generator i to images[t, i], respects every defining
+    relation of the source: a k-long mask. All relator sides of all rows
+    are evaluated at once, one `mult_indices` gather per letter position of
+    `relator_letters`; the padding letter n reads index 0, the identity."""
+    images = np.asarray(images, dtype=np.int64).reshape(-1, source.n)
+    padded = np.concatenate([images, np.zeros((len(images), 1), dtype=np.int64)], axis=1)
+    letters = source.relator_letters
+    acc = np.zeros((len(images), len(letters)), dtype=np.int64)
+    for column in letters.T:
+        acc = target.mult_indices(acc, padded[:, column])
+    half = len(letters) // 2
+    return (acc[:, :half] == acc[:, half:]).all(axis=1)
 
 
 class GroupHom(Frozen):
     """Homomorphism given by the images of the source pc generators, kept
     as target element indices; an endomorphism has source == target.
 
-    The constructor takes the images as Elements and checks every defining
-    relation of the source. `compose` and `power` skip that check: a
-    composite of homomorphisms is one."""
+    The constructor takes the images as Elements, `_checked` takes indices;
+    both check every defining relation of the source. `compose` and `power`
+    skip that check: a composite of homomorphisms is one."""
 
     def __init__(self, source: PcPresentation, target: PcPresentation, images: Sequence[Element]):
-        if len(images) != source.n:
+        if any(img.pres != target for img in images):
+            raise InputError("image lies in the wrong presentation")
+        vars(self).update(vars(GroupHom._checked(source, target, (i.index for i in images))))
+
+    @classmethod
+    def _checked(cls, source: PcPresentation, target: PcPresentation, image_indices) -> "GroupHom":
+        """The map sending source generator i to the target element with
+        index image_indices[i], once it respects every defining relation."""
+        hom = cls._composite(source, target, image_indices)
+        if len(hom.image_indices) != source.n:
             raise InputError("need one image per source generator")
-        for img in images:
-            if img.pres != target:
-                raise InputError("image lies in the wrong presentation")
-        if not images_respect_relations(source, target, tuple(i.exps for i in images)):
+        if not respects_relations(source, target, [hom.image_indices])[0]:
             raise InputError("generator images do not respect the relations")
-        vars(self).update(source=source, target=target, image_indices=tuple(i.index for i in images))
+        return hom
 
     @classmethod
     def _composite(cls, source: PcPresentation, target: PcPresentation, image_indices) -> "GroupHom":
         """A map known to be a homomorphism, built without the check."""
         hom = object.__new__(cls)
-        vars(hom).update(source=source, target=target, image_indices=tuple(image_indices))
+        vars(hom).update(source=source, target=target, image_indices=tuple(map(int, image_indices)))
         return hom
 
     def _key(self) -> tuple:
@@ -679,8 +690,11 @@ class GroupHom(Frozen):
 
     def apply_index(self, x: int) -> int:
         """Index of the image of the source element with index x."""
-        word = enumerate(self.source.exps_of(x))
-        return word_image_index(self.target, self.image_indices, word)
+        acc = 0
+        for img, e in zip(self.image_indices, self.source.exps_of(x)):
+            for _ in range(e):
+                acc = self.target.mult_index(acc, img)
+        return acc
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -707,7 +721,7 @@ class GroupHom(Frozen):
 
     @property
     def is_identity(self) -> bool:
-        return self == identity_endo(self.source)
+        return self.source == self.target and self.image_indices == self.source.gen_indices
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner: x -> self(inner(x))."""
@@ -730,7 +744,7 @@ class GroupHom(Frozen):
 
 
 def identity_endo(G: PcPresentation) -> GroupHom:
-    return GroupHom._composite(G, G, (g.index for g in G.gens))
+    return GroupHom._composite(G, G, G.gen_indices)
 
 
 # -- builders -----------------------------------------------------------------
@@ -803,7 +817,7 @@ def conjugates(pres: PcPresentation, members: Iterable[int]) -> np.ndarray:
     """conj[k, i] = index of g_i^-1 x g_i for the k-th given index x: every
     member conjugated by every pc generator, one gather per product."""
     mem = np.fromiter(members, dtype=np.int64)
-    gens = np.array([g.index for g in pres.gens])
+    gens = np.array(pres.gen_indices)
     return pres.mult_indices(pres.mult_indices(pres.inv_table[gens], mem[:, None]), gens)
 
 
@@ -851,13 +865,7 @@ def _require_subgroup(pres: PcPresentation, members: frozenset[int]):
 
 def _tail_subgroup_indices(pres: PcPresentation) -> list[frozenset[int]]:
     """Index sets of the chain <g_i, ..., g_n>, i = 1..n+1 (last is trivial)."""
-    chains: list[frozenset[int]] = [frozenset([0])]
-    gens: list[int] = []
-    for i in range(pres.n - 1, -1, -1):
-        gens.append(pres.index_of(pres.gen(i).exps))
-        chains.append(closure_indices(pres, gens))
-    chains.reverse()
-    return chains
+    return [closure_indices(pres, pres.gen_indices[i:]) for i in range(pres.n + 1)]
 
 
 def _presentation_from_chain(
@@ -957,7 +965,7 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     for i in range(pres.n):
         nxt = proj_chain[i + 1]
         if nxt != dedup[-1]:
-            chosen.append(rep[pres.index_of(pres.gen(i).exps)])
+            chosen.append(rep[pres.gen_indices[i]])
             dedup.append(nxt)
     if dedup[-1] != frozenset([rep[0]]):
         raise InputError("chain did not terminate")
@@ -967,10 +975,8 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     qpres, normal_form = _presentation_from_chain(
         pres.p, qmult, qinv, rep[0], dedup, chosen, qname, pres.enumeration_cap
     )
-    images = tuple(
-        Element(qpres, normal_form(rep[pres.index_of(pres.gen(i).exps)])) for i in range(pres.n)
-    )
-    proj = GroupHom(pres, qpres, images)
+    images = (qpres.index_of(normal_form(rep[g])) for g in pres.gen_indices)
+    proj = GroupHom._checked(pres, qpres, images)
     if proj.image_size != qpres.order:
         raise InputError("projection is not surjective")  # pragma: no cover
     return qpres, proj
@@ -1003,9 +1009,7 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
         f"{pres.name}|sub" if pres.name else "subgroup",
         pres.enumeration_cap,
     )
-    images = tuple(Element(pres, pres.exps_of(tok)) for tok in chosen)
-    embed = GroupHom(spres, pres, images)
-    return spres, embed
+    return spres, GroupHom._checked(spres, pres, chosen)
 
 
 def _member_indices(pres: PcPresentation, members: Iterable) -> frozenset[int]:

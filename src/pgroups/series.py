@@ -171,7 +171,7 @@ def _centralizing(G: PcPresentation, gens: Iterable[int], xs: np.ndarray | None 
 @_per_group
 def center(G: PcPresentation) -> Subgroup:
     G._require_enumerable("center")
-    return make_subgroup(G, _centralizing(G, (g.index for g in G.gens)))
+    return make_subgroup(G, _centralizing(G, G.gen_indices))
 
 
 @_per_group
@@ -205,10 +205,7 @@ def lower_central(G: PcPresentation, i: int) -> Subgroup:
     prev = lower_central(G, i - 1)
     if prev.is_trivial:
         return prev
-    gens = [G.index_of(G.gen(k).exps) for k in range(G.n)]
-    seed = {
-        G.comm_index(a, g) for a in prev.gens for g in gens
-    }
+    seed = {G.comm_index(a, g) for a in prev.gens for g in G.gen_indices}
     return normal_closure(G, frozenset(seed))
 
 
@@ -224,9 +221,8 @@ def upper_central(G: PcPresentation, i: int) -> Subgroup:
     in_prev[list(prev.members)] = True
     inv = G.inv_table
     xs = np.arange(G.order)
-    for gen in G.gens:
+    for g in G.gen_indices:
         # [x, g] = x^-1 g^-1 x g
-        g = gen.index
         comm = G.mult_indices(G.mult_indices(G.mult_indices(inv[xs], inv[g]), xs), g)
         xs = xs[in_prev[comm]]
     return make_subgroup(G, xs.tolist())

@@ -36,7 +36,7 @@ from pgroups import (
 import pgroups.gflinalg as la
 from pgroups import autom
 from pgroups.deriv import derivation_from_vector, satisfies_cocycle, vanishing_subspace
-from pgroups.pcgroup import PcPresentation, relator_pairs
+from pgroups.pcgroup import PcPresentation
 from pgroups.series import hypothesis_report
 
 from .models import reference_collect
@@ -57,6 +57,12 @@ def test_endo_validation(H3):
     e = H3.identity
     assert not GroupHom(H3, H3, (e, e, e)).is_automorphism
     assert identity_endo(H3).is_automorphism
+    # one image per generator, from Elements or indices: twice the identity
+    # images would pass the relation check as two rows of a stack
+    with pytest.raises(InputError):
+        GroupHom(H3, H3, (a, b))
+    with pytest.raises(InputError):
+        GroupHom._checked(H3, H3, H3.gen_indices * 2)
 
 
 def test_induce_zero_is_identity(H3):
@@ -321,6 +327,18 @@ def _mutate(cert: NonInnerCertificate, kind: str, G) -> NonInnerCertificate:
         return cert._replace(moved=(0,) * G.n)
     if kind == "images_malformed":
         return cert._replace(gen_images=cert.gen_images[:-1])
+    # digits outside 0..p-1 name the same element mod p, and another index
+    # read in base p: refused either way, not reduced
+    if kind == "image_digit_plus_p":
+        rows = [list(r) for r in cert.gen_images]
+        rows[0][0] += G.p
+        return cert._replace(gen_images=tuple(tuple(r) for r in rows))
+    if kind == "image_digit_minus_p":
+        rows = [list(r) for r in cert.gen_images]
+        rows[1][1] -= G.p
+        return cert._replace(gen_images=tuple(tuple(r) for r in rows))
+    if kind == "moved_digit_plus_p":
+        return cert._replace(moved=(cert.moved[0] + G.p,) + cert.moved[1:])
     raise AssertionError(kind)
 
 
@@ -336,6 +354,9 @@ MUTATION_KINDS = [
     "fixed_subgroup_short_row",
     "moved_witness_identity",
     "images_malformed",
+    "image_digit_plus_p",
+    "image_digit_minus_p",
+    "moved_digit_plus_p",
 ]
 
 
@@ -375,7 +396,7 @@ def _break_only_a_power_relation(cert, G):
     """First single-image change, in generator then index order, after which
     every commutator relation still holds and some power relation fails,
     judged by the rewriting collector."""
-    relators = relator_pairs(G)
+    relators = G.relators
     powers, comms = relators[: G.n], relators[G.n :]
 
     def holds(images, pairs):
@@ -507,8 +528,7 @@ def test_order_p_screen_is_exact():
         batch = data.draw(st.lists(coeffs.filter(any), min_size=1, max_size=10), label="batch")
         c = np.array(batch, dtype=np.int64)
         vecs = c @ basis % p
-        derivs = [derivation_from_vector(G, M, row) for row in basis]
-        for coeff, vec, screened in zip(batch, vecs, autom._order_p_screen(M, derivs, c, vecs)):
+        for coeff, vec, screened in zip(batch, vecs, autom._order_p_screen(M, basis, c, vecs)):
             delta = derivation_from_vector(G, M, vec, check=True)
             phi = induce(delta)
             order_p = (

@@ -19,8 +19,9 @@ from pgroups.pcgroup import (
     EXHAUSTIVE_AUDIT_ORDER,
     FULL_TABLE_ORDER,
     PRIME_LIMIT,
-    images_respect_relations,
-    relator_pairs,
+    identity_endo,
+    quotient,
+    respects_relations,
 )
 from pgroups.series import center, omega1
 
@@ -170,44 +171,71 @@ def test_derived_tables_match_independent_arithmetic(G):
     assert all(orders[x] == order_exps(G, exps) for x, exps in enumerate(G.elements))
 
 
-def _symbolic_verdict(G, images) -> bool:
+def _symbolic_verdict(source, target, images) -> bool:
     return all(
-        word_image_exps(G, images, lhs) == word_image_exps(G, images, rhs)
-        for lhs, rhs in relator_pairs(G)
+        word_image_exps(target, images, lhs) == word_image_exps(target, images, rhs)
+        for lhs, rhs in source.relators
     )
+
+
+HOM_GROUPS = GROUPS + [catalog.parse_group_spec("d:3,3+cyclic:3,2")]
+
+
+@functools.cache
+def _projection(G):
+    """The projection G -> G / Omega_1(Z(G)), or None when that quotient is
+    trivial (G elementary abelian)."""
+    N = omega1(G, center(G))
+    return quotient(G, N)[1] if N.order < G.order else None
+
+
+def _draw_images(data, G, pi, t):
+    """Exponent tuples in pi's target of the images of G's pc generators:
+    pi after conjugation by a random x (a homomorphism), the same with one
+    image replaced by a random element, or n random elements."""
+    H = pi.target
+    element = st.integers(0, H.order - 1).map(lambda x: H.elements[x])
+    kind = data.draw(st.sampled_from(["inner", "tampered", "random"]), label=f"kind {t}")
+    if kind == "random":
+        return data.draw(st.lists(element, min_size=G.n, max_size=G.n), label=f"images {t}")
+    x = G.element(G.elements[data.draw(st.integers(0, G.order - 1), label=f"conjugator {t}")])
+    images = [pi.apply(g.conj(x)).exps for g in G.gens]
+    if kind == "tampered":
+        images[data.draw(st.integers(0, G.n - 1), label=f"slot {t}")] = data.draw(element)
+    return images
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_relation_check_by_tables_matches_symbolic(data):
-    """Random image tuples, and inner automorphisms with at most one image
-    replaced, so that both verdicts occur."""
-    G = data.draw(st.sampled_from(GROUPS), label="group")
-    element = st.integers(0, G.order - 1).map(lambda x: G.elements[x])
-    if data.draw(st.booleans(), label="inner"):
-        x = G.element(data.draw(element, label="conjugator"))
-        images = [g.conj(x).exps for g in G.gens]
-        if data.draw(st.booleans(), label="tamper"):
-            images[data.draw(st.integers(0, G.n - 1), label="slot")] = data.draw(element)
-    else:
-        images = data.draw(st.lists(element, min_size=G.n, max_size=G.n), label="images")
-    verdict = images_respect_relations(G, G, images)
-    event(f"respects relations: {verdict}")
-    assert verdict == _symbolic_verdict(G, images)
+    """The stacked relation check, row by row, against the rewriting
+    collector: a stack of 1 to 8 image tuples that mixes homomorphisms,
+    tampered homomorphisms and random tuples, so that both verdicts occur,
+    on both sides of FULL_TABLE_ORDER. The target is G itself, or, for the
+    source != target case, the quotient by Omega_1(Z(G))."""
+    G = data.draw(st.sampled_from(HOM_GROUPS), label="group")
+    pi = identity_endo(G)
+    if _projection(G) is not None and data.draw(st.booleans(), label="quotient"):
+        pi = _projection(G)
+    H = pi.target
+    event("source != target" if H != G else "source == target")
+    k = data.draw(st.integers(1, 8), label="stack height")
+    stack = [_draw_images(data, G, pi, t) for t in range(k)]
+    mask = respects_relations(G, H, [[H.index_of(v) for v in images] for images in stack])
+    assert mask.shape == (k,)
+    for images, verdict in zip(stack, mask):
+        event(f"respects relations: {bool(verdict)}")
+        assert verdict == _symbolic_verdict(G, H, images)
 
 
 def test_relation_check_above_full_table_order():
     G = catalog.parse_group_spec("d:3,3+cyclic:3,2")
     assert G.order > FULL_TABLE_ORDER
-    images = [g.exps for g in G.gens]
-    assert images_respect_relations(G, G, images)
+    images = list(G.gen_indices)
     # the cyclic factor has g_(n-1)^3 = g_n and g_n^3 = 1, so g_(n-1) -> g_n
     # breaks that power relation and no commutator relation
-    images[-2] = images[-1]
-    assert not images_respect_relations(G, G, images)
-
-
-HOM_GROUPS = GROUPS + [catalog.parse_group_spec("d:3,3+cyclic:3,2")]
+    broken = images[:-2] + images[-1:] * 2
+    assert respects_relations(G, G, [images, broken]).tolist() == [True, False]
 
 
 @functools.cache
