@@ -96,7 +96,8 @@ def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
             if raw is None:
                 mats.append(tuple(tuple(int(v) for v in row) for row in la.eye(dim)))
                 continue
-            flat = [json_int(v, "action entry") for v in raw]
+            # entries are read mod p, so any int a JSON file holds fits int64
+            flat = [json_int(v, "action entry") % G.p for v in raw]
             if len(flat) != dim * dim:
                 raise InputError(f"action for generator {i + 1} has wrong size")
             rows = [tuple(flat[r * dim : (r + 1) * dim]) for r in range(dim)]

@@ -2,106 +2,57 @@
 
 Automorphisms are enumerated by backtracking over generator images in
 reverse pc order, so every relation among already-assigned generators can
-prune immediately. Derivations are enumerated by filtering all generator
-image tuples through the cocycle conditions. Neither route shares solver
-logic with the linear-algebra side.
+prune immediately; each level tests all its candidates in one call to the
+package's relator program. A map is inner when its generator images are
+those of a conjugation by some x. Derivations are enumerated by filtering
+all generator image tuples through the cocycle conditions. Neither route
+shares solver logic with the linear-algebra side.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .autom import construct_noninner, is_inner, order_of, verify_certificate
+from .autom import construct_noninner, order_of, verify_certificate
 from .errors import CapExceeded, Caps, DEFAULT_CAPS, OutOfScope, VerificationFailed
 from .fpmod import FpModule
-from .pcgroup import (
-    EXHAUSTIVE_AUDIT_ORDER,
-    GroupHom,
-    PcPresentation,
-    closure_indices,
-    respects_relations,
-)
+from .pcgroup import GroupHom, PcPresentation, respects_relations
 from .series import center, release_series
 
 
-def _iter_homomorphism_images(
-    G: PcPresentation, H: PcPresentation, require_order_divides: bool = True
-) -> Iterator[tuple[int, ...]]:
-    """Backtracking over image index tuples, assigned from g_n down to g_1.
+def _iter_homomorphism_images(G: PcPresentation, H: PcPresentation) -> Iterator[tuple[int, ...]]:
+    """Backtracking over image index tuples, assigned from g_n down to g_1,
+    depth first.
 
-    At level k every relation supported on generators >= k is checked:
-    the power relation of g_k and the commutators [g_j, g_k], j > k, whose
-    right-hand sides only involve higher generators. Candidate images of
-    g_k are ordered with g_k's own image first so that near-identity maps
-    appear early."""
-    n = G.n
-    order_h = H.order
-    images: list[int | None] = [None] * n
-    pow_p = H.power_p_table
-    inv = H.inv_table
-
-    if order_h <= EXHAUSTIVE_AUDIT_ORDER:
-        table = H.full_mult_table
-
-        def mult(a: int, b: int) -> int:
-            return int(table[a, b])
-
-    else:
-        mult = H.mult_index
-
-    comm_rhs_words = {
-        (j, k): [(idx, e) for idx, e in enumerate(G.comm(j, k)) if e]
-        for j in range(n)
-        for k in range(j)
-    }
-    power_rhs_words = [
-        [(idx, e) for idx, e in enumerate(G.power_rhs[k]) if e] for k in range(n)
-    ]
-
-    def rhs_image(word) -> int:
-        acc = 0
-        for idx, e in word:
-            img = images[idx]
-            for _ in range(e):
-                acc = mult(acc, img)  # type: ignore[arg-type]
-        return acc
-
-    def comm_ok(j: int, k: int) -> bool:
-        a, b = images[j], images[k]
-        got = mult(mult(int(inv[a]), int(inv[b])), mult(a, b))
-        return got == rhs_image(comm_rhs_words[(j, k)])
-
-    candidate_lists: list[list[int]] = []
-    for k in range(n):
-        if G == H:
-            own = G.gen_indices[k]
-            base = [own] + [x for x in range(order_h) if x != own]
-        else:
-            base = list(range(order_h))
-        if require_order_divides:
-            gk_order = int(G.element_orders[G.gen_indices[k]])
-            base = [x for x in base if gk_order % int(H.element_orders[x]) == 0]
-        candidate_lists.append(base)
+    The candidate images of g_k are the elements of H whose order divides
+    that of g_k, with g_k's own image first when G == H, so that
+    near-identity maps appear early. At level k all candidates are tested
+    at once against every relation supported on generators >= k (the power
+    relation of g_k and the commutators [g_j, g_k], j > k, are the new
+    ones), and the search descends into the survivors in candidate order."""
+    orders = H.element_orders
+    candidates = []
+    for own in G.gen_indices:
+        fits = np.flatnonzero(G.element_orders[own] % orders == 0)
+        candidates.append(np.concatenate([[own], fits[fits != own]]) if G == H else fits)
+    images = np.zeros(G.n, dtype=np.int64)
 
     def descend(k: int) -> Iterator[tuple[int, ...]]:
         if k < 0:
-            yield tuple(images)  # type: ignore[arg-type]
+            yield tuple(images.tolist())
             return
-        for x in candidate_lists[k]:
+        stack = np.repeat(images[None], len(candidates[k]), axis=0)
+        stack[:, k] = candidates[k]
+        for x in candidates[k][respects_relations(G, H, stack, lowest=k)]:
             images[k] = x
-            if int(pow_p[x]) != rhs_image(power_rhs_words[k]):
-                continue
-            if any(not comm_ok(j, k) for j in range(k + 1, n)):
-                continue
             yield from descend(k - 1)
-        images[k] = None
 
     try:
-        yield from descend(n - 1)
+        yield from descend(G.n - 1)
     finally:
         # descend calls itself through this closure cell; clearing it breaks
         # the cycle, so the tables it holds go when the search ends instead
@@ -109,8 +60,12 @@ def _iter_homomorphism_images(
         descend = None
 
 
-def _is_bijective_images(G: PcPresentation, H: PcPresentation, idxs: Sequence[int]) -> bool:
-    return G.order == H.order and len(closure_indices(H, idxs)) == H.order
+def _inner_tuples(G: PcPresentation) -> set[tuple[int, ...]]:
+    """Generator-image tuples of the inner automorphisms g -> x^-1 g x, one
+    row per x in G, from one (|G|, n) gather."""
+    xs = np.arange(G.order)[:, None]
+    conj = G.mult_indices(G.mult_indices(G.inv_table[xs], np.array(G.gen_indices)), xs)
+    return set(map(tuple, conj.tolist()))
 
 
 class AutEnumeration(NamedTuple):
@@ -137,17 +92,15 @@ class AutEnumeration(NamedTuple):
 def enumerate_automorphisms(
     G: PcPresentation, caps: Caps = DEFAULT_CAPS, spot_check_seed: int = 0
 ) -> AutEnumeration:
-    """All automorphisms by relator-pruned backtracking, duplicate-free."""
+    """All automorphisms by relator-pruned backtracking, duplicate-free:
+    the candidates of each level are distinct, so the leaves are."""
     if G.order > caps.oracle:
         raise CapExceeded("automorphism enumeration", G.order, caps.oracle)
-    found = [
-        idxs for idxs in dict.fromkeys(_iter_homomorphism_images(G, G))
-        if _is_bijective_images(G, G, idxs)
-    ]
+    homs = (GroupHom._composite(G, G, idxs) for idxs in _iter_homomorphism_images(G, G))
+    autos = [a for a in homs if a.is_automorphism]
     # the backtracking's own relator checks are re-proved, all tuples at once
-    if not respects_relations(G, G, found).all():
+    if not respects_relations(G, G, [a.image_indices for a in autos]).all():
         raise VerificationFailed("backtracking returned images that break a relation")
-    autos = [GroupHom._composite(G, G, idxs) for idxs in found]
     z = center(G)
     inner = G.order // z.order
     hist: dict[int, int] = {}
@@ -156,7 +109,8 @@ def enumerate_automorphisms(
         hist[k] = hist.get(k, 0) + 1
     if hist.get(1, 0) != 1:
         raise VerificationFailed("identity automorphism not found exactly once")
-    if sum(1 for a in autos if is_inner(a, caps)[0] is not None) != inner:
+    inner_tuples = _inner_tuples(G)
+    if sum(1 for a in autos if a.image_indices in inner_tuples) != inner:
         raise VerificationFailed("inner automorphism count mismatch")
     # closure spot check
     rng = random.Random(spot_check_seed)
@@ -180,15 +134,12 @@ def find_noninner_order_p(G: PcPresentation, caps: Caps = DEFAULT_CAPS) -> Group
     if G.order > caps.oracle:
         raise CapExceeded("automorphism search", G.order, caps.oracle)
     p = G.p
+    inner_tuples = _inner_tuples(G)
     for idxs in _iter_homomorphism_images(G, G):
-        if not _is_bijective_images(G, G, idxs):
-            continue
         phi = GroupHom._checked(G, G, idxs)
-        if phi.is_identity:
+        if not phi.is_automorphism or phi.is_identity:
             continue
-        if not phi.power(p).is_identity:
-            continue
-        if is_inner(phi, caps)[0] is None:
+        if phi.power(p).is_identity and idxs not in inner_tuples:
             return phi
     return None
 
@@ -198,8 +149,9 @@ def find_isomorphism(G: PcPresentation, H: PcPresentation):
     if G.order != H.order or G.p != H.p:
         return None
     for idxs in _iter_homomorphism_images(G, H):
-        if _is_bijective_images(G, H, idxs):
-            return GroupHom._checked(G, H, idxs)
+        phi = GroupHom._checked(G, H, idxs)
+        if phi.is_isomorphism:
+            return phi
     return None
 
 

@@ -433,7 +433,7 @@ class PcPresentation(Frozen):
 
         The block width b follows from N = p^n:
           N <= EXHAUSTIVE_AUDIT_ORDER: one block, the full table itself,
-            which the audit and the oracle read anyway (N^2 entries);
+            which the audit reads anyway (N^2 entries);
           N <= FULL_TABLE_ORDER: b = ceil(n/2), two half tables of
             N (p^ceil(n/2) + p^floor(n/2)) entries in all;
           above: b = 1, one table x -> x g_k^e per generator, N p n entries
@@ -629,15 +629,21 @@ def enumerate_elements(pres: PcPresentation) -> list[Element]:
 # -- homomorphisms ------------------------------------------------------------
 
 
-def respects_relations(source: PcPresentation, target: PcPresentation, images) -> np.ndarray:
+def respects_relations(
+    source: PcPresentation, target: PcPresentation, images, lowest: int = 0
+) -> np.ndarray:
     """Whether each row of `images`, a (k, n) stack of target indices that
     sends source generator i to images[t, i], respects every defining
-    relation of the source: a k-long mask. All relator sides of all rows
-    are evaluated at once, one `mult_indices` gather per letter position of
-    `relator_letters`; the padding letter n reads index 0, the identity."""
+    relation of the source whose letters are all >= `lowest`: a k-long
+    mask. Those relations never read images[:, :lowest]. All relator sides
+    of all rows are evaluated at once, one `mult_indices` gather per letter
+    position of `relator_letters`; the padding letter n reads index 0, the
+    identity."""
     images = np.asarray(images, dtype=np.int64).reshape(-1, source.n)
     padded = np.concatenate([images, np.zeros((len(images), 1), dtype=np.int64)], axis=1)
-    letters = source.relator_letters
+    lhs, rhs = np.split(source.relator_letters, 2)
+    keep = np.minimum(lhs.min(axis=1), rhs.min(axis=1)) >= lowest
+    letters = np.concatenate([lhs[keep], rhs[keep]])
     acc = np.zeros((len(images), len(letters)), dtype=np.int64)
     for column in letters.T:
         acc = target.mult_indices(acc, padded[:, column])

@@ -9,9 +9,14 @@ orders and images of words) is built on `reference_collect` alone; the
 library's collector and its index tables are checked against it.
 `table_is_group` decides the group axioms of a multiplication table by
 brute force over all N^3 triples, the reference for the consistency audit.
+`reference_homomorphism_images` is a scalar backtracking search for
+homomorphisms through a table built by `multiply_exps`, the reference for
+the oracle's search.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -194,3 +199,72 @@ def table_is_group(table: np.ndarray, block: int = 16) -> bool:
     if not (np.array_equal(t[0], every) and np.array_equal(t[:, 0], every)):
         return False
     return bool((t == 0).any(axis=1).all())
+
+
+def reference_homomorphism_images(G, H) -> list:
+    """Every tuple of H element indices that sends the pc generators of G
+    to a homomorphism, in the order of a scalar depth-first backtracking.
+
+    Element indices read the exponents in base p, g_1 most significant. The
+    images are assigned from g_n down to g_1; the candidates for g_k are the
+    elements whose order divides that of g_k, with g_k's own index first
+    when G is H. A candidate for g_k is kept when g_k^p and every [g_j, g_k],
+    j > k, map to the images of their right-hand sides; the search descends
+    into each kept candidate before it tries the next one."""
+    p, n = G.p, G.n
+    elements = list(itertools.product(range(H.p), repeat=H.n))
+    index = {x: t for t, x in enumerate(elements)}
+    table = [[index[multiply_exps(H, x, y)] for y in elements] for x in elements]
+    inverse = [row.index(0) for row in table]
+
+    def order(x: int) -> int:
+        k, acc = 1, x
+        while acc:
+            acc, k = table[acc][x], k + 1
+        return k
+
+    def spelled(exps) -> list:
+        return [g for g, e in enumerate(exps) for _ in range(e)]
+
+    def image(images, letters) -> int:
+        acc = 0
+        for g in letters:
+            acc = table[acc][images[g]]
+        return acc
+
+    def power_p(x: int) -> int:
+        acc = 0
+        for _ in range(p):
+            acc = table[acc][x]
+        return acc
+
+    power_rhs = [spelled(G.power_rhs[k]) for k in range(n)]
+    comm_rhs = {(j, k): spelled(G.comm(j, k)) for j in range(n) for k in range(j)}
+    orders = [order(x) for x in range(len(elements))]
+    candidates = []
+    for k in range(n):
+        own_order = order_exps(G, tuple(int(i == k) for i in range(n)))
+        own = p ** (n - 1 - k)
+        fits = [x for x in range(len(elements)) if own_order % orders[x] == 0]
+        candidates.append([own] + [x for x in fits if x != own] if G is H else fits)
+    images = [0] * n
+    out = []
+
+    def descend(k: int) -> None:
+        if k < 0:
+            out.append(tuple(images))
+            return
+        for x in candidates[k]:
+            images[k] = x
+            if power_p(x) != image(images, power_rhs[k]):
+                continue
+            comms = (
+                table[table[inverse[images[j]]][inverse[x]]][table[images[j]][x]]
+                == image(images, comm_rhs[j, k])
+                for j in range(k + 1, n)
+            )
+            if all(comms):
+                descend(k - 1)
+
+    descend(n - 1)
+    return out

@@ -1,14 +1,24 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pgroups
-from pgroups.cli import main
-from pgroups import catalog, dump_presentation
+from pgroups.cli import _resolve_module, main
+from pgroups import (
+    DEFAULT_CAPS,
+    PGroupError,
+    catalog,
+    dump_presentation,
+    presentation_from_dict,
+    presentation_to_dict,
+)
 
 
 def run_cli(capsys, *argv):
@@ -391,3 +401,73 @@ def test_tampered_certificate_exit5(capsys):
         assert code == 5
     finally:
         cli_mod.construct_noninner = original
+
+
+def _field_paths(tree, path=()):
+    """Every field below the root of a JSON tree, as a key path."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    else:
+        items = enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+@st.composite
+def _one_field_mutation(draw, tree):
+    """A deep copy of `tree` with one field deleted, given a value of another
+    JSON type, set to a huge or negative int, or, for a list, shortened or
+    lengthened."""
+    tree = copy.deepcopy(tree)
+    *head, last = draw(st.sampled_from(list(_field_paths(tree))))
+    parent = tree
+    for key in head:
+        parent = parent[key]
+    value = parent[last]
+    kinds = ["delete", "type", "int"] + (["shorten", "lengthen"] if isinstance(value, list) else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del parent[last]
+    elif kind == "type":
+        others = [v for v in (None, True, 1.5, "1", [], {}) if type(v) is not type(value)]
+        parent[last] = draw(st.sampled_from(others))
+    elif kind == "int":
+        parent[last] = draw(st.sampled_from([-1, -(10**30), 2**63, 10**30]))
+    elif kind == "shorten":
+        value[len(value) // 2 :] = []
+    else:
+        value.append(value[-1] if value else 0)
+    return tree
+
+
+_PRESENTATIONS = [
+    presentation_to_dict(catalog.parse_group_spec(spec)) for spec in ("heisenberg:3", "wreath:3")
+]
+# g_1 acts unipotently, g_2 and g_3 trivially: a module for heisenberg:3
+_MODULE = {"dim": 2, "action": {"1": [1, 1, 0, 1], "2": [1, 0, 0, 1], "3": [1, 0, 0, 1]}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PRESENTATIONS).flatmap(_one_field_mutation))
+def test_presentation_loader_raises_only_library_errors(data):
+    try:
+        presentation_from_dict(data)
+    except PGroupError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_field_mutation(_MODULE))
+@example({"dim": 2, "action": {"1": [-(10**30), 1, 0, 1], "2": [1, 0, 0, 1], "3": [1, 0, 0, 1]}})
+def test_module_file_loader_raises_only_library_errors(module):
+    """An action entry beyond int64 used to leak numpy's OverflowError; the
+    loader now reads entries mod p."""
+    G = catalog.parse_group_spec("heisenberg:3")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mod.json"
+        path.write_text(json.dumps(module))
+        try:
+            _resolve_module(G, f"file:{path}", DEFAULT_CAPS)
+        except PGroupError:
+            pass

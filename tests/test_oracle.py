@@ -205,8 +205,9 @@ def test_verify_conjecture_releases_each_group():
 
 
 def test_backtracking_above_243_reads_no_dense_table():
-    """Past the default oracle cap the backtracker multiplies through
-    mult_index, so it builds no dense table and no element list."""
+    """Past the default oracle cap the backtracker multiplies through the
+    half tables of mult_indices, so it builds no dense table and no element
+    list."""
     G = catalog.parse_group_spec("heisenberg:7")
     assert G.order > Caps().oracle
     assert find_isomorphism(G, G).is_identity
@@ -238,3 +239,55 @@ def test_backtracking_frees_its_table_without_the_cycle_collector():
         if was_enabled:
             gc.enable()
     assert alive == [False, False]
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("heisenberg:3", None),
+        ("m:3", None),
+        ("d:2,3", None),
+        ("elemab:3,2", None),
+        ("wreath:3", None),
+        ("m:3,4", None),
+        ("d:2,3", "heisenberg:3"),
+        ("heisenberg:3", "m:3"),
+    ],
+)
+def test_backtracking_matches_the_scalar_reference(source, target):
+    """The batched backtracker yields the homomorphism tuples of the scalar
+    reference in tests/models.py, in the same order and once each."""
+    from pgroups.oracle import _iter_homomorphism_images
+
+    from .models import reference_homomorphism_images
+
+    G = catalog.parse_group_spec(source)
+    H = G if target is None else catalog.parse_group_spec(target)
+    got = list(_iter_homomorphism_images(G, H))
+    assert got == reference_homomorphism_images(G, H)
+    assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("p, max_order", [(5, 625), (7, 2401)])
+def test_oracle_agrees_above_its_default_cap(p, max_order):
+    """With the oracle cap raised to the catalog's largest order, the oracle
+    finds a non-inner automorphism of order p on every non-abelian row, and
+    the pipeline agrees on each."""
+    rows = verify_conjecture(catalog.default_catalog(p, max_order), Caps(oracle=max_order))
+    nonabelian = [r for r in rows if r["pipeline"] != "n/a (abelian)"]
+    assert len(nonabelian) == 6
+    assert all(r["oracle"] == "exists" and r["agree"] for r in nonabelian)
+
+
+def test_inner_tuples_are_the_inner_automorphisms(small_catalog_p3, H3, W3):
+    """One conjugation tuple per coset of the center, and membership is the
+    verdict of the library's inner scan on every automorphism."""
+    from pgroups import is_inner
+    from pgroups.oracle import _inner_tuples
+
+    for G in small_catalog_p3:
+        assert len(_inner_tuples(G)) == G.order // center(G).order, G.name
+    for G in (H3, W3):
+        inner = _inner_tuples(G)
+        for a in enumerate_automorphisms(G).automorphisms:
+            assert (a.image_indices in inner) == (is_inner(a)[0] is not None)
