@@ -14,7 +14,6 @@ inflation, which is injective).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,11 +66,11 @@ def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
 
 
 class Derivation:
-    """Derivation determined by one module vector per pc generator."""
+    """Derivation determined by one module vector per pc generator:
+    gen_images is a read-only (n, dim) array, reduced mod p."""
 
-    def __init__(self, group: PcPresentation, module: FpModule, gen_images: tuple, check: bool = True):
-        # gen_images: tuple of coordinate tuples
-        self.group, self.module, self.gen_images, self.check = group, module, gen_images, check
+    def __init__(self, group: PcPresentation, module: FpModule, gen_images, check: bool = True):
+        self.group, self.module, self.check = group, module, check
         if module.group != group:
             raise InputError("module is over a different group")
         if len(gen_images) != group.n:
@@ -79,15 +78,13 @@ class Derivation:
         for v in gen_images:
             if len(v) != module.dim:
                 raise InputError("image vector has wrong dimension")
+        self.gen_images = la.asmod(gen_images, module.p).reshape(group.n, module.dim)
+        self.gen_images.setflags(write=False)
         if check and not self.satisfies_relations():
             raise InputError("generator images violate the cocycle relations")
 
-    @cached_property
-    def _images(self) -> np.ndarray:
-        return la.asmod(np.array(self.gen_images, dtype=np.int64), self.module.p)
-
     def satisfies_relations(self) -> bool:
-        return bool(satisfies_cocycle(self.module, self._images[None])[0])
+        return bool(satisfies_cocycle(self.module, self.gen_images[None])[0])
 
     def __call__(self, x: Element) -> np.ndarray:
         return self.evaluate(x)
@@ -95,102 +92,69 @@ class Derivation:
     def evaluate(self, x: Element) -> np.ndarray:
         if x.pres != self.group:
             raise InputError("element from a different group")
-        return derivation_values(self.module, self._images[None], [x.exps])[0, 0]
+        return derivation_values(self.module, self.gen_images[None], [x.exps])[0, 0]
 
     @property
     def is_zero(self) -> bool:
-        return not self._images.any()
+        return not self.gen_images.any()
 
     def vanishes_on(self, S: Subgroup | Sequence[Element]) -> bool:
         gens = S.gen_elements if isinstance(S, Subgroup) else tuple(S)
         return all(not self.evaluate(g).any() for g in gens)
 
     def coefficient_vector(self) -> np.ndarray:
-        return self._images.reshape(-1)
+        return self.gen_images.reshape(-1)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.module != other.module:
             raise InputError("derivations into different modules")
-        imgs = (self._images + other._images) % self.module.p
-        return Derivation(self.group, self.module, _rows_to_tuples(imgs), check=False)
+        return Derivation(self.group, self.module, self.gen_images + other.gen_images, check=False)
 
     def scale(self, c: int) -> "Derivation":
-        imgs = (self._images * (c % self.module.p)) % self.module.p
-        return Derivation(self.group, self.module, _rows_to_tuples(imgs), check=False)
+        imgs = self.gen_images * (c % self.module.p)
+        return Derivation(self.group, self.module, imgs, check=False)
 
     def __repr__(self):
-        return f"Derivation({tuple(map(tuple, self._images.tolist()))})"
-
-
-def _rows_to_tuples(arr: np.ndarray) -> tuple:
-    return tuple(tuple(int(v) for v in row) for row in arr)
+        return f"Derivation({tuple(map(tuple, self.gen_images.tolist()))})"
 
 
 def derivation_from_vector(G: PcPresentation, M: FpModule, vec, check: bool = False) -> Derivation:
-    arr = la.asmod(vec, M.p).reshape(G.n, M.dim)
-    return Derivation(G, M, _rows_to_tuples(arr), check=check)
+    return Derivation(G, M, np.reshape(vec, (G.n, M.dim)), check=check)
 
 
 def inner_derivation(M: FpModule, m) -> Derivation:
     """d_m(g) = m^g - m; zero exactly when m is fixed by the whole group."""
-    G = M.group
-    p = M.p
-    mv = la.asmod(m, p).reshape(-1)
-    imgs = [(mv @ mat - mv) % p for mat in M.mats]
-    return Derivation(G, M, _rows_to_tuples(np.array(imgs)), check=False)
+    mv = la.asmod(m, M.p).reshape(-1)
+    return Derivation(M.group, M, [mv @ mat - mv for mat in M.mats], check=False)
 
 
 # -- the solver ---------------------------------------------------------------
 
 
-def _word_coefficients(G: PcPresentation, M: FpModule, word) -> list[np.ndarray]:
-    """Per-generator coefficient matrices C_g with d(word) = sum_g x_g @ C_g."""
-    p = M.p
-    d = M.dim
-    coeff = [la.zeros((d, d)) for _ in range(G.n)]
-    suffix = la.eye(d)
-    letters: list[int] = []
-    for g, e in word:
-        letters.extend([g] * e)
-    for g in reversed(letters):
-        coeff[g] = (coeff[g] + suffix) % p
-        suffix = (M.mats[g] @ suffix) % p
-    return coeff
-
-
 class CohomologySpace:
     """Der(G, M) with its inner subspace and chosen H^1 representatives.
 
-    The matrices are tuples of rows: a basis of Der as flattened image
-    vectors, a basis of Ider, and coset representatives extending Ider."""
+    Each basis is a read-only array of flattened image vectors, one row per
+    basis element: der_array spans Der, ider_array spans Ider, and h1_array
+    holds coset representatives extending Ider."""
 
-    def __init__(self, group: PcPresentation, module: FpModule, der_matrix, ider_matrix, h1_matrix):
+    def __init__(self, group: PcPresentation, module: FpModule, der_array, ider_array, h1_array):
+        for a in (der_array, ider_array, h1_array):
+            a.setflags(write=False)
         self.group, self.module = group, module
-        self.der_matrix, self.ider_matrix, self.h1_matrix = der_matrix, ider_matrix, h1_matrix
-
-    @cached_property
-    def der_array(self) -> np.ndarray:
-        return _tuple_to_array(self.der_matrix, self.group.n * self.module.dim)
-
-    @cached_property
-    def ider_array(self) -> np.ndarray:
-        return _tuple_to_array(self.ider_matrix, self.group.n * self.module.dim)
-
-    @cached_property
-    def h1_array(self) -> np.ndarray:
-        return _tuple_to_array(self.h1_matrix, self.group.n * self.module.dim)
+        self.der_array, self.ider_array, self.h1_array = der_array, ider_array, h1_array
 
     @property
     def der_dim(self) -> int:
-        return len(self.der_matrix)
+        return len(self.der_array)
 
     @property
     def ider_dim(self) -> int:
-        return len(self.ider_matrix)
+        return len(self.ider_array)
 
     @property
     def h1_dim(self) -> int:
-        return len(self.h1_matrix)
+        return len(self.h1_array)
 
     @property
     def der_basis(self) -> tuple[Derivation, ...]:
@@ -212,51 +176,29 @@ class CohomologySpace:
 
     def span_iter(self):
         """All derivations in the span of the basis (small spaces only)."""
-        p = self.module.p
-        for coeffs in itertools.product(range(p), repeat=self.der_dim):
-            vec = la.zeros(self.group.n * self.module.dim)
-            if self.der_dim:
-                vec = (np.array(coeffs, dtype=np.int64) @ self.der_array) % p
+        for coeffs in itertools.product(range(self.module.p), repeat=self.der_dim):
+            vec = np.array(coeffs, dtype=np.int64) @ self.der_array
             yield derivation_from_vector(self.group, self.module, vec)
 
 
-def _tuple_to_array(rows: tuple, width: int) -> np.ndarray:
-    if not rows:
-        return la.zeros((0, width))
-    return np.array(rows, dtype=np.int64)
-
-
 def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
-    """Solve for Der(G, M), Ider(G, M) and echelonized H^1 representatives."""
+    """Solve for Der(G, M), Ider(G, M) and echelonized H^1 representatives.
+
+    d(word) is linear in the generator values, so the cocycle recurrence run
+    on the n*dim unit stack gives, in row t, d(word) for the value e_t: the
+    two sides of each relator give one column block of the system that the
+    flattened generator values of a derivation solve. Row k of Ider is
+    d_(e_k), that is e_k (A_g - I) over the generators g."""
     if M.group != G:
         raise InputError("module is over a different group")
-    p = M.p
-    d = M.dim
-    blocks = []
-    for lhs, rhs in G.relators:
-        cl = _word_coefficients(G, M, lhs)
-        cr = _word_coefficients(G, M, rhs)
-        block = np.vstack([(cl[g] - cr[g]) % p for g in range(G.n)])
-        # block has shape (n*d, d): unknown row-vector u (len n*d) times block = 0
-        blocks.append(block.reshape(G.n * d, d))
-    system = np.hstack(blocks) if blocks else la.zeros((G.n * d, 0))
-    der = la.left_nullspace(system, p) if system.shape[1] else la.eye(G.n * d)
-    der = la.row_basis(der, p)
-    ider_rows = []
-    for k in range(d):
-        base = la.zeros(d)
-        base[k] = 1
-        imgs = [(base @ mat - base) % p for mat in M.mats]
-        ider_rows.append(np.concatenate(imgs))
-    ider = la.row_basis(np.array(ider_rows, dtype=np.int64), p)
-    reps = la.complement_in(ider, der, p)
-    return CohomologySpace(
-        G,
-        M,
-        tuple(map(tuple, der.tolist())),
-        tuple(map(tuple, ider.tolist())),
-        tuple(map(tuple, reps.tolist())),
+    p, nd = M.p, G.n * M.dim
+    units = la.eye(nd).reshape(nd, G.n, M.dim)
+    system = np.hstack(
+        [(word_values(M, units, lhs) - word_values(M, units, rhs)) % p for lhs, rhs in G.relators]
     )
+    der = la.row_basis(la.left_nullspace(system, p), p)
+    ider = la.row_basis(np.hstack([(A - la.eye(M.dim)) % p for A in M.mats]), p)
+    return CohomologySpace(G, M, der, ider, la.complement_in(ider, der, p))
 
 
 def vanishing_subspace(space: CohomologySpace, elements: Sequence[Element]) -> np.ndarray:
@@ -320,7 +262,7 @@ def inflate(pi: GroupHom, delta: Derivation, target_module: FpModule | None = No
     if delta.group != pi.target:
         raise InputError("derivation lives on the wrong group")
     M = target_module if target_module is not None else pullback_module(delta.module, pi)
-    imgs = tuple(tuple(int(v) for v in delta.evaluate(img)) for img in pi.images)
+    imgs = [delta.evaluate(img) for img in pi.images]
     return Derivation(pi.source, M, imgs, check=True)
 
 
@@ -331,7 +273,7 @@ def restrict(delta: Derivation, H: Subgroup) -> tuple[Derivation, GroupHom]:
         raise InputError("subgroup of a different group")
     spres, embed = subgroup_presentation(delta.group, H.members)
     sub_mod = pullback_module(delta.module, embed)
-    imgs = tuple(tuple(int(v) for v in delta.evaluate(img)) for img in embed.images)
+    imgs = [delta.evaluate(img) for img in embed.images]
     return Derivation(spres, sub_mod, imgs, check=True), embed
 
 
@@ -425,7 +367,7 @@ def twist_extend(M: FpModule, tau: Derivation) -> FpModule:
         raise InputError("twisting derivation must take values in the module")
     if not tau.satisfies_relations():
         raise InputError("twist by a non-derivation")
-    return twist_extend_raw(M, tuple(tuple(int(v) for v in row) for row in tau._images))
+    return twist_extend_raw(M, tau.gen_images)
 
 
 def theta_cr_build(
@@ -465,8 +407,8 @@ def theta_cr_build(
     lifted: list[Derivation] = []
     for t in taus:
         # re-express tau inside the enlarged module (pad with zeros)
-        pad = [row + (0,) * (current.dim - K.dim) for row in t.gen_images]
-        tau_cur = Derivation(L, current, tuple(pad), check=True)
+        pad = np.pad(t.gen_images, ((0, 0), (0, current.dim - K.dim)))
+        tau_cur = Derivation(L, current, pad, check=True)
         lifted.append(tau_cur)
         current = twist_extend(current, tau_cur)
     return current, tuple(taus)

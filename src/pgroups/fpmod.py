@@ -124,11 +124,7 @@ class FpModule(Frozen):
         """Matrix of the element's right action (product along the normal form)."""
         if x.pres != self.group:
             raise InputError("element from a different group")
-        acc = la.eye(self.dim)
-        for i, e in enumerate(x.exps):
-            if e:
-                acc = (acc @ la.mat_pow(self.mats[i], e, self.p)) % self.p
-        return acc
+        return self._word_matrix((g, e) for g, e in enumerate(x.exps) if e)
 
     def act(self, vec: Sequence[int], x: Element) -> np.ndarray:
         return (la.asmod(vec, self.p) @ self.action_of(x)) % self.p
@@ -293,13 +289,12 @@ def quotient_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
     p = M.p
     b = S.basis_array
     full = la.eye(M.dim)
-    comp = la.complement_in(b, full, p) if b.size else full
+    comp = la.complement_in(b, full, p)
     # projection: express e_k as (sub part) + (comp part); send to comp coords
-    stacked = np.vstack([b, comp]) if b.size else comp
-    inv = la.mat_inverse(stacked, p)
+    inv = la.mat_inverse(np.vstack([b, comp]), p)
     if inv is None:
         raise InputError("internal: basis completion is singular")  # pragma: no cover
-    proj = inv[:, b.shape[0] :] if b.size else inv  # (dim, qdim)
+    proj = inv[:, b.shape[0] :]  # (dim, qdim)
     mats = []
     for m in M.mats:
         block = ((comp @ m) % p) @ proj % p
@@ -542,18 +537,11 @@ def module_isomorphism(A: FpModule, B: FpModule, seed: int = 0):
     d = A.dim
     if socle_filtration(A).dims != socle_filtration(B).dims:
         return None
-    # linear conditions on X (d x d unknowns): A_i @ X - X @ B_i = 0
-    rows = []
-    for Am, Bm in zip(A.mats, B.mats):
-        # entry (r,c): sum_k Am[r,k] X[k,c] - X[r,k] Bm[k,c]
-        for r in range(d):
-            for c in range(d):
-                coeff = la.zeros(d * d)
-                for k in range(d):
-                    coeff[k * d + c] = (coeff[k * d + c] + Am[r, k]) % p
-                    coeff[r * d + k] = (coeff[r * d + k] - Bm[k, c]) % p
-                rows.append(coeff)
-    sols = la.nullspace(np.array(rows, dtype=np.int64), p)
+    # linear conditions on X (d x d unknowns, flattened row by row):
+    # vec(A_i X - X B_i) = (A_i (x) I - I (x) B_i^T) vec(X) = 0
+    eye = la.eye(d)
+    rows = [(np.kron(Am, eye) - np.kron(eye, Bm.T)) % p for Am, Bm in zip(A.mats, B.mats)]
+    sols = la.nullspace(np.vstack(rows), p)
     if sols.size == 0:
         return None
     t = sols.shape[0]

@@ -118,57 +118,17 @@ def solve_right_many(a, bs, p: int):
     return xs
 
 
-class EchelonAccumulator:
-    """Incremental forward-elimination span tester over GF(p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[np.ndarray] = []  # leading 1 at distinct pivots, sorted
-        self.pivots: list[int] = []
-
-    def reduce(self, row) -> np.ndarray:
-        out = asmod(row, self.p).copy()
-        for pc, er in zip(self.pivots, self.rows):
-            f = int(out[pc])
-            if f:
-                out = (out - f * er) % self.p
-        return out
-
-    def add(self, row) -> bool:
-        """Insert if independent; True when the span grew."""
-        red = self.reduce(row)
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        red = (red * pow(int(red[pc]), -1, self.p)) % self.p
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pc:
-            at += 1
-        self.pivots.insert(at, pc)
-        self.rows.insert(at, red)
-        return True
-
-
 def complement_in(sub, amb, p: int) -> np.ndarray:
     """Rows of `amb` extending a basis of rowspace(sub) to rowspace(amb).
 
     Assumes rowspace(sub) <= rowspace(amb). Deterministic: scans amb rows
-    in order and keeps those enlarging the span.
+    in order and keeps those enlarging the span. A row enlarges the span of
+    sub and the rows before it exactly when it is a pivot column of the
+    transposed stack [sub; amb].
     """
-    sub = asmod(sub, p)
-    amb = asmod(amb, p)
-    cols = amb.shape[1] if amb.size else (sub.shape[1] if sub.size else 0)
-    acc = EchelonAccumulator(p)
-    if sub.size:
-        for row in sub:
-            acc.add(row)
-    chosen = []
-    if amb.size:
-        for row in amb:
-            if acc.add(row):
-                chosen.append(row.copy())
-    return np.array(chosen, dtype=np.int64) if chosen else zeros((0, cols))
+    sub, amb = asmod(sub, p), asmod(amb, p)
+    _, pivots = rref(np.vstack([sub, amb]).T, p)
+    return amb[[c - len(sub) for c in pivots if c >= len(sub)]]
 
 
 def intersect_rowspaces(a, b, p: int) -> np.ndarray:

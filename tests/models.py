@@ -11,7 +11,9 @@ library's collector and its index tables are checked against it.
 brute force over all N^3 triples, the reference for the consistency audit.
 `reference_homomorphism_images` is a scalar backtracking search for
 homomorphisms through a table built by `multiply_exps`, the reference for
-the oracle's search.
+the oracle's search. `reference_complement` is the scalar greedy scan
+that `gflinalg.complement_in` reads from one elimination, on its own
+GF(p) rank.
 """
 
 from __future__ import annotations
@@ -268,3 +270,34 @@ def reference_homomorphism_images(G, H) -> list:
 
     descend(n - 1)
     return out
+
+
+def reference_rank(rows, p: int) -> int:
+    """Rank over GF(p) of integer rows, by scalar Gauss-Jordan elimination."""
+    m = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def reference_complement(sub, amb, p: int) -> list:
+    """The rows of amb, reduced mod p and in order, that each raise the rank
+    of the rows of sub and the amb rows kept before them."""
+    span = [list(row) for row in sub]
+    kept = []
+    for row in amb:
+        if reference_rank(span + [list(row)], p) > reference_rank(span, p):
+            span.append(list(row))
+            kept.append([int(v) % p for v in row])
+    return kept

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import pgroups.gflinalg as la
+from pgroups import autom
 from pgroups import (
     Derivation,
     InputError,
@@ -32,6 +35,9 @@ from pgroups import (
     vanishing_subspace,
 )
 from pgroups.oracle import enumerate_derivations_bruteforce
+from pgroups.series import hypothesis_report
+
+from .test_fpmod import jordan_module
 
 
 def center_module(G):
@@ -90,12 +96,74 @@ def test_derivation_rejects_non_cocycle(H3):
         Derivation(H3, M, ((0,), (0,), (1,)))
 
 
-def test_solver_matches_bruteforce_smoke(H3, C9):
-    for G, M in [(H3, center_module(H3)), (C9, trivial_module(C9))]:
-        sp = derivation_space(G, M)
-        solver = {tuple(tuple(int(v) for v in row) for row in d.gen_images) for d in sp.span_iter()}
-        brute = enumerate_derivations_bruteforce(G, M)
-        assert solver == brute
+# (group, k): the k-th target of the branch table on every non-abelian group
+# of default_catalog(3, 81) and default_catalog(5, 125) whose brute-force
+# space, p^(n dim) generator-value tuples, has at most 15625 entries
+PIPELINE_TARGETS = [
+    ("heisenberg:3", 0), ("heisenberg:3", 1), ("heisenberg:3", 2),
+    ("m:3", 0), ("m:3", 1),
+    ("d:2,3", 0), ("d:2,3", 1), ("d:2,3", 2),
+    ("heisenberg:3+cyclic:3,1", 0),
+    ("m:3+cyclic:3,1", 0),
+    ("m:3,4", 0), ("m:3,4", 1),
+    ("wreath:3", 0), ("wreath:3", 1),
+    ("heisenberg:5", 0), ("heisenberg:5", 1), ("heisenberg:5", 2),
+    ("m:5", 0), ("m:5", 1),
+    ("d:2,5", 0), ("d:2,5", 1), ("d:2,5", 2),
+]
+BRUTEFORCE_LIMIT = 15625
+
+
+def _target_module(G, k):
+    A = next(itertools.islice(autom._targets(G, hypothesis_report(G)), k, None))[1]
+    return conjugation_module(G, A)
+
+
+def test_pipeline_targets_are_every_small_target():
+    want = []
+    for G in [*catalog.default_catalog(3, 81), *catalog.default_catalog(5, 125)]:
+        hyp = hypothesis_report(G)
+        if hyp.abelian:
+            continue
+        for k, (_, A, _, _, _) in enumerate(autom._targets(G, hyp)):
+            if G.p ** (G.n * conjugation_module(G, A).dim) <= BRUTEFORCE_LIMIT:
+                want.append((G.name, k))
+    assert want == PIPELINE_TARGETS
+
+
+@pytest.mark.parametrize(
+    "spec,module", [("heisenberg:3", "center"), ("cyclic:3,2", "trivial"), *PIPELINE_TARGETS]
+)
+def test_solver_matches_bruteforce_smoke(spec, module):
+    """The solved Der(G, M) spans exactly the generator-value tuples that
+    the oracle's own cocycle walk accepts; on the pipeline's targets too,
+    ten of which have dimension 2."""
+    G = catalog.parse_group_spec(spec)
+    if module == "center":
+        M = center_module(G)
+    elif module == "trivial":
+        M = trivial_module(G)
+    else:
+        M = _target_module(G, module)
+    assert G.p ** (G.n * M.dim) <= BRUTEFORCE_LIMIT
+    sp = derivation_space(G, M)
+    solver = {tuple(tuple(int(v) for v in row) for row in d.gen_images) for d in sp.span_iter()}
+    brute = enumerate_derivations_bruteforce(G, M)
+    assert solver == brute
+
+
+def test_derivation_arrays_are_read_only(H3):
+    M = jordan_module(H3, 0)
+    sp = derivation_space(H3, M)
+    assert (sp.der_dim, sp.ider_dim, sp.h1_dim) == (4, 1, 3)
+    for arr in (sp.der_array, sp.ider_array, sp.h1_array, sp.der_basis[0].gen_images):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    # the constructor keeps its own copy, reduced mod p
+    imgs = np.array([[4, 0], [0, 0], [0, 0]])
+    d = Derivation(H3, M, imgs)
+    imgs[0, 0] = 2
+    assert d.gen_images.tolist() == [[1, 0], [0, 0], [0, 0]]
 
 
 def test_hom_formula_on_frattini_quotients():

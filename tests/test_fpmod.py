@@ -30,6 +30,7 @@ from pgroups import (
     trivial_module,
     whole_group,
 )
+from pgroups.fpmod import FpModule
 from pgroups.series import greedy_elementary_abelian_normal
 
 from .test_series import SCAN_GROUPS
@@ -185,6 +186,57 @@ def test_module_isomorphism_reflexive(C33):
     assert X is not None and la.det_nonzero(X, 3)
     T1 = trivial_module(C33, 1)
     assert module_isomorphism(R, T1) is None
+
+
+def jordan_module(G, k):
+    """Dimension 2: pc generator k acts by [[1, 1], [0, 1]], the others
+    trivially (valid whenever g_k is not a product of commutators and
+    p-th powers, as for g_1 of every group here)."""
+    J, I = ((1, 1), (0, 1)), ((1, 0), (0, 1))
+    return FpModule(G, tuple(J if i == k else I for i in range(G.n)))
+
+
+@pytest.mark.parametrize(
+    "spec,module",
+    [
+        ("cyclic:3,1", "regular"),
+        ("elemab:3,2", "regular"),
+        ("heisenberg:3", "jordan"),
+        ("heisenberg:5", "ea"),
+    ],
+)
+def test_module_isomorphism_of_a_change_of_basis(spec, module):
+    """B_g = X0^-1 A_g X0 for a random invertible X0: the returned X is
+    invertible and intertwines, A_g X = X B_g for every generator g."""
+    G = catalog.parse_group_spec(spec)
+    A = {
+        "regular": regular_module,
+        "jordan": lambda G: jordan_module(G, 0),
+        "ea": lambda G: conjugation_module(G, greedy_elementary_abelian_normal(G)),
+    }[module](G)
+    p, d = A.p, A.dim
+    rng = np.random.default_rng(d)
+    X0 = rng.integers(0, p, (d, d))
+    while not la.det_nonzero(X0, p):
+        X0 = rng.integers(0, p, (d, d))
+    inv = la.mat_inverse(X0, p)
+    B = FpModule(G, tuple(tuple(map(tuple, (inv @ m @ X0 % p).tolist())) for m in A.mats))
+    assert any(not np.array_equal(a, b) for a, b in zip(A.mats, B.mats))
+    X = module_isomorphism(A, B)
+    assert X is not None and la.det_nonzero(X, p)
+    for a, b in zip(A.mats, B.mats):
+        assert np.array_equal(a @ X % p, X @ b % p)
+
+
+def test_module_isomorphism_none_for_non_isomorphic(H3):
+    # trivial against non-trivial: the socle dimensions differ
+    assert module_isomorphism(trivial_module(H3, 2), jordan_module(H3, 0)) is None
+    # the same socle dimensions, (1, 2), but different kernels: only the
+    # intertwiner system tells them apart
+    E = catalog.parse_group_spec("elemab:3,2")
+    A, B = jordan_module(E, 0), jordan_module(E, 1)
+    assert socle_filtration(A).dims == socle_filtration(B).dims
+    assert module_isomorphism(A, B) is None
 
 
 def test_embedding_counts(C3, C33):

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import pgroups.gflinalg as la
 
+from .models import reference_complement
+
 PRIMES = [3, 5, 7]
 
 
@@ -75,6 +77,27 @@ def test_complement_and_intersection():
     inter = la.intersect_rowspaces(a, b, p)
     assert inter.shape[0] == 1
     assert la.in_rowspace(inter[0], a, p) and la.in_rowspace(inter[0], b, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_complement_in_matches_greedy_reference(p, data):
+    """complement_in keeps the same amb rows, in the same order, as the
+    scalar greedy scan; amb may repeat rows, and sub lies in its span."""
+    width = data.draw(st.integers(1, 6), label="width")
+    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    pool = data.draw(st.lists(row, min_size=1, max_size=6), label="pool")
+    k = data.draw(st.integers(0, 6), label="amb rows")
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k), label="amb")
+    amb = np.array(rows, dtype=np.int64).reshape(k, width)
+    s = data.draw(st.integers(0, 4), label="sub rows")
+    coeffs = st.lists(st.integers(0, p - 1), min_size=s * k, max_size=s * k)
+    combos = np.array(data.draw(coeffs, label="sub"), dtype=np.int64).reshape(s, k)
+    sub = (combos @ amb) % p
+    comp = la.complement_in(sub, amb, p)
+    assert comp.shape[1] == width
+    assert comp.tolist() == reference_complement(sub, amb, p)
 
 
 def test_preimage_of_rowspace():
