@@ -460,7 +460,7 @@ def construct_noninner(
         M = conjugation_module(G, A)
         space = derivation_space(G, M)
         van = vanishing_subspace(space, list(K.gen_elements))
-        ider = la.intersect_rowspaces(space.ider_array, van, p) if van.size else van
+        ider = la.intersect_rowspaces(space.ider_array, van, p)
         reps = la.complement_in(ider, van, p)
         cert, tried = _scan_classes(M, reps, limit, K, path, evidence, caps)
         if cert is not None:

@@ -15,10 +15,12 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import gflinalg as la
 from .autom import construct_noninner, verify_certificate
 from .catalog import default_catalog, parse_group_spec
-from .deriv import derivation_space
+from .deriv import derivation_space, require_system_fits
 from .errors import (
     CapExceeded,
     Caps,
@@ -90,21 +92,19 @@ def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
         unknown = set(action) - {str(i + 1) for i in range(G.n)}
         if unknown:
             raise InputError(f"action for unknown generators {sorted(unknown)}")
-        mats = []
+        mats = np.array([la.eye(dim)] * G.n)
         for i in range(G.n):
             raw = action.get(str(i + 1))
             if raw is None:
-                mats.append(tuple(tuple(int(v) for v in row) for row in la.eye(dim)))
                 continue
             # entries are read mod p, so any int a JSON file holds fits int64
             flat = [json_int(v, "action entry") % G.p for v in raw]
             if len(flat) != dim * dim:
                 raise InputError(f"action for generator {i + 1} has wrong size")
-            rows = [tuple(flat[r * dim : (r + 1) * dim]) for r in range(dim)]
-            mats.append(tuple(rows))
+            mats[i] = np.reshape(flat, (dim, dim))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed module data: {exc}") from exc
-    return FpModule(G, tuple(mats))
+    return FpModule(G, mats)
 
 
 def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
@@ -114,6 +114,7 @@ def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
     if spec == "center":
         return conjugation_module(G, omega1(G, center(G)))
     if spec == "regular":
+        require_system_fits(G, G.order)
         return regular_module(G, caps.module_dim)
     if spec.startswith("omega1zp:"):
         try:

@@ -19,14 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from . import gflinalg as la
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .fpmod import (
     FpModule,
     fixed_points,
     pullback_module,
     twist_extend_raw,
 )
-from .pcgroup import Element, GroupHom, PcPresentation, subgroup_presentation
+from .pcgroup import FULL_TABLE_ORDER, Element, GroupHom, PcPresentation, subgroup_presentation
 from .series import Subgroup, frattini
 
 
@@ -82,6 +82,9 @@ class Derivation:
         self.gen_images.setflags(write=False)
         if check and not self.satisfies_relations():
             raise InputError("generator images violate the cocycle relations")
+
+    def __reduce__(self):
+        return Derivation, (self.group, self.module, self.gen_images, self.check)
 
     def satisfies_relations(self) -> bool:
         return bool(satisfies_cocycle(self.module, self.gen_images[None])[0])
@@ -144,6 +147,10 @@ class CohomologySpace:
         self.group, self.module = group, module
         self.der_array, self.ider_array, self.h1_array = der_array, ider_array, h1_array
 
+    def __reduce__(self):
+        arrays = (self.der_array, self.ider_array, self.h1_array)
+        return CohomologySpace, (self.group, self.module, *arrays)
+
     @property
     def der_dim(self) -> int:
         return len(self.der_array)
@@ -181,6 +188,15 @@ class CohomologySpace:
             yield derivation_from_vector(self.group, self.module, vec)
 
 
+def require_system_fits(G: PcPresentation, dim: int) -> None:
+    """Refuse Der(G, M) for a module of dimension dim when its dense system,
+    (n*dim) x (relators*dim) entries, exceeds the largest dense product
+    table (FULL_TABLE_ORDER^2 entries): checked before anything is built."""
+    entries = G.n * dim * len(G.relators) * dim
+    if entries > FULL_TABLE_ORDER**2:
+        raise CapExceeded("derivation system", entries, FULL_TABLE_ORDER**2)
+
+
 def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
     """Solve for Der(G, M), Ider(G, M) and echelonized H^1 representatives.
 
@@ -191,6 +207,7 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
     d_(e_k), that is e_k (A_g - I) over the generators g."""
     if M.group != G:
         raise InputError("module is over a different group")
+    require_system_fits(G, M.dim)
     p, nd = M.p, G.n * M.dim
     units = la.eye(nd).reshape(nd, G.n, M.dim)
     system = np.hstack(
@@ -244,10 +261,8 @@ def quotient_h1_dims(
     else:
         gens = list(N.gen_elements) if isinstance(N, Subgroup) else list(N)
     van = vanishing_subspace(space, gens)
-    ider_van = la.intersect_rowspaces(space.ider_array, van, p) if van.size else van
-    der_dim = van.shape[0]
-    ider_dim = ider_van.shape[0] if ider_van.size else 0
-    return der_dim, ider_dim, der_dim - ider_dim
+    ider_dim = la.intersect_rowspaces(space.ider_array, van, p).shape[0]
+    return van.shape[0], ider_dim, van.shape[0] - ider_dim
 
 
 # -- inflation / restriction ----------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,24 +25,29 @@ class ModuleRealization(Frozen):
     """Identification of a module with an elementary abelian normal subgroup.
 
     basis[k] is the group element realizing the k-th basis vector, and
-    span[t] is the index of b_1^c_1 ... b_m^c_m, where t reads the
-    coordinates c in base p (itertools.product order).
+    span[t] (a read-only int64 array) is the index of b_1^c_1 ... b_m^c_m,
+    where t reads the coordinates c in base p (itertools.product order).
     """
 
-    def __init__(self, subgroup: Subgroup, basis: tuple[Element, ...], span: tuple[int, ...]):
+    def __init__(self, subgroup: Subgroup, basis: tuple[Element, ...], span):
+        span = np.array(span, dtype=np.int64)
+        span.setflags(write=False)
         vars(self).update(subgroup=subgroup, basis=basis, span=span)
 
     def _key(self) -> tuple:
-        return (self.subgroup, self.basis, self.span)
+        return (self.subgroup, self.basis, self.span.tobytes())
+
+    def __reduce__(self):
+        return ModuleRealization, (self.subgroup, self.basis, self.span)
 
     @cached_property
     def coords(self) -> np.ndarray:
         """coords[x] = coordinates of the element with index x, -1 outside."""
         G = self.subgroup.parent
         out = np.full((G.order, len(self.basis)), -1, dtype=np.int64)
-        span, t = np.array(self.span), np.arange(len(self.span))
+        t = np.arange(len(self.span))
         for k in reversed(range(len(self.basis))):
-            t, out[span, k] = np.divmod(t, G.p)
+            t, out[self.span, k] = np.divmod(t, G.p)
         out.setflags(write=False)
         return out
 
@@ -56,7 +61,7 @@ class ModuleRealization(Frozen):
         the coordinates, read mod p)."""
         G = self.subgroup.parent
         weights = G.p ** np.arange(len(self.basis) - 1, -1, -1)
-        return np.asarray(self.span)[la.asmod(vecs, G.p) @ weights]
+        return self.span[la.asmod(vecs, G.p) @ weights]
 
     def decode(self, vec: Sequence[int]) -> Element:
         G = self.subgroup.parent
@@ -64,31 +69,38 @@ class ModuleRealization(Frozen):
 
 
 class FpModule(Frozen):
-    """Finite-dimensional right GF(p)(L)-module given by generator matrices."""
+    """Finite-dimensional right GF(p)(L)-module given by generator matrices:
+    mats is a read-only (n, dim, dim) int64 array, reduced mod p."""
 
     def __init__(
         self,
         group: PcPresentation,
-        action: tuple,  # one (dim x dim) int tuple-of-tuples per pc generator
+        action,  # one (dim x dim) matrix per pc generator, nested sequences or an array
         labels: tuple[str, ...] = (),
         realization: ModuleRealization | None = None,
         check: bool = True,
     ):
-        vars(self).update(group=group, action=action, labels=labels, realization=realization, check=check)
         if len(action) != group.n:
             raise InputError("need one action matrix per pc generator")
-        d = self.dim
-        for a in action:
-            m = np.array(a, dtype=np.int64)
-            if m.shape != (d, d):
-                raise InputError("action matrices must be square of equal size")
+        try:
+            mats = np.asarray(action, dtype=np.int64) % group.p
+        except ValueError as exc:  # ragged
+            raise InputError("action matrices must be square of equal size") from exc
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.shape[1]:  # dim 0 too
+            raise InputError("action matrices must be square of equal size")
+        mats.setflags(write=False)
+        vars(self).update(group=group, mats=mats, labels=labels, realization=realization, check=check)
+        for m in mats:
             if not la.det_nonzero(m, self.p):
                 raise InputError("action matrix is singular")
         if check and not self.relations_hold():
             raise InputError("action matrices violate the group relations")
 
     def _key(self) -> tuple:
-        return (self.group, self.action, self.labels, self.realization, self.check)
+        return (self.group, self.mats.shape, self.mats.tobytes(), self.labels, self.realization, self.check)
+
+    def __reduce__(self):
+        return FpModule, (self.group, self.mats, self.labels, self.realization, self.check)
 
     @property
     def p(self) -> int:
@@ -96,16 +108,7 @@ class FpModule(Frozen):
 
     @property
     def dim(self) -> int:
-        return len(self.action[0])
-
-    @cached_property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for a in self.action:
-            m = np.array(a, dtype=np.int64) % self.p
-            m.setflags(write=False)
-            out.append(m)
-        return tuple(out)
+        return self.mats.shape[1]
 
     def relations_hold(self) -> bool:
         for lhs, rhs in self.group.relators:
@@ -126,13 +129,6 @@ class FpModule(Frozen):
             raise InputError("element from a different group")
         return self._word_matrix((g, e) for g, e in enumerate(x.exps) if e)
 
-    def act(self, vec: Sequence[int], x: Element) -> np.ndarray:
-        return (la.asmod(vec, self.p) @ self.action_of(x)) % self.p
-
-    def vectors(self) -> Iterable[np.ndarray]:
-        for tup in itertools.product(range(self.p), repeat=self.dim):
-            yield np.array(tup, dtype=np.int64)
-
     @cached_property
     def is_unipotent(self) -> bool:
         q = self.p ** self.group.n
@@ -145,9 +141,13 @@ class FpModule(Frozen):
 
 
 class Submodule:
-    def __init__(self, module: FpModule, basis: tuple):  # echelonized rows, tuple-of-tuples
-        self.module, self.basis = module, basis
-        b = self.basis_array
+    """Action-stable subspace of a module: basis_array is a read-only (k,
+    dim) int64 array of echelonized rows."""
+
+    def __init__(self, module: FpModule, basis_array):
+        b = la.asmod(basis_array, module.p).reshape(-1, module.dim)
+        b.setflags(write=False)
+        self.module, self.basis_array = module, b
         if b.size == 0:
             return
         p = module.p
@@ -156,26 +156,19 @@ class Submodule:
             if la.rank(np.vstack([b, (b @ m) % p]), p) != r0:
                 raise InputError("subspace is not action-stable")
 
-    @cached_property
-    def basis_array(self) -> np.ndarray:
-        if not self.basis:
-            return la.zeros((0, self.module.dim))
-        return np.array(self.basis, dtype=np.int64)
+    def __reduce__(self):
+        return Submodule, (self.module, self.basis_array)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vec) -> bool:
-        return la.in_rowspace(vec, self.basis_array, self.module.p)
+        return len(self.basis_array)
 
     def __repr__(self):
         return f"Submodule(dim={self.dim} of dim={self.module.dim})"
 
 
 def _echelon_submodule(M: FpModule, rows) -> Submodule:
-    basis = la.row_basis(rows, M.p) if np.asarray(rows).size else la.zeros((0, M.dim))
-    return Submodule(M, tuple(tuple(int(v) for v in r) for r in basis))
+    return Submodule(M, la.row_basis(rows, M.p))
 
 
 class Filtration(NamedTuple):
@@ -193,8 +186,7 @@ class Filtration(NamedTuple):
 
 
 def trivial_module(L: PcPresentation, dim: int = 1) -> FpModule:
-    eye = tuple(tuple(int(v) for v in row) for row in la.eye(dim))
-    return FpModule(L, tuple(eye for _ in range(L.n)), check=False)
+    return FpModule(L, [la.eye(dim)] * L.n, check=False)
 
 
 def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_dim) -> FpModule:
@@ -203,17 +195,13 @@ def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_
     if L.order > module_dim_cap:
         raise CapExceeded("regular module dimension", L.order, module_dim_cap)
     N = L.order
-    mats = []
-    for i in range(L.n):
-        t = L.gen_tables[i]
-        m = la.zeros((N, N))
-        m[np.arange(N), t] = 1
-        mats.append(tuple(tuple(int(v) for v in row) for row in m))
+    mats = la.zeros((L.n, N, N))
+    mats[np.arange(L.n)[:, None], np.arange(N), L.gen_tables] = 1
     labels = tuple(str(e) for e in L.elements)
-    return FpModule(L, tuple(mats), labels=labels, check=False)
+    return FpModule(L, mats, labels=labels, check=False)
 
 
-def _span(G: PcPresentation, basis: Sequence[Element]) -> tuple[int, ...]:
+def _span(G: PcPresentation, basis: Sequence[Element]) -> np.ndarray:
     """span[t] = index of b_1^c_1 ... b_m^c_m, where t reads the coordinate
     tuple c over GF(p) in base p: one broadcast product per basis element."""
     span = np.zeros(1, dtype=np.int64)
@@ -222,7 +210,7 @@ def _span(G: PcPresentation, basis: Sequence[Element]) -> tuple[int, ...]:
         for _ in range(1, G.p):
             powers.append(G.mult_index(powers[-1], b.index))
         span = G.mult_indices(span[:, None], np.array(powers)[None, :]).reshape(-1)
-    return tuple(span.tolist())
+    return span
 
 
 def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
@@ -239,12 +227,11 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
     basis_idx = greedy_witnesses(G, A.members)
     basis = tuple(Element(G, G.exps_of(i)) for i in basis_idx)
     span = _span(G, basis)
-    if len(set(span)) != A.order:
+    if len(set(span.tolist())) != A.order:
         raise InputError("basis does not coordinatize the subgroup")  # pragma: no cover
     realization = ModuleRealization(subgroup=A, basis=basis, span=span)
     # row k of generator i's matrix: coordinates of b_k^(g_i)
-    conj = realization.coords[conjugates(G, basis_idx)]
-    mats = tuple(tuple(map(tuple, conj[:, i].tolist())) for i in range(G.n))
+    mats = realization.coords[conjugates(G, basis_idx)].transpose(1, 0, 2)
     return FpModule(G, mats, realization=realization)
 
 
@@ -252,10 +239,7 @@ def pullback_module(M: FpModule, pi: GroupHom) -> FpModule:
     """View a module over pi's target as a module over pi's source."""
     if M.group != pi.target:
         raise InputError("module is not over the hom's target")
-    mats = tuple(
-        tuple(tuple(int(v) for v in row) for row in M.action_of(img))
-        for img in pi.images
-    )
+    mats = [M.action_of(img) for img in pi.images]
     return FpModule(pi.source, mats, labels=M.labels, check=False)
 
 
@@ -275,13 +259,13 @@ def submodule_as_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray
         coeffs = la.solve_right_many(b, imgs, p)
         if coeffs is None:
             raise InputError("subspace not action-stable")  # pragma: no cover
-        mats.append(tuple(tuple(int(v) for v in row) for row in coeffs))
+        mats.append(coeffs)
     realization = None
     if M.realization is not None:
         sub_basis = tuple(M.realization.decode(row) for row in b)
         span = _span(M.group, sub_basis)
         realization = ModuleRealization(make_subgroup(M.group, span), sub_basis, span)
-    return FpModule(M.group, tuple(mats), realization=realization, check=False), b
+    return FpModule(M.group, mats, realization=realization, check=False), b
 
 
 def quotient_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
@@ -295,11 +279,7 @@ def quotient_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
     if inv is None:
         raise InputError("internal: basis completion is singular")  # pragma: no cover
     proj = inv[:, b.shape[0] :]  # (dim, qdim)
-    mats = []
-    for m in M.mats:
-        block = ((comp @ m) % p) @ proj % p
-        mats.append(tuple(tuple(int(v) for v in row) for row in block))
-    return FpModule(M.group, tuple(mats), check=False), proj
+    return FpModule(M.group, (comp @ M.mats % p) @ proj, check=False), proj
 
 
 # -- fixed points and filtrations -------------------------------------------------
@@ -373,7 +353,7 @@ def submodule_closure(M: FpModule, rows) -> Submodule:
             if nb.shape[0] > basis.shape[0]:
                 basis = nb
                 changed = True
-    return _echelon_submodule(M, basis if basis.size else la.zeros((0, M.dim)))
+    return _echelon_submodule(M, basis)
 
 
 def radical_series(M: FpModule) -> Filtration:
@@ -424,19 +404,16 @@ def twist_extend_raw(M: FpModule, tau_images) -> FpModule:
     Linear extension: (h | k) -> (h @ A - k tau(g) | k). The cocycle
     condition on tau is the caller's responsibility (the relator check in
     the constructor still guards the result)."""
-    p = M.p
     d = M.dim
-    mats = []
-    for i, m in enumerate(M.mats):
-        t = la.asmod(tau_images[i], p).reshape(-1)
+    big = la.zeros((M.group.n, d + 1, d + 1))
+    big[:, :d, :d] = M.mats
+    big[:, d, d] = 1
+    for i in range(M.group.n):
+        t = la.asmod(tau_images[i], M.p).reshape(-1)
         if t.shape[0] != d:
             raise InputError("twist vector has wrong dimension")
-        big = la.zeros((d + 1, d + 1))
-        big[:d, :d] = m
-        big[d, :d] = (-t) % p
-        big[d, d] = 1
-        mats.append(tuple(tuple(int(v) for v in row) for row in big))
-    return FpModule(M.group, tuple(mats), check=True)
+        big[i, d, :d] = -t
+    return FpModule(M.group, big, check=True)
 
 
 def norm_operator(M: FpModule) -> np.ndarray:
@@ -475,7 +452,7 @@ def minimal_submodules_above(M: FpModule, S: Submodule) -> list[Submodule]:
         if not any(coeffs):
             continue
         line = (np.array(coeffs, dtype=np.int64) @ fp_q.basis_array) % p
-        key = tuple(int(v) for v in la.row_basis(line.reshape(1, -1), p)[0])
+        key = la.row_basis(line, p).tobytes()
         if key in seen:
             continue
         seen.add(key)
@@ -488,13 +465,12 @@ def minimal_submodules_above(M: FpModule, S: Submodule) -> list[Submodule]:
 def submodules_of_dim(M: FpModule, dim: int) -> list[Submodule]:
     """All submodules of the given dimension (BFS over covering steps)."""
     start = _echelon_submodule(M, la.zeros((0, M.dim)))
-    level = {(): start}
+    level = {b"": start}
     for _ in range(dim):
-        nxt: dict[tuple, Submodule] = {}
+        nxt: dict[bytes, Submodule] = {}
         for sub in level.values():
             for cover in minimal_submodules_above(M, sub):
-                key = tuple(map(tuple, cover.basis_array.tolist()))
-                nxt[key] = cover
+                nxt[cover.basis_array.tobytes()] = cover
         level = nxt
     return list(level.values())
 
@@ -519,7 +495,7 @@ def maximal_submodules(M: FpModule) -> list[Submodule]:
         pre = la.preimage_of_rowspace(proj, hyper, p) if hyper.size else la.preimage_of_rowspace(proj, la.zeros((0, qd)), p)
         rows = np.vstack([rad.basis_array, pre]) if rad.dim else pre
         sub = _echelon_submodule(M, rows)
-        key = tuple(map(tuple, sub.basis_array.tolist()))
+        key = sub.basis_array.tobytes()
         if key not in seen:
             seen.add(key)
             out.append(sub)

@@ -136,14 +136,10 @@ def intersect_rowspaces(a, b, p: int) -> np.ndarray:
     a = row_basis(a, p)
     b = row_basis(b, p)
     if a.size == 0 or b.size == 0:
-        cols = a.shape[1] if a.size else (b.shape[1] if b.size else 0)
-        return zeros((0, cols))
+        return zeros((0, a.shape[1]))
     # (alpha|beta) @ [[a],[-b]] = 0 gives alpha @ a = beta @ b.
     combos = left_nullspace(np.vstack([a, (-b) % p]), p)
-    vecs = [(c[: a.shape[0]] @ a) % p for c in combos]
-    if not vecs:
-        return zeros((0, a.shape[1]))
-    return row_basis(np.array(vecs, dtype=np.int64), p)
+    return row_basis((combos[:, : len(a)] @ a) % p, p)
 
 
 def preimage_of_rowspace(mat, sub, p: int) -> np.ndarray:

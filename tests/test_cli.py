@@ -276,6 +276,30 @@ def test_oversized_product_tables_refused_on_load():
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["h1", "--group", "d:3,3"], ["derivations", "--group", "cyclic:3,6"]],
+    ids=["h1-d33", "derivations-cyclic36"],
+)
+def test_regular_module_derivation_system_refused_quickly(argv):
+    """Der(G, GF(p)G) at order 729 would be a dense (6 * 729) x (21 * 729)
+    system, 67.0M entries; it is refused before the regular module is built
+    (cap, exit 2)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    env.pop("PGROUP_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgroups.cli", *argv, "--module", "regular"],
+        env=env,
+        capture_output=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "derivation system: size 66961566 exceeds cap 16777216",
+        "kind": "cap",
+    }
+
+
 @pytest.mark.parametrize("spec", ["cyclic:1000000000000000003", "cyclic:3,100000000"])
 def test_huge_cyclic_spec_refused_quickly(spec):
     """The spec's order is checked against the cap before m^k is computed,

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -156,9 +157,15 @@ def test_derivation_arrays_are_read_only(H3):
     M = jordan_module(H3, 0)
     sp = derivation_space(H3, M)
     assert (sp.der_dim, sp.ider_dim, sp.h1_dim) == (4, 1, 3)
-    for arr in (sp.der_array, sp.ider_array, sp.h1_array, sp.der_basis[0].gen_images):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1
+    d0 = sp.der_basis[0]
+    sp2, d2 = pickle.loads(pickle.dumps((sp, d0)))
+    assert sp2.module == M and d2.module == M
+    for a, b in [(sp.der_array, sp2.der_array), (sp.ider_array, sp2.ider_array),
+                 (sp.h1_array, sp2.h1_array), (d0.gen_images, d2.gen_images)]:
+        assert np.array_equal(a, b)
+        for arr in (a, b):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
     # the constructor keeps its own copy, reduced mod p
     imgs = np.array([[4, 0], [0, 0], [0, 0]])
     d = Derivation(H3, M, imgs)

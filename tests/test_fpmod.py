@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_regular_module_basics(C3, C33):
     assert R.dim == 3 and R.is_unipotent
     fp = fixed_points(R)
     assert fp.dim == 1
-    assert tuple(fp.basis[0]) == (1, 1, 1)  # the norm vector
+    assert tuple(fp.basis_array[0]) == (1, 1, 1)  # the norm vector
     R2 = regular_module(C33)
     assert R2.dim == 9 and fixed_points(R2).dim == 1
 
@@ -61,6 +62,35 @@ def test_action_matrices_satisfy_relations(H3):
         from pgroups.fpmod import FpModule
 
         FpModule(H3, tuple(tuple(tuple(r) for r in m) for m in bad))
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0]]], "square of equal size"),
+        ([[[1, 0, 0], [0, 1, 0]]] * 3, "square of equal size"),
+        ([[[1, 0], [0, 1]]] * 2, "one action matrix per pc generator"),
+    ],
+    ids=["ragged", "non-square", "one-matrix-short"],
+)
+def test_module_constructor_refuses_malformed_action(H3, action, message):
+    with pytest.raises(InputError, match=message):
+        FpModule(H3, action)
+
+
+def test_module_arrays_are_read_only_and_survive_pickle(H3):
+    """Writing into a module's matrices, a submodule's basis or a
+    realization's span raises, before and after a pickle round trip, and
+    each value comes back equal."""
+    M = conjugation_module(H3, greedy_elementary_abelian_normal(H3))
+    S = fixed_points(M)
+    real = M.realization
+    M2, S2, real2 = pickle.loads(pickle.dumps((M, S, real)))
+    assert M2 == M and real2 == real and M2.realization == real
+    assert S2.module == M and np.array_equal(S2.basis_array, S.basis_array)
+    for arr in (M.mats, S.basis_array, real.span, M2.mats, S2.basis_array, real2.span):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 2
 
 
 def test_fixed_points_of_trivial_subgroup(C33):
@@ -159,7 +189,7 @@ def test_conjugation_module_realization(G):
             for b, c in zip(real.basis, coeffs):
                 el = el * b**c
             span.append(el.index)
-        assert real.span == tuple(span)
+        assert real.span.tolist() == span
     if not whole_group(G).is_elementary_abelian:
         with pytest.raises(InputError):
             conjugation_module(G, whole_group(G))

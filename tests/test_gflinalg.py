@@ -77,6 +77,10 @@ def test_complement_and_intersection():
     inter = la.intersect_rowspaces(a, b, p)
     assert inter.shape[0] == 1
     assert la.in_rowspace(inter[0], a, p) and la.in_rowspace(inter[0], b, p)
+    # an empty side, or a trivial intersection, keeps the column count
+    empty = la.zeros((0, 3))
+    for x, y in [(a, empty), (empty, b), (empty, empty), (sub, b)]:
+        assert la.intersect_rowspaces(x, y, p).shape == (0, 3)
 
 
 @pytest.mark.parametrize("p", PRIMES)

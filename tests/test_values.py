@@ -5,12 +5,15 @@ compare, hash, refuse assignment and pickle by value."""
 import dataclasses
 import importlib
 import inspect
+import json
+import operator
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pgroups
@@ -41,6 +44,39 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Run in a fresh interpreter: pytest and Hypothesis may have loaded numpy.ma.
+_FIRST_IMPORTS = """
+import contextlib, io, json, sys
+import pgroups.cli as cli
+before = set(sys.modules)
+for key in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*key.split(), "--seed", "1"]) == 0, key
+lazy = [m for m in ("numpy.ma", "numpy.random", "numpy.fft", "numpy.polynomial") if m in sys.modules]
+print(json.dumps([sorted(set(sys.modules) - before), lazy]))
+"""
+
+
+def test_benchmark_calls_import_no_lazy_numpy_submodule():
+    """The seven benchmark calls (the keys of perfbench/golden.json), run in
+    one process after `import pgroups.cli`, import nothing beyond what
+    argparse loads, and none of numpy's lazily loaded submodules: the first
+    np.unique call, for one, imports numpy.ma, a cost every call would pay."""
+    root = Path(pgroups.__file__).parents[2]
+    calls = list(json.loads((root / "perfbench" / "golden.json").read_text()))
+    assert len(calls) == 7
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PGROUP_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_IMPORTS, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, lazy = json.loads(proc.stdout)
+    assert set(first) <= {"locale", "_locale"}, first
+    assert lazy == [], lazy
+
+
 def _values():
     """(value, an equal value built separately, a different value, a field
     to assign), by class name."""
@@ -57,7 +93,7 @@ def _values():
             conjugation_module(G, omega1(G, z)),
             conjugation_module(G2, omega1(G2, center(G2))),
             conjugation_module(other, omega1(other, center(other))),
-            "action",
+            "mats",
         ),
         "Caps": (Caps(), Caps(enumeration=10**6), Caps(enumeration=27), "oracle"),
         "NonInnerCertificate": (cert, cert2, cert._replace(order=1), "order"),
@@ -74,5 +110,6 @@ def test_value_semantics(value, equal, different, field):
     assert value != different
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(different, field))
-    assert getattr(value, field) == getattr(equal, field)
+    field_equal = np.array_equal if isinstance(getattr(value, field), np.ndarray) else operator.eq
+    assert field_equal(getattr(value, field), getattr(equal, field))
     assert pickle.loads(pickle.dumps(value)) == value
