@@ -169,18 +169,6 @@ class CohomologySpace:
             derivation_from_vector(self.group, self.module, row) for row in self.der_array
         )
 
-    @property
-    def ider_basis(self) -> tuple[Derivation, ...]:
-        return tuple(
-            derivation_from_vector(self.group, self.module, row) for row in self.ider_array
-        )
-
-    @property
-    def h1_reps(self) -> tuple[Derivation, ...]:
-        return tuple(
-            derivation_from_vector(self.group, self.module, row) for row in self.h1_array
-        )
-
     def span_iter(self):
         """All derivations in the span of the basis (small spaces only)."""
         for coeffs in itertools.product(range(self.module.p), repeat=self.der_dim):

@@ -70,7 +70,11 @@ class ModuleRealization(Frozen):
 
 class FpModule(Frozen):
     """Finite-dimensional right GF(p)(L)-module given by generator matrices:
-    mats is a read-only (n, dim, dim) int64 array, reduced mod p."""
+    mats is a read-only (n, dim, dim) int64 array, reduced mod p.
+
+    With check (the default) a singular matrix or a broken group relation is
+    refused; the constructors below whose matrices are invertible and satisfy
+    the relations by construction pass check=False."""
 
     def __init__(
         self,
@@ -90,11 +94,11 @@ class FpModule(Frozen):
             raise InputError("action matrices must be square of equal size")
         mats.setflags(write=False)
         vars(self).update(group=group, mats=mats, labels=labels, realization=realization, check=check)
-        for m in mats:
-            if not la.det_nonzero(m, self.p):
+        if check:
+            if not all(la.det_nonzero(m, self.p) for m in mats):
                 raise InputError("action matrix is singular")
-        if check and not self.relations_hold():
-            raise InputError("action matrices violate the group relations")
+            if not self.relations_hold():
+                raise InputError("action matrices violate the group relations")
 
     def _key(self) -> tuple:
         return (self.group, self.mats.shape, self.mats.tobytes(), self.labels, self.realization, self.check)

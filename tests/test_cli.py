@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -26,6 +27,14 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     payload = json.loads(out) if out.strip() else None
     return code, payload
+
+
+def _fresh_process(*args, timeout=30):
+    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
+    env.pop("PGROUP_CAP", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def test_series_heisenberg(capsys):
@@ -245,14 +254,7 @@ def test_huge_prime_file_refused_quickly(tmp_path):
     without any trial division up to sqrt(p)."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"name": "big", "p": 10**18 + 3, "n": 1, "powers": [[0]]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
-    env.pop("PGROUP_CAP", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgroups.cli", "series", "--file", str(path)],
-        env=env,
-        capture_output=True,
-        timeout=2,
-    )
+    proc = _fresh_process("-m", "pgroups.cli", "series", "--file", str(path), timeout=2)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["kind"] == "cap"
 
@@ -261,14 +263,7 @@ def test_oversized_product_tables_refused_on_load():
     """cyclic:997,2 is within the enumeration cap, but its product tables
     would take 997^3 * 2 int32 entries (7.4 GiB). Loading the group for any
     command refuses it before they are built (cap, exit 2)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
-    env.pop("PGROUP_CAP", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgroups.cli", "series", "--group", "cyclic:997,2"],
-        env=env,
-        capture_output=True,
-        timeout=5,
-    )
+    proc = _fresh_process("-m", "pgroups.cli", "series", "--group", "cyclic:997,2", timeout=5)
     assert proc.returncode == 2
     assert json.loads(proc.stderr) == {
         "error": "product tables: size 1982053946 exceeds cap 16777216",
@@ -285,14 +280,7 @@ def test_regular_module_derivation_system_refused_quickly(argv):
     """Der(G, GF(p)G) at order 729 would be a dense (6 * 729) x (21 * 729)
     system, 67.0M entries; it is refused before the regular module is built
     (cap, exit 2)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
-    env.pop("PGROUP_CAP", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgroups.cli", *argv, "--module", "regular"],
-        env=env,
-        capture_output=True,
-        timeout=5,
-    )
+    proc = _fresh_process("-m", "pgroups.cli", *argv, "--module", "regular", timeout=5)
     assert proc.returncode == 2
     assert json.loads(proc.stderr) == {
         "error": "derivation system: size 66961566 exceeds cap 16777216",
@@ -304,14 +292,7 @@ def test_regular_module_derivation_system_refused_quickly(argv):
 def test_huge_cyclic_spec_refused_quickly(spec):
     """The spec's order is checked against the cap before m^k is computed,
     m is factored or any presentation is built (cap, exit 2)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
-    env.pop("PGROUP_CAP", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgroups.cli", "series", "--group", spec],
-        env=env,
-        capture_output=True,
-        timeout=2,
-    )
+    proc = _fresh_process("-m", "pgroups.cli", "series", "--group", spec, timeout=2)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["kind"] == "cap"
 
@@ -389,6 +370,49 @@ def test_verify_jobs_with_explicit_specs(capsys):
     assert len(payload["rows"]) == 2
     # rows come back in submission order
     assert payload["rows"][0]["group"] == "heisenberg:3+cyclic:3,1"
+
+
+def test_run_freezes_the_heap_before_main(monkeypatch):
+    """The console-script entry point freezes the import-time heap, so the
+    collections at interpreter exit skip it; main runs after the freeze."""
+    import pgroups.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "main", gc.get_freeze_count)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.run()
+        assert exc.value.code > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_library_leaves_the_collector_alone(capsys):
+    """Importing the package and calling main freeze nothing: only the entry
+    point does."""
+    before = gc.get_freeze_count()
+    code, _ = run_cli(capsys, "noninner", "--group", "heisenberg:3")
+    assert code == 0 and gc.get_freeze_count() == before
+    proc = _fresh_process("-c", "import gc, pgroups.cli; print(gc.get_freeze_count())")
+    assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_package_and_cli_entry_points_print_the_same():
+    argv = ("noninner", "--group", "wreath:3", "--seed", "1")
+    package = _fresh_process("-m", "pgroups", *argv)
+    cli = _fresh_process("-m", "pgroups.cli", *argv)
+    assert package.returncode == cli.returncode == 0
+    assert package.stdout == cli.stdout and json.loads(cli.stdout)["order"] == 3
+
+
+def test_entry_point_rows_same_for_one_and_two_jobs():
+    """Through the entry point the worker pool forks after the freeze; its
+    rows must equal the serial run's."""
+    argv = ("-m", "pgroups", "verify", "--all", "--p", "3", "--max-order", "243")
+    serial = _fresh_process(*argv, "--jobs", "1")
+    parallel = _fresh_process(*argv, "--jobs", "2")
+    assert serial.returncode == parallel.returncode == 0
+    rows = json.loads(serial.stdout)["rows"]
+    assert json.loads(parallel.stdout)["rows"] == rows and len(rows) == 16
 
 
 def test_oracle_aut_counts(capsys):

@@ -78,6 +78,30 @@ def test_module_constructor_refuses_malformed_action(H3, action, message):
         FpModule(H3, action)
 
 
+def test_module_constructor_refuses_singular_matrix(H3):
+    """A singular generator matrix is refused when check is on (the default),
+    before the relators are tried."""
+    action = [[[1, 0], [0, 1]], [[1, 1], [1, 1]], [[1, 0], [0, 1]]]
+    with pytest.raises(InputError, match="singular"):
+        FpModule(H3, action)
+
+
+def test_regular_module_skips_determinant_checks(H3, monkeypatch):
+    """regular_module's permutation matrices are invertible by construction,
+    so building it with check=False runs no determinant."""
+    calls = []
+
+    def counted(m, p):
+        calls.append(m)
+        return True
+
+    monkeypatch.setattr(la, "det_nonzero", counted)
+    R = regular_module(H3)
+    assert R.dim == 27 and calls == []
+    FpModule(H3, R.mats)
+    assert len(calls) == H3.n
+
+
 def test_module_arrays_are_read_only_and_survive_pickle(H3):
     """Writing into a module's matrices, a submodule's basis or a
     realization's span raises, before and after a pickle round trip, and
