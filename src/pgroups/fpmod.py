@@ -421,23 +421,17 @@ def twist_extend_raw(M: FpModule, tau_images) -> FpModule:
 
 
 def norm_operator(M: FpModule) -> np.ndarray:
-    """Sum over all group elements of their action matrices."""
-    G = M.group
-    G._require_enumerable("norm operator")
+    """Sum over all group elements of their action matrices. The element
+    g_1^e_1 ... g_n^e_n acts by A_1^e_1 ... A_n^e_n, so the sum is the
+    product over i of I + A_i + ... + A_i^(p-1): n (p - 1) products."""
     p = M.p
-    total = la.zeros((M.dim, M.dim))
-
-    def rec(i: int, mat: np.ndarray):
-        nonlocal total
-        if i == G.n:
-            total = (total + mat) % p
-            return
-        cur = mat
-        for e in range(p):
-            rec(i + 1, cur)
-            cur = (cur @ M.mats[i]) % p
-
-    rec(0, la.eye(M.dim))
+    total = la.eye(M.dim)
+    for A in M.mats:
+        # Horner: total (I + A + ... + A^(p-1))
+        acc = total
+        for _ in range(p - 1):
+            acc = (acc @ A + total) % p
+        total = acc
     return total
 
 
@@ -482,9 +476,7 @@ def submodules_of_dim(M: FpModule, dim: int) -> list[Submodule]:
 def maximal_submodules(M: FpModule) -> list[Submodule]:
     """Maximal submodules: preimages of the hyperplanes of M / MJ."""
     p = M.p
-    rad = radical_series(M).layers[1] if M.dim else None
-    if rad is None:
-        return []
+    rad = radical_series(M).layers[1]
     Q, proj = quotient_module(M, rad)
     out = []
     seen = set()
@@ -496,9 +488,8 @@ def maximal_submodules(M: FpModule) -> list[Submodule]:
             continue
         func = np.array(functional, dtype=np.int64).reshape(qd, 1)
         hyper = la.left_nullspace(func, p)  # vectors v with v @ func = 0
-        pre = la.preimage_of_rowspace(proj, hyper, p) if hyper.size else la.preimage_of_rowspace(proj, la.zeros((0, qd)), p)
-        rows = np.vstack([rad.basis_array, pre]) if rad.dim else pre
-        sub = _echelon_submodule(M, rows)
+        pre = la.preimage_of_rowspace(proj, hyper, p)
+        sub = _echelon_submodule(M, np.vstack([rad.basis_array, pre]))
         key = sub.basis_array.tobytes()
         if key not in seen:
             seen.add(key)

@@ -23,7 +23,10 @@ def zeros(shape) -> np.ndarray:
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns).
+
+    Each pivot eliminates only where it reaches: the rows nonzero in its
+    column, from that column on. The pivot row is zero left of its pivot."""
     m = asmod(a, p)
     if m.ndim != 2:
         m = m.reshape(1, -1)
@@ -40,10 +43,14 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             m[[r, k]] = m[[k, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), -1, p)) % p
         col = m[:, c].copy()
         col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        hit = np.flatnonzero(col)
+        # the guard skips the fancy-index copy, which costs more than it
+        # saves on the many small eliminations with nothing to clear
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m[:r], pivots

@@ -10,10 +10,11 @@ Conventions, fixed once and used everywhere:
     h^g = g^-1 h g          (conjugation)
     [x, y] = x^-1 y^-1 x y  (commutator)
 
-Element arithmetic reads index tables (an element's index is its exponent
-tuple read in base p), so it needs the group within the enumeration cap
-and raises CapExceeded above it. Collection serves the overlap consistency
-proof and `collect`, which gives normal forms at any order.
+Collection has one implementation, `gen_tables`, the right multiplication
+of every element by each pc generator. Element arithmetic, `collect` and
+the overlap consistency proof read it or the tables built from it (an
+element's index is its exponent tuple read in base p), so they need the
+group within the enumeration cap and raise CapExceeded above it.
 
 Presentations and elements are immutable; lazily built lookup tables are
 idempotent caches, so sharing across threads is safe.
@@ -195,64 +196,6 @@ class PcPresentation(Frozen):
     def element(self, exps: Sequence[int]) -> "Element":
         return Element(self, tuple(int(e) % self.p for e in exps))
 
-    # -- collection ---------------------------------------------------------
-
-    @cached_property
-    def _conj_gens(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """_conj_gens[i][j - i - 1] = g_j^(g_i) = g_j [g_j, g_i] for j > i.
-
-        [g_j, g_i] lives above j, so g_j followed by it is a normal form."""
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(i + 1, self.n):
-                c = self.comm(j, i)
-                row.append(c[:j] + (1,) + c[j + 1 :])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _times_gen(self, x: tuple[int, ...], i: int) -> tuple[int, ...]:
-        """Normal form of x * g_i for a normal form x.
-
-        Split x = head * g_i^e * tail with tail in <g_(i+1), ..., g_n>; then
-        x * g_i = head * g_i^(e+1) * tail^(g_i), and g_i^p = power_rhs[i]
-        lies above i again."""
-        tail = x[i + 1 :]
-        if any(tail):
-            # conjugation by g_i is a homomorphism: conjugate letter by letter
-            acc = self.identity_exps
-            for conj, e in zip(self._conj_gens[i], tail):
-                for _ in range(e):
-                    acc = self._mul_normal(acc, conj)
-            tail = acc[i + 1 :]
-        e = x[i] + 1
-        if e < self.p:
-            return x[:i] + (e,) + tail
-        above = self._mul_normal(self.power_rhs[i], (0,) * (i + 1) + tail)
-        return x[:i] + above[i:]
-
-    def _mul_normal(self, x: tuple[int, ...], y: Sequence[int]) -> tuple[int, ...]:
-        for k, e in enumerate(y):
-            for _ in range(e):
-                x = self._times_gen(x, k)
-        return x
-
-    def collect(self, word: Word) -> tuple[int, ...]:
-        """Normal form of a word of (generator index, exponent >= 0) pairs.
-
-        Collection from the left: each letter in turn right-multiplies the
-        normal form of the word before it."""
-        for g, e in word:
-            if not 0 <= g < self.n:
-                raise InputError(f"generator index {g} out of range")
-            if e < 0:
-                raise InputError("collection takes non-negative exponents")
-        x = self.identity_exps
-        for g, e in word:
-            for _ in range(e):
-                x = self._times_gen(x, g)
-        return x
-
     # -- enumeration and tables ---------------------------------------------
 
     def _require_enumerable(self, what: str = "enumeration"):
@@ -282,15 +225,34 @@ class PcPresentation(Frozen):
             exps.append(e)
         return tuple(reversed(exps))
 
+    def collect(self, word: Word) -> tuple[int, ...]:
+        """Normal form of a word of (generator index, exponent >= 0) pairs.
+
+        Collection from the left: each letter in turn right-multiplies the
+        normal form of the word before it, one gen_tables entry per letter,
+        so it needs the group within the enumeration cap."""
+        for g, e in word:
+            if not 0 <= g < self.n:
+                raise InputError(f"generator index {g} out of range")
+            if e < 0:
+                raise InputError("collection takes non-negative exponents")
+        tabs = self.gen_tables
+        x = 0
+        for g, e in word:
+            for _ in range(e):
+                x = tabs.item(g, x)
+        return self.exps_of(x)
+
     @cached_property
     def gen_tables(self) -> np.ndarray:
-        """gen_tables[i][x] = index of (element x) * g_i.
+        """gen_tables[i][x] = index of (element x) * g_i: the collector, for
+        every element at once.
 
-        Entry for entry what _times_gen computes, built from g_n down to
-        g_1 by gathers through the rows already built: for x = head *
-        g_i^e * t with t in <g_(i+1), ..., g_n> (the indices below w),
-        x g_i = head * g_i^(e+1) * t^(g_i), where g_i^p = power_rhs[i].
-        The inverse, p-th power and product tables are derived from these."""
+        Built from g_n down to g_1 by gathers through the rows already
+        built: for x = head * g_i^e * t with t in <g_(i+1), ..., g_n> (the
+        indices below w), x g_i = head * g_i^(e+1) * t^(g_i), where
+        g_i^p = power_rhs[i]. The inverse, p-th power and product tables
+        are derived from these."""
         self._require_enumerable()
         p, n = self.p, self.n
         tabs = np.zeros((n, self.order), dtype=np.int64)
@@ -298,11 +260,12 @@ class PcPresentation(Frozen):
         for i in reversed(range(n)):
             w = p ** (n - 1 - i)
             sub = np.arange(w, dtype=np.int64)
-            # right multiplication of the subgroup by each g_j^(g_i), j > i
+            # right multiplication of the subgroup by each
+            # g_j^(g_i) = g_j [g_j, g_i], j > i: the commutator lies above j
             conj = []
-            for c in self._conj_gens[i]:
-                perm = sub
-                for k, e in enumerate(c):
+            for j in range(i + 1, n):
+                perm = tabs[j][sub]
+                for k, e in enumerate(self.comm(j, i)):
                     for _ in range(e):
                         perm = tabs[k][perm]
                 conj.append(perm)
@@ -468,25 +431,25 @@ class PcPresentation(Frozen):
             (g_j g_i^(p-1)) g_i = g_j (g_i^p)       j > i
             (g_i^p) g_i = g_i (g_i^p).
 
-        Raises InputError on the first failure; returns the number of
-        overlaps checked."""
+        Each bracket is a product of two normal forms, read from the product
+        tables. Raises InputError on the first failure; returns the number
+        of overlaps checked."""
         n, p = self.n, self.p
-        mul = self._mul_normal
-
-        def unit(i, e=1):
-            return (0,) * i + (e,) + (0,) * (n - i - 1)
-
+        mul = self.mult_index
+        gen = self.gen_indices
+        power = [self.index_of(rhs) for rhs in self.power_rhs]
         checked = 0
         for i in range(n):
-            gi = unit(i)
-            pairs = [(mul(self.power_rhs[i], gi), mul(gi, self.power_rhs[i]))]
+            gi = gen[i]
+            pairs = [(mul(power[i], gi), mul(gi, power[i]))]
             for j in range(i + 1, n):
-                gj = unit(j)
+                gj = gen[j]
                 gji = mul(gj, gi)
-                pairs.append((mul(self.power_rhs[j], gi), mul(unit(j, p - 1), gji)))
-                pairs.append((mul(mul(gj, unit(i, p - 1)), gi), mul(gj, self.power_rhs[i])))
+                # (p - 1) gen[j] is the index of g_j^(p-1)
+                pairs.append((mul(power[j], gi), mul((p - 1) * gj, gji)))
+                pairs.append((mul(mul(gj, (p - 1) * gi), gi), mul(gj, power[i])))
                 for k in range(j + 1, n):
-                    gk = unit(k)
+                    gk = gen[k]
                     pairs.append((mul(mul(gk, gj), gi), mul(gk, gji)))
             for lhs, rhs in pairs:
                 if lhs != rhs:

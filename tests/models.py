@@ -9,11 +9,14 @@ orders and images of words) is built on `reference_collect` alone; the
 library's collector and its index tables are checked against it.
 `table_is_group` decides the group axioms of a multiplication table by
 brute force over all N^3 triples, the reference for the consistency audit.
+`reference_overlaps` is the overlap test on `reference_collect`, the
+reference for the consistency proof above order 243.
 `reference_homomorphism_images` is a scalar backtracking search for
 homomorphisms through a table built by `multiply_exps`, the reference for
-the oracle's search. `reference_complement` is the scalar greedy scan
-that `gflinalg.complement_in` reads from one elimination, on its own
-GF(p) rank.
+the oracle's search. `reference_rref` is a scalar Gauss-Jordan
+elimination, the reference for `gflinalg.rref`. `reference_complement` is
+the scalar greedy scan that `gflinalg.complement_in` reads from one
+elimination, on the rank of `reference_rref`.
 """
 
 from __future__ import annotations
@@ -129,6 +132,39 @@ def reference_collect(pres, word) -> tuple:
 
 def _word(exps) -> list:
     return [(k, e) for k, e in enumerate(exps) if e]
+
+
+def reference_overlaps(pres) -> bool:
+    """Whether the presentation passes the overlap test (Sims, *Computation
+    with Finitely Presented Groups*, ch. 9): both sides of every overlap
+    word below give one normal form, each bracket collected by
+    `reference_collect`, and g^p read as its power relation.
+
+        (g_k g_j) g_i = g_k (g_j g_i)           k > j > i
+        (g_j^p) g_i = g_j^(p-1) (g_j g_i)       j > i
+        (g_j g_i^(p-1)) g_i = g_j (g_i^p)       j > i
+        (g_i^p) g_i = g_i (g_i^p)."""
+    n, p = pres.n, pres.p
+
+    def nf(*words) -> list:
+        """The normal form of the concatenated words, as a word."""
+        return _word(reference_collect(pres, [letter for w in words for letter in w]))
+
+    power = [_word(rhs) for rhs in pres.power_rhs]
+    for i in range(n):
+        gi = [(i, 1)]
+        sides = [(nf(power[i], gi), nf(gi, power[i]))]
+        for j in range(i + 1, n):
+            gj = [(j, 1)]
+            gji = nf(gj, gi)
+            sides.append((nf(power[j], gi), nf([(j, p - 1)], gji)))
+            sides.append((nf(nf(gj, [(i, p - 1)]), gi), nf(gj, power[i])))
+            for k in range(j + 1, n):
+                gk = [(k, 1)]
+                sides.append((nf(nf(gk, gj), gi), nf(gk, gji)))
+        if any(lhs != rhs for lhs, rhs in sides):
+            return False
+    return True
 
 
 def multiply_exps(pres, x, y) -> tuple:
@@ -272,11 +308,13 @@ def reference_homomorphism_images(G, H) -> list:
     return out
 
 
-def reference_rank(rows, p: int) -> int:
-    """Rank over GF(p) of integer rows, by scalar Gauss-Jordan elimination."""
+def reference_rref(rows, p: int) -> tuple[list, list]:
+    """Reduced row echelon form over GF(p) of integer rows, by scalar
+    Gauss-Jordan elimination: the nonzero rows and the pivot columns."""
     m = [[int(v) % p for v in row] for row in rows]
-    rank = 0
+    pivots = []
     for c in range(len(m[0]) if m else 0):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if pivot is None:
             continue
@@ -287,8 +325,13 @@ def reference_rank(rows, p: int) -> int:
             if r != rank and m[r][c]:
                 f = m[r][c]
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def reference_rank(rows, p: int) -> int:
+    """Rank over GF(p) of integer rows: the row count of `reference_rref`."""
+    return len(reference_rref(rows, p)[0])
 
 
 def reference_complement(sub, amb, p: int) -> list:

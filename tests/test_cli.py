@@ -1,14 +1,17 @@
+import contextlib
 import copy
 import gc
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import pgroups
 from pgroups.cli import _resolve_module, main
@@ -20,6 +23,9 @@ from pgroups import (
     presentation_from_dict,
     presentation_to_dict,
 )
+
+from .models import reference_overlaps
+from .test_collection import _random_presentation
 
 
 def run_cli(capsys, *argv):
@@ -519,3 +525,29 @@ def test_module_file_loader_raises_only_library_errors(module):
             _resolve_module(G, f"file:{path}", DEFAULT_CAPS)
         except PGroupError:
             pass
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from([(3, 6), (5, 4), (7, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_series_on_random_presentations_exits_by_the_reference_overlaps(family, seed):
+    """Above order 243 the loader proves a file consistent by the overlap
+    test: `series` exits 0 exactly when the overlap words agree under the
+    rewriting collector, and 3 with kind "input" otherwise."""
+    P = _random_presentation(random.Random(seed), *family)
+    consistent = reference_overlaps(P)
+    event(f"consistent: {consistent}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pres.json"
+        dump_presentation(P, path)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["series", "--file", str(path)])
+    if consistent:
+        assert code == 0, stderr.getvalue()
+        assert json.loads(stdout.getvalue())["order"] == P.order
+    else:
+        assert code == 3
+        assert json.loads(stderr.getvalue())["kind"] == "input"

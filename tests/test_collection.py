@@ -33,6 +33,7 @@ from .models import (
     order_exps,
     power_exps,
     reference_collect,
+    reference_overlaps,
     table_is_group,
     word_image_exps,
 )
@@ -54,6 +55,17 @@ def test_collect_matches_reference_collector(data):
         label="word",
     )
     assert G.collect(word) == reference_collect(G, word)
+
+
+def test_collect_refused_above_the_enumeration_cap():
+    """collect reads the generator tables, so it needs the group within
+    the enumeration cap, as element arithmetic does."""
+    H = catalog.heisenberg(3)
+    G = PcPresentation(H.p, H.power_rhs, H.comm_rhs, H.name, enumeration_cap=9)
+    with pytest.raises(CapExceeded):
+        G.collect([(1, 1), (0, 1)])
+    with pytest.raises(InputError, match="out of range"):
+        G.collect([(3, 1)])
 
 
 def _consistent(check) -> bool:
@@ -102,6 +114,21 @@ def test_overlaps_agree_with_exhaustive_on_random_presentations(p, n, count):
         assert _consistent(P.check_overlaps) == exhaustive, P
         verdicts.append(exhaustive)
     # both verdicts occur, so the agreement is not vacuous
+    assert 0 < sum(verdicts) < count
+
+
+@pytest.mark.parametrize("p, n, count", [(3, 6, 40), (5, 4, 40), (7, 3, 40)])
+def test_overlaps_above_exhaustive_order_match_reference_collector(p, n, count):
+    """Above order 243, where the audit runs the overlap test, its verdict
+    against the same overlap words collected by the rewriting collector."""
+    rng = random.Random(100 * p + n)
+    verdicts = []
+    for _ in range(count):
+        P = _random_presentation(rng, p, n)
+        assert P.order > EXHAUSTIVE_AUDIT_ORDER
+        reference = reference_overlaps(P)
+        assert _consistent(P.check_overlaps) == reference, P
+        verdicts.append(reference)
     assert 0 < sum(verdicts) < count
 
 

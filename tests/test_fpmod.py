@@ -186,6 +186,27 @@ def test_norm_operator(C3, C33):
         assert onto_fixed
 
 
+NORM_MODULES = [("conjugation", s) for s in ("heisenberg:3", "wreath:3", "m:3", "d:2,5", "extraspecial:3")]
+NORM_MODULES += [
+    ("regular", s)
+    for s in ("cyclic:3,2", "elemab:3,2", "heisenberg:3", "m:3", "m:3,4", "wreath:3", "cyclic:5,2", "elemab:5,2")
+]
+
+
+@pytest.mark.parametrize("kind, spec", NORM_MODULES, ids=lambda x: x)
+def test_norm_operator_sums_every_action(kind, spec):
+    """The product formula against the sum of action_of over all elements,
+    on the conjugation module of the greedy elementary abelian normal
+    subgroup and on regular modules up to order 81."""
+    G = catalog.parse_group_spec(spec)
+    if kind == "regular":
+        M = regular_module(G)
+    else:
+        M = conjugation_module(G, greedy_elementary_abelian_normal(G))
+    total = sum(M.action_of(G.element(x)) for x in G.elements) % G.p
+    assert np.array_equal(norm_operator(M), total)
+
+
 def test_quotient_module_dims(C33):
     R = regular_module(C33)
     K1 = socle_layer(R, 1)

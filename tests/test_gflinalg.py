@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import pgroups.gflinalg as la
 
-from .models import reference_complement
+from .models import reference_complement, reference_rref
 
 PRIMES = [3, 5, 7]
 
@@ -33,6 +33,31 @@ def test_rref_idempotent_and_rank(p, data):
     if red.size:
         red2, piv2 = la.rref(red, p)
         assert np.array_equal(red2, red) and piv2 == piv
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rref_matches_scalar_reference(p, data):
+    """Rows and pivots equal the scalar Gauss-Jordan elimination's on empty,
+    one-row, wide and tall inputs, random or of lower rank than their
+    shape allows (combinations of a few random rows)."""
+    rows = data.draw(st.integers(0, 9), label="rows")
+    cols = data.draw(st.integers(1, 9), label="cols")
+    entry = st.integers(0, p - 1)
+    if data.draw(st.booleans(), label="deficient"):
+        k = data.draw(st.integers(0, max(min(rows, cols) - 1, 0)), label="rank bound")
+        basis = np.array(data.draw(st.lists(entry, min_size=k * cols, max_size=k * cols)))
+        coeffs = np.array(data.draw(st.lists(entry, min_size=rows * k, max_size=rows * k)))
+        m = (coeffs.reshape(rows, k) @ basis.reshape(k, cols)) % p
+    else:
+        m = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    m = m.astype(np.int64).reshape(rows, cols)
+    event("empty" if rows == 0 else "one row" if rows == 1 else "wide" if cols > rows else "square or tall")
+    red, piv = la.rref(m, p)
+    want_rows, want_piv = reference_rref(m.tolist(), p)
+    assert red.shape == (len(want_rows), cols)
+    assert red.tolist() == want_rows and piv == want_piv
 
 
 @pytest.mark.parametrize("p", PRIMES)
