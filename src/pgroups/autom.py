@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gflinalg as la
-from .errors import DEFAULT_CAPS, Caps, InputError, OutOfScope, VerificationFailed
+from .errors import DEFAULT_CAPS, CapExceeded, Caps, InputError, OutOfScope, VerificationFailed
 from .deriv import (
     Derivation,
     derivation_from_vector,
@@ -129,7 +129,7 @@ def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):
     of candidates scanned)."""
     G = phi.source
     if G.order > caps.enumeration:
-        raise InputError("inner scan above the enumeration cap")
+        raise CapExceeded("inner scan", G.order, caps.enumeration)
     # candidates x with g^x = phi(g), narrowed one generator at a time
     xs = np.arange(G.order)
     for g, t in zip(G.gen_indices, phi.image_indices):
@@ -450,7 +450,7 @@ def construct_noninner(
     target does. The trail has one line per target tried.
     """
     if G.order > caps.enumeration:
-        raise InputError("group exceeds the enumeration cap")
+        raise CapExceeded("noninner construction", G.order, caps.enumeration)
     hyp = hypothesis_report(G)
     if hyp.abelian:
         raise OutOfScope("abelian group: out of scope for the conjecture")

@@ -152,25 +152,27 @@ def _prime_power(m: int) -> tuple[int, int]:
     raise InputError(f"{m} is not a prime power")
 
 
-def _cyclic_from_spec(m: int, k: int, spec: str, enumeration_cap: int) -> PcPresentation:
-    """C_{m^k}, refused by the cap before m^k or the presentation is built."""
+def _cyclic_from_spec(m: int, k: int, spec: str) -> PcPresentation:
+    """C_{m^k}, refused by the package's enumeration limit before m^k or
+    the presentation is built."""
     if m < 2 or k < 1:
         raise InputError(f"bad cyclic spec {spec!r}")
+    cap = DEFAULT_CAPS.enumeration
     # m^k >= 2^((bits - 1) k), so past this bound it exceeds the cap for sure
-    if k * (m.bit_length() - 1) > enumeration_cap.bit_length():
-        raise CapExceeded("group order", f"{m}^{k}" if k > 1 else m, enumeration_cap)
-    if m**k > enumeration_cap:
-        raise CapExceeded("group order", m**k, enumeration_cap)
+    if k * (m.bit_length() - 1) > cap.bit_length():
+        raise CapExceeded("group order", f"{m}^{k}" if k > 1 else m, cap)
+    if m**k > cap:
+        raise CapExceeded("group order", m**k, cap)
     q, a = _prime_power(m)
     return cyclic(q, a * k, name=spec)
 
 
-def parse_group_spec(spec: str, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
+def parse_group_spec(spec: str) -> PcPresentation:
     spec = spec.strip()
     if not spec:
         raise InputError("empty group spec")
     if "+" in spec:
-        parts = [parse_group_spec(s, enumeration_cap) for s in spec.split("+")]
+        parts = [parse_group_spec(s) for s in spec.split("+")]
         out = parts[0]
         for nxt in parts[1:]:
             out = direct_product(out, nxt)
@@ -180,7 +182,7 @@ def parse_group_spec(spec: str, enumeration_cap: int = DEFAULT_CAPS.enumeration)
     kind, _, args = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "file":
-        return load_presentation(args, enumeration_cap)
+        return load_presentation(args)
     try:
         nums = [int(a) for a in args.split(",")] if args else []
     except ValueError as exc:
@@ -192,7 +194,7 @@ def parse_group_spec(spec: str, enumeration_cap: int = DEFAULT_CAPS.enumeration)
             m, k = nums
         else:
             raise InputError("cyclic spec takes one or two numbers")
-        return _cyclic_from_spec(m, k, spec, enumeration_cap)
+        return _cyclic_from_spec(m, k, spec)
     if kind == "elemab":
         if len(nums) != 2:
             raise InputError("elemab spec takes p,k")

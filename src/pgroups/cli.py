@@ -3,8 +3,10 @@
 Commands: series, h1, derivations, noninner, verify, oracle-aut.
 Exit codes: 0 ok, 2 cap exceeded, 3 malformed input, 4 out-of-scope input,
 5 internal verification failure (a certificate failed its re-check).
-The PGROUP_CAP environment variable (or --cap) overrides the enumeration
-cap; the oracle cap is never raised above its default.
+The PGROUP_CAP environment variable (or --cap) lowers the enumeration cap;
+neither it nor the oracle cap is ever raised above its default. The cap is
+read where a request enters: a group above it is refused when it is loaded
+(exit 2), and a `verify` row above it reads "skipped (cap)".
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .series import (
     min_generators,
     omega1,
     refine_chain,
+    subgroup_center,
     upper_central,
 )
 
@@ -59,23 +62,18 @@ def _build_caps(args) -> Caps:
             raise InputError(f"bad PGROUP_CAP value {env!r}") from exc
     if getattr(args, "cap", None) is not None:
         cap = args.cap
-    return Caps(
-        enumeration=cap,
-        oracle=min(DEFAULT_CAPS.oracle, cap),
-        module_dim=DEFAULT_CAPS.module_dim,
-        derivation_bruteforce=DEFAULT_CAPS.derivation_bruteforce,
+    return DEFAULT_CAPS._replace(
+        enumeration=min(DEFAULT_CAPS.enumeration, cap), oracle=min(DEFAULT_CAPS.oracle, cap)
     )
 
 
 def _load_group(args, caps: Caps) -> PcPresentation:
     if getattr(args, "file", None):
-        pres = load_presentation(args.file, caps.enumeration)
+        pres = load_presentation(args.file)
     elif getattr(args, "group", None):
-        pres = parse_group_spec(args.group, caps.enumeration)
+        pres = parse_group_spec(args.group)
     else:
         raise InputError("need --group or --file")
-    if pres.enumeration_cap != caps.enumeration:
-        pres = PcPresentation(pres.p, pres.power_rhs, pres.comm_rhs, pres.name, caps.enumeration)
     if pres.order > caps.enumeration:
         raise CapExceeded("group order", pres.order, caps.enumeration)
     pres.audit()
@@ -116,7 +114,7 @@ def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
         return conjugation_module(G, omega1(G, center(G)))
     if spec == "regular":
         require_system_fits(G, G.order)
-        return regular_module(G, caps.module_dim)
+        return regular_module(G)
     if spec.startswith("omega1zp:"):
         try:
             i = int(spec.split(":", 1)[1])
@@ -128,8 +126,6 @@ def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
         P_i = chain.links[i]
         if P_i.is_trivial:
             raise InputError("requested chain link is trivial")
-        from .series import subgroup_center
-
         return conjugation_module(G, omega1(G, subgroup_center(G, P_i)))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -198,45 +194,34 @@ def cmd_series(args) -> int:
     return 0
 
 
-def cmd_h1(args) -> int:
+def _derivation_space_payload(args):
+    """The solved Der(G, M) of a request, with the payload that h1 and
+    derivations share."""
     caps = _build_caps(args)
     G = _load_group(args, caps)
     M = _resolve_module(G, args.module, caps)
     space = derivation_space(G, M)
-    _emit(
-        {
-            "group": G.name,
-            "module": args.module or "trivial",
-            "module_dim": M.dim,
-            "der_dim": space.der_dim,
-            "ider_dim": space.ider_dim,
-            "h1_dim": space.h1_dim,
-        },
-        args.pretty,
-    )
+    return space, {
+        "group": G.name,
+        "module": args.module or "trivial",
+        "module_dim": M.dim,
+        "der_dim": space.der_dim,
+        "ider_dim": space.ider_dim,
+        "h1_dim": space.h1_dim,
+    }
+
+
+def cmd_h1(args) -> int:
+    _emit(_derivation_space_payload(args)[1], args.pretty)
     return 0
 
 
 def cmd_derivations(args) -> int:
-    caps = _build_caps(args)
-    G = _load_group(args, caps)
-    M = _resolve_module(G, args.module, caps)
-    space = derivation_space(G, M)
-    _emit(
-        {
-            "group": G.name,
-            "module": args.module or "trivial",
-            "module_dim": M.dim,
-            "der_dim": space.der_dim,
-            "ider_dim": space.ider_dim,
-            "h1_dim": space.h1_dim,
-            "der_basis": [
-                {"gen_images": [list(map(int, row)) for row in d.gen_images]}
-                for d in space.der_basis
-            ],
-        },
-        args.pretty,
-    )
+    space, payload = _derivation_space_payload(args)
+    payload["der_basis"] = [
+        {"gen_images": [list(map(int, row)) for row in d.gen_images]} for d in space.der_basis
+    ]
+    _emit(payload, args.pretty)
     return 0
 
 
@@ -259,23 +244,21 @@ def cmd_noninner(args) -> int:
     return emit_certificate(G, cert, args.pretty, caps)
 
 
-def _verify_spec(spec: str, caps: Caps, parse_cap: int) -> dict:
+def _verify_spec(spec: str, caps: Caps) -> dict:
     """One verify row: parse the group, compute its row and let it go."""
-    return verify_conjecture([parse_group_spec(spec, parse_cap)], caps)[0]
+    return verify_conjecture([parse_group_spec(spec)], caps)[0]
 
 
 def cmd_verify(args) -> int:
     caps = _build_caps(args)
     if args.all:
-        # catalog names are canonical specs, parsed as the catalog parses them
+        # catalog names are canonical specs
         specs = [g.name for g in default_catalog(args.p, args.max_order)]
-        parse_cap = DEFAULT_CAPS.enumeration
     elif args.group:
         specs = [s for s in args.group.split(";") if s.strip()]
-        parse_cap = caps.enumeration
     else:
         raise InputError("verify needs --all or --group")
-    row = functools.partial(_verify_spec, caps=caps, parse_cap=parse_cap)
+    row = functools.partial(_verify_spec, caps=caps)
     if args.jobs and args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -309,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, module=False):
         sp.add_argument("--group", help="group spec (see catalog grammar)")
         sp.add_argument("--file", help="pc-presentation JSON file")
-        sp.add_argument("--cap", type=int, help="enumeration cap override")
+        sp.add_argument("--cap", type=int, help="lower the enumeration cap (at most 10^6)")
         sp.add_argument("--pretty", action="store_true", help="indent JSON output")
         sp.add_argument("--seed", type=int, default=0, help="seed for the oracle-aut spot check")
         if module:
@@ -344,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-order", type=int, default=None)
     sp.add_argument("--group", help="semicolon-separated group specs")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sp.add_argument("--cap", type=int, help="enumeration cap override")
+    sp.add_argument("--cap", type=int, help="lower the enumeration cap (at most 10^6)")
     sp.add_argument("--pretty", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)

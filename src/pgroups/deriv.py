@@ -67,10 +67,12 @@ def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
 
 class Derivation:
     """Derivation determined by one module vector per pc generator:
-    gen_images is a read-only (n, dim) array, reduced mod p."""
+    gen_images is a read-only (n, dim) array, reduced mod p. With check
+    (the default) images that break a cocycle relation are refused; the
+    flag is not stored."""
 
     def __init__(self, group: PcPresentation, module: FpModule, gen_images, check: bool = True):
-        self.group, self.module, self.check = group, module, check
+        self.group, self.module = group, module
         if module.group != group:
             raise InputError("module is over a different group")
         if len(gen_images) != group.n:
@@ -84,7 +86,8 @@ class Derivation:
             raise InputError("generator images violate the cocycle relations")
 
     def __reduce__(self):
-        return Derivation, (self.group, self.module, self.gen_images, self.check)
+        # check is not stored, so unpickling runs the cocycle check again
+        return Derivation, (self.group, self.module, self.gen_images)
 
     def satisfies_relations(self) -> bool:
         return bool(satisfies_cocycle(self.module, self.gen_images[None])[0])

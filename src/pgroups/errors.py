@@ -52,6 +52,12 @@ class VerificationFailed(PGroupError):
 class Caps(NamedTuple):
     """Size limits. Operations refuse (raise CapExceeded) above these.
 
+    DEFAULT_CAPS holds the package's limits, which the internal guards read
+    (`PcPresentation._require_enumerable`, `regular_module`). A request's
+    Caps may only lower them. It is read where the request enters: the
+    CLI's group load, `verify`'s rows, `construct_noninner`, `is_inner` and
+    the oracle's entry points. No group, module or derivation stores one.
+
     enumeration: max group order for element enumeration and scans.
     oracle: max group order for exhaustive automorphism backtracking.
     module_dim: max dimension for constructed modules.

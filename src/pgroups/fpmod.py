@@ -74,13 +74,13 @@ class FpModule(Frozen):
 
     With check (the default) a singular matrix or a broken group relation is
     refused; the constructors below whose matrices are invertible and satisfy
-    the relations by construction pass check=False."""
+    the relations by construction pass check=False. The flag is not stored:
+    a module is its group, matrices and realization."""
 
     def __init__(
         self,
         group: PcPresentation,
         action,  # one (dim x dim) matrix per pc generator, nested sequences or an array
-        labels: tuple[str, ...] = (),
         realization: ModuleRealization | None = None,
         check: bool = True,
     ):
@@ -93,7 +93,7 @@ class FpModule(Frozen):
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.shape[1]:  # dim 0 too
             raise InputError("action matrices must be square of equal size")
         mats.setflags(write=False)
-        vars(self).update(group=group, mats=mats, labels=labels, realization=realization, check=check)
+        vars(self).update(group=group, mats=mats, realization=realization)
         if check:
             if not all(la.det_nonzero(m, self.p) for m in mats):
                 raise InputError("action matrix is singular")
@@ -101,10 +101,11 @@ class FpModule(Frozen):
                 raise InputError("action matrices violate the group relations")
 
     def _key(self) -> tuple:
-        return (self.group, self.mats.shape, self.mats.tobytes(), self.labels, self.realization, self.check)
+        return (self.group, self.mats.shape, self.mats.tobytes(), self.realization)
 
     def __reduce__(self):
-        return FpModule, (self.group, self.mats, self.labels, self.realization, self.check)
+        # check is not stored, so unpickling runs the checks again
+        return FpModule, (self.group, self.mats, self.realization)
 
     @property
     def p(self) -> int:
@@ -193,16 +194,15 @@ def trivial_module(L: PcPresentation, dim: int = 1) -> FpModule:
     return FpModule(L, [la.eye(dim)] * L.n, check=False)
 
 
-def regular_module(L: PcPresentation, module_dim_cap: int = DEFAULT_CAPS.module_dim) -> FpModule:
-    """Right regular module GF(p)(L): basis indexed by the elements of L,
-    generators act by right translation."""
-    if L.order > module_dim_cap:
-        raise CapExceeded("regular module dimension", L.order, module_dim_cap)
+def regular_module(L: PcPresentation) -> FpModule:
+    """Right regular module GF(p)(L): basis vector k is the element of
+    index k, and the generators act by right translation."""
+    if L.order > DEFAULT_CAPS.module_dim:
+        raise CapExceeded("regular module dimension", L.order, DEFAULT_CAPS.module_dim)
     N = L.order
     mats = la.zeros((L.n, N, N))
     mats[np.arange(L.n)[:, None], np.arange(N), L.gen_tables] = 1
-    labels = tuple(str(e) for e in L.elements)
-    return FpModule(L, mats, labels=labels, check=False)
+    return FpModule(L, mats, check=False)
 
 
 def _span(G: PcPresentation, basis: Sequence[Element]) -> np.ndarray:
@@ -244,7 +244,7 @@ def pullback_module(M: FpModule, pi: GroupHom) -> FpModule:
     if M.group != pi.target:
         raise InputError("module is not over the hom's target")
     mats = [M.action_of(img) for img in pi.images]
-    return FpModule(pi.source, mats, labels=M.labels, check=False)
+    return FpModule(pi.source, mats, check=False)
 
 
 def restrict_module(M: FpModule, embed: GroupHom) -> FpModule:

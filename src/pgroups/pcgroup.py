@@ -14,7 +14,10 @@ Collection has one implementation, `gen_tables`, the right multiplication
 of every element by each pc generator. Element arithmetic, `collect` and
 the overlap consistency proof read it or the tables built from it (an
 element's index is its exponent tuple read in base p), so they need the
-group within the enumeration cap and raise CapExceeded above it.
+group within the package's enumeration limit, `DEFAULT_CAPS.enumeration`,
+and raise CapExceeded above it. A presentation holds only its defining
+data: a caller's lower cap is checked where the caller's request enters
+(the CLI's group load, `verify`'s rows), not stored here.
 
 Presentations and elements are immutable; lazily built lookup tables are
 idempotent caches, so sharing across threads is safe.
@@ -84,11 +87,8 @@ class PcPresentation(Frozen):
         power_rhs: tuple[tuple[int, ...], ...],
         comm_rhs: tuple[tuple[tuple[int, int], tuple[int, ...]], ...],
         name: str = "",
-        enumeration_cap: int = DEFAULT_CAPS.enumeration,
     ):
-        vars(self).update(
-            p=p, power_rhs=power_rhs, comm_rhs=comm_rhs, name=name, enumeration_cap=enumeration_cap
-        )
+        vars(self).update(p=p, power_rhs=power_rhs, comm_rhs=comm_rhs, name=name)
         if p >= PRIME_LIMIT:
             raise InputError(f"p = {p} is too large: primes are decided below {PRIME_LIMIT}")
         if not _is_odd_prime(p):
@@ -108,7 +108,7 @@ class PcPresentation(Frozen):
             self._check_rhs(rhs, strictly_above=j, what=f"comm_rhs[{j},{i}]")
 
     def _key(self) -> tuple:
-        return (self.p, self.power_rhs, self.comm_rhs, self.name, self.enumeration_cap)
+        return (self.p, self.power_rhs, self.comm_rhs, self.name)
 
     def __reduce__(self):
         # pickled by its defining fields: the tables and the series memo are
@@ -199,8 +199,8 @@ class PcPresentation(Frozen):
     # -- enumeration and tables ---------------------------------------------
 
     def _require_enumerable(self, what: str = "enumeration"):
-        if self.order > self.enumeration_cap:
-            raise CapExceeded(what, self.order, self.enumeration_cap)
+        if self.order > DEFAULT_CAPS.enumeration:
+            raise CapExceeded(what, self.order, DEFAULT_CAPS.enumeration)
 
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -845,7 +845,6 @@ def _presentation_from_chain(
     chain_sets: list[frozenset],
     chosen: list,
     name: str,
-    enumeration_cap: int,
 ):
     """Build a weighted pc presentation from a subnormal chain with index-p
     jumps. chain_sets[k] is the member set at level k (chain_sets[0] = whole
@@ -892,13 +891,7 @@ def _presentation_from_chain(
                 raise InputError("commutator relation violates weighting")
             if nf != zero:
                 comms.append(((l, k), nf))
-    pres = PcPresentation(
-        p=p,
-        power_rhs=tuple(powers),
-        comm_rhs=tuple(sorted(comms)),
-        name=name,
-        enumeration_cap=enumeration_cap,
-    )
+    pres = PcPresentation(p=p, power_rhs=tuple(powers), comm_rhs=tuple(sorted(comms)), name=name)
     return pres, normal_form
 
 
@@ -941,9 +934,7 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     if not chosen:
         raise InputError("quotient is trivial; nothing to present")
     qname = f"{pres.name}/N" if pres.name else "quotient"
-    qpres, normal_form = _presentation_from_chain(
-        pres.p, qmult, qinv, rep[0], dedup, chosen, qname, pres.enumeration_cap
-    )
+    qpres, normal_form = _presentation_from_chain(pres.p, qmult, qinv, rep[0], dedup, chosen, qname)
     images = (qpres.index_of(normal_form(rep[g])) for g in pres.gen_indices)
     proj = GroupHom._checked(pres, qpres, images)
     if proj.image_size != qpres.order:
@@ -976,7 +967,6 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
         dedup,
         chosen,
         f"{pres.name}|sub" if pres.name else "subgroup",
-        pres.enumeration_cap,
     )
     return spres, GroupHom._checked(spres, pres, chosen)
 
@@ -1013,7 +1003,7 @@ def presentation_to_dict(pres: PcPresentation) -> dict:
     }
 
 
-def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
+def presentation_from_dict(data: dict) -> PcPresentation:
     try:
         p = json_int(data["p"], "p")
         n = json_int(data["n"], "n")
@@ -1041,7 +1031,6 @@ def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enume
             power_rhs=tuple(powers),
             comm_rhs=tuple(sorted(comms)),
             name=name,
-            enumeration_cap=enumeration_cap,
         )
     except InputError:
         raise
@@ -1049,13 +1038,13 @@ def presentation_from_dict(data: dict, enumeration_cap: int = DEFAULT_CAPS.enume
         raise InputError(str(exc)) from exc
 
 
-def load_presentation(path, enumeration_cap: int = DEFAULT_CAPS.enumeration) -> PcPresentation:
+def load_presentation(path) -> PcPresentation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read presentation file: {exc}") from exc
-    return presentation_from_dict(data, enumeration_cap)
+    return presentation_from_dict(data)
 
 
 def dump_presentation(pres: PcPresentation, path):

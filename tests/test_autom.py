@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import pgroups
 from pgroups import (
     DEFAULT_CAPS,
+    CapExceeded,
     GroupHom,
     InputError,
     NonInnerCertificate,
@@ -120,6 +121,18 @@ def test_inner_of_properties(H3):
 def test_is_inner_identity_witness(H3):
     w, _ = is_inner(identity_endo(H3))
     assert w is not None and w.is_identity
+
+
+def test_request_cap_refusals_are_cap_exceeded(H3):
+    """A request cap below the order refuses the inner scan and the
+    construction as every other cap does: CapExceeded, exit 2 on the CLI."""
+    caps = DEFAULT_CAPS._replace(enumeration=26)
+    with pytest.raises(CapExceeded) as scan:
+        is_inner(identity_endo(H3), caps)
+    with pytest.raises(CapExceeded) as construction:
+        construct_noninner(H3, caps)
+    assert (scan.value.what, scan.value.size, scan.value.cap) == ("inner scan", 27, 26)
+    assert construction.value.what == "noninner construction"
 
 
 def test_order_formula_matches_iteration(H3, M27, W3):

@@ -358,9 +358,51 @@ def test_verify_rows_same_for_one_and_two_jobs(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_cap_refusal_same_for_any_jobs(capsys, jobs):
-    argv = ("verify", "--group", "cyclic:3,5", "--cap", "20", "--jobs", jobs)
+    """A refusal raised while a row's group is parsed, here by a spec that
+    every cap refuses, reaches the parent as exit 2 from a --jobs worker
+    too."""
+    argv = ("verify", "--group", "cyclic:3,100000000", "--cap", "20", "--jobs", jobs)
     code, payload = run_cli(capsys, *argv)
     assert code == 2 and payload is None
+
+
+# one spec of every kind; "file" stands for a file: spec of m:3,4
+CAP_SPECS = [
+    "cyclic:3,3", "elemab:3,3", "heisenberg:3", "m:3", "d:2,3", "wreath:3",
+    "extraspecial:3", "heisenberg:3+cyclic:3,1", "file",
+]
+
+
+def _spec_and_order(spec, tmp_path):
+    if spec == "file":
+        path = tmp_path / "m34.json"
+        dump_presentation(catalog.parse_group_spec("m:3,4"), path)
+        spec = f"file:{path}"
+    return spec, catalog.parse_group_spec(spec).order
+
+
+@pytest.mark.parametrize("spec", CAP_SPECS)
+def test_cap_read_on_load_for_every_spec_kind(capsys, tmp_path, spec):
+    """--cap refuses a group above it when the group is loaded, whatever
+    the spec kind: exit 2 one below the order, exit 0 at it."""
+    spec, order = _spec_and_order(spec, tmp_path)
+    code = main(["series", "--group", spec, "--cap", str(order - 1)])
+    assert code == 2 and json.loads(capsys.readouterr().err)["kind"] == "cap"
+    code, payload = run_cli(capsys, "series", "--group", spec, "--cap", str(order))
+    assert code == 0 and payload["order"] == order
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("spec", CAP_SPECS)
+def test_verify_skips_rows_above_the_cap_for_every_spec_kind(capsys, tmp_path, spec, jobs):
+    """verify reads the cap per row: a group above it gives one
+    "skipped (cap)" row and exit 0, whatever the spec kind."""
+    spec, order = _spec_and_order(spec, tmp_path)
+    argv = ("verify", "--group", spec, "--cap", str(order - 1), "--jobs", jobs)
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0 and payload["all_agree"] is True
+    [row] = payload["rows"]
+    assert (row["order"], row["pipeline"]) == (order, "skipped (cap)")
 
 
 def test_verify_jobs_with_explicit_specs(capsys):

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from pgroups import GroupHom, PcPresentation, catalog, direct_product
 from pgroups.deriv import derivation_from_vector, derivation_space
-from pgroups.errors import CapExceeded, InputError
+from pgroups.errors import DEFAULT_CAPS, CapExceeded, InputError
 from pgroups.fpmod import conjugation_module
 from pgroups.pcgroup import (
     EXHAUSTIVE_AUDIT_ORDER,
@@ -59,13 +59,15 @@ def test_collect_matches_reference_collector(data):
 
 def test_collect_refused_above_the_enumeration_cap():
     """collect reads the generator tables, so it needs the group within
-    the enumeration cap, as element arithmetic does."""
-    H = catalog.heisenberg(3)
-    G = PcPresentation(H.p, H.power_rhs, H.comm_rhs, H.name, enumeration_cap=9)
+    the package's enumeration limit, as element arithmetic does; above it
+    the refusal comes before any table is built."""
+    G = catalog.parse_group_spec("elemab:3,13")  # order 1594323
+    assert G.order > DEFAULT_CAPS.enumeration
     with pytest.raises(CapExceeded):
         G.collect([(1, 1), (0, 1)])
+    assert "gen_tables" not in vars(G)
     with pytest.raises(InputError, match="out of range"):
-        G.collect([(3, 1)])
+        G.collect([(13, 1)])
 
 
 def _consistent(check) -> bool:
@@ -393,7 +395,7 @@ def test_product_tables_refused_above_the_dense_table_size(spec):
     largest dense table, the group is refused before any table is built,
     the generator tables included (cyclic:997,2 would ask for 7.4 GiB)."""
     G = catalog.parse_group_spec(spec)
-    assert G.order <= G.enumeration_cap
+    assert G.order <= DEFAULT_CAPS.enumeration
     with pytest.raises(CapExceeded) as refused:
         G.mult_index(0, 1)
     assert refused.value.size == G.order * G.p * G.n > FULL_TABLE_ORDER**2

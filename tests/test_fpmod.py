@@ -50,7 +50,7 @@ def test_regular_module_basics(C3, C33):
 def test_regular_module_cap():
     G = catalog.parse_group_spec("d:3,5")  # order 5^6
     with pytest.raises(CapExceeded):
-        regular_module(G, module_dim_cap=1024)
+        regular_module(G)
 
 
 def test_action_matrices_satisfy_relations(H3):

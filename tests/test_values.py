@@ -17,7 +17,19 @@ import numpy as np
 import pytest
 
 import pgroups
-from pgroups import catalog, center, conjugation_module, construct_noninner, omega1
+from pgroups import (
+    FpModule,
+    catalog,
+    center,
+    conjugation_module,
+    construct_noninner,
+    derivation_space,
+    dump_presentation,
+    load_presentation,
+    omega1,
+    regular_module,
+    trivial_module,
+)
 from pgroups.errors import Caps
 from pgroups.pcgroup import Element
 from pgroups.series import make_subgroup
@@ -95,6 +107,13 @@ def _values():
             conjugation_module(other, omega1(other, center(other))),
             "mats",
         ),
+        # no check flag is stored: the checked module equals the unchecked one
+        "FpModule-checked": (
+            regular_module(G),
+            FpModule(G2, regular_module(G2).mats),
+            regular_module(other),
+            "mats",
+        ),
         "Caps": (Caps(), Caps(enumeration=10**6), Caps(enumeration=27), "oracle"),
         "NonInnerCertificate": (cert, cert2, cert._replace(order=1), "order"),
     }
@@ -113,3 +132,25 @@ def test_value_semantics(value, equal, different, field):
     field_equal = np.array_equal if isinstance(getattr(value, field), np.ndarray) else operator.eq
     assert field_equal(getattr(value, field), getattr(equal, field))
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_presentation_is_its_data(tmp_path):
+    """A presentation holds no cap: built by its builder, from its spec or
+    from its dumped file, it is the same value, and so are its centers."""
+    G = catalog.heisenberg(3)
+    assert G._key() == (G.p, G.power_rhs, G.comm_rhs, G.name)
+    path = tmp_path / "heisenberg3.json"
+    dump_presentation(G, path)
+    for H in (catalog.parse_group_spec("heisenberg:3"), load_presentation(path)):
+        assert H == G and hash(H) == hash(G)
+        assert center(H) == center(G)
+
+
+def test_derivations_into_equal_modules_add():
+    """Derivations into the trivial module, built with and without the
+    checks, add: the two modules are one value."""
+    G = catalog.heisenberg(3)
+    T, T2 = trivial_module(G), FpModule(G, trivial_module(G).mats)
+    d = derivation_space(G, T).der_basis[0]
+    d2 = derivation_space(G, T2).der_basis[0]
+    assert (d + d2).gen_images.tolist() == d.scale(2).gen_images.tolist()
