@@ -56,12 +56,7 @@ def elementary_abelian(p: int, k: int, name: str | None = None) -> PcPresentatio
 
 def heisenberg(p: int, name: str | None = None) -> PcPresentation:
     """Extraspecial p^(1+2) of exponent p: [b, a] = c central."""
-    return PcPresentation(
-        p=p,
-        power_rhs=(_zero(3), _zero(3), _zero(3)),
-        comm_rhs=(((1, 0), (0, 0, 1)),),
-        name=name or f"heisenberg:{p}",
-    )
+    return extraspecial_exp_p(p, 1, name or f"heisenberg:{p}")
 
 
 def modular_p3(p: int, name: str | None = None) -> PcPresentation:

@@ -34,7 +34,7 @@ from .errors import (
     VerificationFailed,
     json_int,
 )
-from .fpmod import FpModule, conjugation_module, regular_module, trivial_module
+from .fpmod import MODULE_DIM_LIMIT, FpModule, conjugation_module, regular_module, trivial_module
 from .oracle import enumerate_automorphisms, verify_conjecture
 from .pcgroup import PcPresentation, load_presentation
 from .series import (
@@ -80,12 +80,12 @@ def _load_group(args, caps: Caps) -> PcPresentation:
     return pres
 
 
-def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
+def _module_from_dict(G: PcPresentation, data: dict) -> FpModule:
     try:
         dim = json_int(data["dim"], "dim")
         action = data.get("action", {})
-        if dim > caps.module_dim:
-            raise CapExceeded("module dimension", dim, caps.module_dim)
+        if dim > MODULE_DIM_LIMIT:
+            raise CapExceeded("module dimension", dim, MODULE_DIM_LIMIT)
         if not isinstance(action, dict):
             raise InputError("module action must be an object keyed by generator")
         unknown = set(action) - {str(i + 1) for i in range(G.n)}
@@ -106,7 +106,7 @@ def _module_from_dict(G: PcPresentation, data: dict, caps: Caps) -> FpModule:
     return FpModule(G, mats)
 
 
-def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
+def _resolve_module(G: PcPresentation, spec: str) -> FpModule:
     spec = (spec or "trivial").strip()
     if spec == "trivial":
         return trivial_module(G)
@@ -134,7 +134,7 @@ def _resolve_module(G: PcPresentation, spec: str, caps: Caps) -> FpModule:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read module file: {exc}") from exc
-        return _module_from_dict(G, data, caps)
+        return _module_from_dict(G, data)
     raise InputError(f"unknown module spec {spec!r}")
 
 
@@ -199,7 +199,7 @@ def _derivation_space_payload(args):
     derivations share."""
     caps = _build_caps(args)
     G = _load_group(args, caps)
-    M = _resolve_module(G, args.module, caps)
+    M = _resolve_module(G, args.module)
     space = derivation_space(G, M)
     return space, {
         "group": G.name,

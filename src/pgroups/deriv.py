@@ -86,8 +86,8 @@ class Derivation:
             raise InputError("generator images violate the cocycle relations")
 
     def __reduce__(self):
-        # check is not stored, so unpickling runs the cocycle check again
-        return Derivation, (self.group, self.module, self.gen_images)
+        # the images were checked, or built valid, when the derivation was made
+        return Derivation, (self.group, self.module, self.gen_images, False)
 
     def satisfies_relations(self) -> bool:
         return bool(satisfies_cocycle(self.module, self.gen_images[None])[0])

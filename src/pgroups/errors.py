@@ -53,22 +53,19 @@ class Caps(NamedTuple):
     """Size limits. Operations refuse (raise CapExceeded) above these.
 
     DEFAULT_CAPS holds the package's limits, which the internal guards read
-    (`PcPresentation._require_enumerable`, `regular_module`). A request's
-    Caps may only lower them. It is read where the request enters: the
-    CLI's group load, `verify`'s rows, `construct_noninner`, `is_inner` and
-    the oracle's entry points. No group, module or derivation stores one.
+    (`PcPresentation._require_enumerable`). A request's Caps may only lower
+    them. It is read where the request enters: the CLI's group load,
+    `verify`'s rows, `construct_noninner`, `is_inner` and the oracle's entry
+    points. No group, module or derivation stores one. The limits no request
+    sets are constants beside their readers: `fpmod.MODULE_DIM_LIMIT` and
+    `oracle.DERIVATION_BRUTEFORCE_LIMIT`.
 
     enumeration: max group order for element enumeration and scans.
     oracle: max group order for exhaustive automorphism backtracking.
-    module_dim: max dimension for constructed modules.
-    derivation_bruteforce: max number of candidate tuples for the
-        brute-force derivation oracle.
     """
 
     enumeration: int = 10**6
     oracle: int = 3**5
-    module_dim: int = 2**10
-    derivation_bruteforce: int = 10**7
 
 
 DEFAULT_CAPS = Caps()

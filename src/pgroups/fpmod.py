@@ -16,9 +16,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gflinalg as la
-from .errors import CapExceeded, DEFAULT_CAPS, Frozen, InputError
-from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_witnesses
+from .errors import CapExceeded, Frozen, InputError
+from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_closure
 from .series import Subgroup, make_subgroup
+
+# Max dimension of a constructed module (a regular module or one read from a
+# file).
+MODULE_DIM_LIMIT = 2**10
 
 
 class ModuleRealization(Frozen):
@@ -104,8 +108,8 @@ class FpModule(Frozen):
         return (self.group, self.mats.shape, self.mats.tobytes(), self.realization)
 
     def __reduce__(self):
-        # check is not stored, so unpickling runs the checks again
-        return FpModule, (self.group, self.mats, self.realization)
+        # the matrices were checked, or built valid, when the module was made
+        return FpModule, (self.group, self.mats, self.realization, False)
 
     @property
     def p(self) -> int:
@@ -197,8 +201,8 @@ def trivial_module(L: PcPresentation, dim: int = 1) -> FpModule:
 def regular_module(L: PcPresentation) -> FpModule:
     """Right regular module GF(p)(L): basis vector k is the element of
     index k, and the generators act by right translation."""
-    if L.order > DEFAULT_CAPS.module_dim:
-        raise CapExceeded("regular module dimension", L.order, DEFAULT_CAPS.module_dim)
+    if L.order > MODULE_DIM_LIMIT:
+        raise CapExceeded("regular module dimension", L.order, MODULE_DIM_LIMIT)
     N = L.order
     mats = la.zeros((L.n, N, N))
     mats[np.arange(L.n)[:, None], np.arange(N), L.gen_tables] = 1
@@ -228,7 +232,7 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
         raise InputError("conjugation module needs an elementary abelian subgroup")
     if A.is_trivial:
         raise InputError("trivial subgroup carries no useful module")
-    basis_idx = greedy_witnesses(G, A.members)
+    basis_idx = greedy_closure(G, A.members)[0]
     basis = tuple(Element(G, G.exps_of(i)) for i in basis_idx)
     span = _span(G, basis)
     if len(set(span.tolist())) != A.order:

@@ -23,6 +23,9 @@ from .fpmod import FpModule
 from .pcgroup import GroupHom, PcPresentation, respects_relations
 from .series import center, release_series
 
+# Max number of candidate image tuples the brute-force derivation oracle scans.
+DERIVATION_BRUTEFORCE_LIMIT = 10**7
+
 
 def _iter_homomorphism_images(G: PcPresentation, H: PcPresentation) -> Iterator[tuple[int, ...]]:
     """Backtracking over image index tuples, assigned from g_n down to g_1,
@@ -156,15 +159,15 @@ def find_isomorphism(G: PcPresentation, H: PcPresentation):
 
 
 def enumerate_derivations_bruteforce(
-    G: PcPresentation, M: FpModule, caps: Caps = DEFAULT_CAPS
+    G: PcPresentation, M: FpModule
 ) -> set[tuple[tuple[int, ...], ...]]:
     """All generator-image tuples satisfying every relation, by filtering
     the full p^(n*dim) candidate space through the cocycle law."""
     p = G.p
     m = M.dim
     total = p ** (G.n * m)
-    if total > caps.derivation_bruteforce:
-        raise CapExceeded("derivation brute force", total, caps.derivation_bruteforce)
+    if total > DERIVATION_BRUTEFORCE_LIMIT:
+        raise CapExceeded("derivation brute force", total, DERIVATION_BRUTEFORCE_LIMIT)
     mats = M.mats
     relators = G.relators
 

@@ -763,15 +763,19 @@ def direct_product(a: PcPresentation, b: PcPresentation, name: str | None = None
 # -- quotients and subgroup presentations --------------------------------------
 
 
-def closure_indices(pres: PcPresentation, seed: Iterable[int]) -> frozenset[int]:
-    """Subgroup generated by the given element indices: breadth-first, each
-    layer right-multiplied by every generator at once."""
+def closure_indices(
+    pres: PcPresentation, seed: Iterable[int], start: Iterable[int] = (0,)
+) -> frozenset[int]:
+    """Subgroup generated by the given element indices: breadth-first from
+    the members of `start`, each layer right-multiplied by every seed
+    element at once. `start` is a subgroup generated by some of the seed
+    (by default the trivial one), which the search extends."""
     gens = sorted({int(s) for s in seed})
     if not gens:
         return frozenset([0])
     pres._require_enumerable("subgroup closure")
     member = np.zeros(pres.order, dtype=bool)
-    member[0] = True
+    member[list(start)] = True
     member[gens] = True
     frontier = np.flatnonzero(member)
     row = np.array(gens)[None, :]
@@ -804,25 +808,18 @@ def greedy_closure(
     """Deterministic small generating set of the members over the subgroup
     generated by `base`, with the closure it reaches: greedy scan in index
     order. Each witness lies outside the closure of the base and the
-    witnesses before it, so there are at most n. The closure holds every
-    member, and it equals the members exactly when they form a subgroup
-    containing the base."""
+    witnesses before it, so there are at most n, and each closure extends
+    the one before. The closure holds every member, and it equals the
+    members exactly when they form a subgroup containing the base."""
     gens: list[int] = []
     have = closure_indices(pres, base)
     for x in sorted(members):
         if x not in have:
             gens.append(x)
-            have = closure_indices(pres, (*base, *gens))
+            have = closure_indices(pres, (*base, *gens), have)
             if have == members:
                 break
     return tuple(gens), have
-
-
-def greedy_witnesses(
-    pres: PcPresentation, members: frozenset[int], base: Sequence[int] = ()
-) -> tuple[int, ...]:
-    """The witnesses of `greedy_closure`."""
-    return greedy_closure(pres, members, base)[0]
 
 
 def _require_subgroup(pres: PcPresentation, members: frozenset[int]):
@@ -832,67 +829,45 @@ def _require_subgroup(pres: PcPresentation, members: frozenset[int]):
         raise InputError("set is not a subgroup")
 
 
-def _tail_subgroup_indices(pres: PcPresentation) -> list[frozenset[int]]:
-    """Index sets of the chain <g_i, ..., g_n>, i = 1..n+1 (last is trivial)."""
-    return [closure_indices(pres, pres.gen_indices[i:]) for i in range(pres.n + 1)]
+def _presentation_from_chain(pres: PcPresentation, canon, members, name: str):
+    """Weighted pc presentation of a group carried on parent indices: the
+    sorted `members`, multiplied by the parent's tables and brought back by
+    `canon` (the coset representatives of a quotient, or range(|G|) for a
+    subgroup).
 
+    Its chain is the parent's tail chain <g_i, ..., g_n>, the indices below
+    p^(n-i), so each level of it is a prefix of the members. The chain jumps
+    at g_i when a member lies in [g_i, p g_i); the least one generates the
+    jump, and a member lies below the jump exactly when it is below g_i.
 
-def _presentation_from_chain(
-    p: int,
-    mult,
-    inv,
-    ident,
-    chain_sets: list[frozenset],
-    chosen: list,
-    name: str,
-):
-    """Build a weighted pc presentation from a subnormal chain with index-p
-    jumps. chain_sets[k] is the member set at level k (chain_sets[0] = whole
-    group, last = {ident}); chosen[k] generates the k-th jump.
+    Returns (presentation, the generators' indices, normal_form on members)."""
+    members = np.asarray(members)
+    chosen, below = [], []
+    for g in pres.gen_indices:
+        jump = members[(members >= g) & (members < pres.p * g)]
+        if jump.size:
+            chosen.append(int(jump[0]))
+            below.append(g)
+    inv_chosen = [canon[pres.inv_table[u]] for u in chosen]
 
-    Returns (presentation, normal_form function on tokens)."""
-    m = len(chosen)
-    inv_chosen = [inv(u) for u in chosen]
-
-    def normal_form(t):
+    def normal_form(t) -> tuple[int, ...]:
         exps = []
-        cur = t
-        for k in range(m):
-            f = 0
-            while cur not in chain_sets[k + 1]:
-                cur = mult(inv_chosen[k], cur)
-                f += 1
-                if f >= p:
-                    raise InputError("chain jump larger than p")
-            exps.append(f)
-        if cur != ident:
-            raise InputError("normal form did not terminate at identity")
+        for u_inv, g in zip(inv_chosen, below):
+            e = 0
+            while t >= g:
+                t = canon[pres.mult_index(u_inv, t)]
+                e += 1
+            exps.append(e)
         return tuple(exps)
 
-    def pow_token(t, k):
-        acc = ident
-        for _ in range(k):
-            acc = mult(acc, t)
-        return acc
-
-    powers = []
-    for k in range(m):
-        nf = normal_form(pow_token(chosen[k], p))
-        if any(nf[: k + 1]):
-            raise InputError("power relation violates weighting")
-        powers.append(nf)
+    powers = tuple(normal_form(canon[pres.power_p_table[u]]) for u in chosen)
     comms = []
-    zero = (0,) * m
-    for l in range(m):
-        for k in range(l):
-            c = mult(mult(mult(inv_chosen[l], inv_chosen[k]), chosen[l]), chosen[k])
-            nf = normal_form(c)
-            if any(nf[: l + 1]):
-                raise InputError("commutator relation violates weighting")
-            if nf != zero:
+    for l, ul in enumerate(chosen):
+        for k, uk in enumerate(chosen[:l]):
+            nf = normal_form(canon[pres.comm_index(ul, uk)])
+            if any(nf):
                 comms.append(((l, k), nf))
-    pres = PcPresentation(p=p, power_rhs=tuple(powers), comm_rhs=tuple(sorted(comms)), name=name)
-    return pres, normal_form
+    return PcPresentation(pres.p, powers, tuple(comms), name), chosen, normal_form
 
 
 def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresentation, GroupHom]:
@@ -906,35 +881,15 @@ def quotient(pres: PcPresentation, normal_members: Iterable) -> tuple[PcPresenta
     _require_subgroup(pres, members)
     if not is_normal_indices(pres, members):
         raise InputError("subgroup is not normal")
+    if len(members) == pres.order:
+        raise InputError("quotient is trivial; nothing to present")
     # canonical coset representative: minimal index in x * N
     every = np.arange(pres.order)
     rep = every
     for m in members:
         rep = np.minimum(rep, pres.mult_indices(every, m))
-    rep = rep.tolist()
-
-    def qmult(a, b):
-        return rep[pres.mult_index(a, b)]
-
-    def qinv(a):
-        return rep[int(pres.inv_table[a])]
-
-    tails = _tail_subgroup_indices(pres)
-    proj_chain = [frozenset(rep[x] for x in tail) for tail in tails]
-    # deduplicate, remembering which ambient generator witnesses each jump
-    dedup: list[frozenset[int]] = [proj_chain[0]]
-    chosen: list[int] = []
-    for i in range(pres.n):
-        nxt = proj_chain[i + 1]
-        if nxt != dedup[-1]:
-            chosen.append(rep[pres.gen_indices[i]])
-            dedup.append(nxt)
-    if dedup[-1] != frozenset([rep[0]]):
-        raise InputError("chain did not terminate")
-    if not chosen:
-        raise InputError("quotient is trivial; nothing to present")
     qname = f"{pres.name}/N" if pres.name else "quotient"
-    qpres, normal_form = _presentation_from_chain(pres.p, qmult, qinv, rep[0], dedup, chosen, qname)
+    qpres, _, normal_form = _presentation_from_chain(pres, rep.tolist(), np.unique(rep), qname)
     images = (qpres.index_of(normal_form(rep[g])) for g in pres.gen_indices)
     proj = GroupHom._checked(pres, qpres, images)
     if proj.image_size != qpres.order:
@@ -949,25 +904,8 @@ def subgroup_presentation(pres: PcPresentation, members: Iterable) -> tuple[PcPr
     _require_subgroup(pres, mem)
     if len(mem) == 1:
         raise InputError("trivial subgroup has no pc presentation here")
-    tails = _tail_subgroup_indices(pres)
-    raw = [frozenset(mem & t) for t in tails]
-    dedup = [raw[0]]
-    chosen: list[int] = []
-    for i in range(pres.n):
-        nxt = raw[i + 1]
-        if nxt != dedup[-1]:
-            # pick a witness in (mem & tails[i]) \ (mem & tails[i+1]) deterministically
-            chosen.append(min(raw[i] - nxt))
-            dedup.append(nxt)
-    spres, normal_form = _presentation_from_chain(
-        pres.p,
-        pres.mult_index,
-        lambda a: int(pres.inv_table[a]),
-        0,
-        dedup,
-        chosen,
-        f"{pres.name}|sub" if pres.name else "subgroup",
-    )
+    sname = f"{pres.name}|sub" if pres.name else "subgroup"
+    spres, chosen, _ = _presentation_from_chain(pres, range(pres.order), sorted(mem), sname)
     return spres, GroupHom._checked(spres, pres, chosen)
 
 

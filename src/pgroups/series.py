@@ -22,7 +22,6 @@ from .pcgroup import (
     closure_indices,
     conjugates,
     greedy_closure,
-    greedy_witnesses,
     is_normal_indices,
 )
 
@@ -190,8 +189,8 @@ def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
     by the pc generators, until the closure is normal."""
     current = closure_indices(G, seed)
     while not is_normal_indices(G, current):
-        gens = greedy_witnesses(G, current)
-        current = closure_indices(G, gens + tuple(conjugates(G, gens).ravel().tolist()))
+        gens = greedy_closure(G, current)[0]
+        current = closure_indices(G, gens + tuple(conjugates(G, gens).ravel().tolist()), current)
     return make_subgroup(G, current)
 
 
@@ -242,7 +241,7 @@ def frattini(G: PcPresentation) -> Subgroup:
     """Phi(G) = G^p [G, G]."""
     gp = agemo(G)
     g2 = lower_central(G, 2)
-    return make_subgroup(G, closure_indices(G, gp.gens + g2.gens))
+    return make_subgroup(G, closure_indices(G, gp.gens + g2.gens, g2.members))
 
 
 @_per_group
@@ -284,7 +283,7 @@ def gamma3_agemo(G: PcPresentation) -> Subgroup:
     """gamma_3(G) G^p."""
     g3 = lower_central(G, 3)
     gp = agemo(G)
-    return make_subgroup(G, closure_indices(G, g3.gens + gp.gens))
+    return make_subgroup(G, closure_indices(G, g3.gens + gp.gens, g3.members))
 
 
 def min_generators(G: PcPresentation) -> int:
@@ -323,7 +322,7 @@ def greedy_elementary_abelian_normal(G: PcPresentation) -> Subgroup:
             for x in xs:
                 if x in A.members:
                     continue
-                cand = closure_indices(G, A.gens + (x,))
+                cand = closure_indices(G, A.gens + (x,), A.members)
                 if G.power_p_table[list(cand)].any() or not is_normal_indices(G, cand):
                     continue
                 A = make_subgroup(G, cand)
@@ -368,9 +367,9 @@ def refine_chain(G: PcPresentation) -> SubgroupChain:
     current = phi
     while current.members != bottom.members:
         # greedy lex basis of current over bottom
-        basis = greedy_witnesses(G, current.members, bottom.gens)
+        basis = greedy_closure(G, current.members, bottom.gens)[0]
         pivot = basis[0]
-        nxt = make_subgroup(G, closure_indices(G, bottom.gens + basis[1:]))
+        nxt = make_subgroup(G, closure_indices(G, bottom.gens + basis[1:], bottom.members))
         links.append(nxt)
         pivots.append(pivot)
         current = nxt

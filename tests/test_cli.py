@@ -16,7 +16,6 @@ from hypothesis import event, example, given, settings, strategies as st
 import pgroups
 from pgroups.cli import _resolve_module, main
 from pgroups import (
-    DEFAULT_CAPS,
     PGroupError,
     catalog,
     dump_presentation,
@@ -151,7 +150,7 @@ def test_h1_module_file_invalid_action(tmp_path, capsys):
     [
         ({"dim": 1, "action": 5}, 3),
         ({"dim": 1, "action": {"9": [1]}}, 3),
-        # above Caps.module_dim (1024): refused before any matrix is built
+        # above fpmod.MODULE_DIM_LIMIT (1024): refused before any matrix is built
         ({"dim": 1025, "action": {"1": [0]}}, 2),
     ],
     ids=["action-not-an-object", "unknown-generator", "dim-over-cap"],
@@ -564,7 +563,7 @@ def test_module_file_loader_raises_only_library_errors(module):
         path = Path(tmp) / "mod.json"
         path.write_text(json.dumps(module))
         try:
-            _resolve_module(G, f"file:{path}", DEFAULT_CAPS)
+            _resolve_module(G, f"file:{path}")
         except PGroupError:
             pass
 

@@ -6,6 +6,7 @@ import pytest
 
 import pgroups.gflinalg as la
 from pgroups import autom
+from pgroups import deriv as deriv_mod
 from pgroups import (
     Derivation,
     InputError,
@@ -151,6 +152,22 @@ def test_solver_matches_bruteforce_smoke(spec, module):
     solver = {tuple(tuple(int(v) for v in row) for row in d.gen_images) for d in sp.span_iter()}
     brute = enumerate_derivations_bruteforce(G, M)
     assert solver == brute
+
+
+def test_unpickling_runs_no_checks(H3, monkeypatch):
+    """A module and a derivation were checked, or built valid, when they
+    were made, so unpickling them repeats no determinant or cocycle check."""
+    M = jordan_module(H3, 0)
+    d = derivation_space(H3, M).der_basis[2]
+
+    def refuse(*args):
+        raise AssertionError("a check ran on unpickling")
+
+    monkeypatch.setattr(la, "det_nonzero", refuse)
+    monkeypatch.setattr(deriv_mod, "satisfies_cocycle", refuse)
+    M2, d2 = pickle.loads(pickle.dumps((M, d)))
+    assert M2 == M and d2.module == M
+    assert np.array_equal(d2.gen_images, d.gen_images)
 
 
 def test_derivation_arrays_are_read_only(H3):

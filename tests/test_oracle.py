@@ -64,9 +64,10 @@ def test_derivation_bruteforce_counts(C3, H3):
 
 
 def test_derivation_bruteforce_cap(C33):
-    small = Caps(derivation_bruteforce=10)
+    # 3^(2 * 8) = 43,046,721 candidate tuples, above the 10^7 limit: refused
+    # before any enumeration
     with pytest.raises(CapExceeded):
-        enumerate_derivations_bruteforce(C33, trivial_module(C33, 2), small)
+        enumerate_derivations_bruteforce(C33, trivial_module(C33, 8))
 
 
 def test_solver_equals_bruteforce_many_instances():

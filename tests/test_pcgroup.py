@@ -15,8 +15,11 @@ from pgroups import (
     subgroup_presentation,
 )
 from pgroups.oracle import find_isomorphism
+from pgroups.pcgroup import closure_indices
+from pgroups.series import center, frattini
 
 from .models import HeisenbergModel, ModularP3Model, inverse_exps, multiply_exps, power_exps
+from .test_order81 import scaffold_grid
 
 
 def test_collect_identity_and_spec_words(H3):
@@ -199,6 +202,81 @@ def test_subgroup_presentation_roundtrip(M27):
     assert S.order == phi.order
     assert embed.is_injective
     assert {embed.apply(x).index for x in enumerate_elements(S)} == set(phi.members)
+
+
+# p = 3 and p = 5 to order 625, and two groups above the dense-table range
+CLOSURE_GROUPS = (
+    catalog.default_catalog(3, max_order=625)
+    + catalog.default_catalog(5, max_order=625)
+    + [catalog.parse_group_spec(s) for s in ("heisenberg:7", "d:3,3")]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closure_extends_the_closure_of_part_of_its_seed(data):
+    """Started from the subgroup that a prefix of the seed generates, the
+    closure reaches the subgroup the whole seed generates."""
+    G = data.draw(st.sampled_from(CLOSURE_GROUPS), label="group")
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4), label="seed")
+    k = data.draw(st.integers(0, len(seed)), label="split")
+    start = closure_indices(G, seed[:k])
+    assert closure_indices(G, seed, start) == closure_indices(G, seed)
+
+
+def test_tail_chain_is_an_index_range():
+    """<g_i, ..., g_n> is the set of indices below p^(n-i), consistent
+    presentation or not: quotients and subgroup presentations read their
+    chain as these ranges."""
+    for G in CLOSURE_GROUPS + list(scaffold_grid()):
+        for i in range(G.n + 1):
+            tail = closure_indices(G, G.gen_indices[i:])
+            assert tail == frozenset(range(G.p ** (G.n - i))), (G.name, i)
+
+
+def _zero_powers(n):
+    return [[0] * n for _ in range(n)]
+
+
+# (group, construction): the presentation's name, powers and commutators, and
+# the generator images of the projection or embedding, as recorded when the
+# chain was built by closing each tail subgroup
+CHAIN_PINS = {
+    ("heisenberg:3", "quotient Phi"): ("heisenberg:3/N", _zero_powers(2), {}, [3, 1, 0]),
+    ("heisenberg:3", "quotient Z"): ("heisenberg:3/N", _zero_powers(2), {}, [3, 1, 0]),
+    ("heisenberg:3", "subgroup Phi"): ("heisenberg:3|sub", [[0]], {}, [1]),
+    ("wreath:3", "quotient Phi"): ("wreath:3/N", _zero_powers(2), {}, [3, 1, 0, 0]),
+    ("wreath:3", "quotient Z"): ("wreath:3/N", _zero_powers(3), {"2,1": [0, 0, 1]}, [9, 3, 1, 0]),
+    ("wreath:3", "subgroup Phi"): ("wreath:3|sub", _zero_powers(2), {}, [3, 1]),
+    ("d:3,3", "quotient Phi"): ("d:3,3/N", _zero_powers(3), {}, [9, 3, 1, 0, 0, 0]),
+    ("d:3,3", "quotient Z"): ("d:3,3/N", _zero_powers(3), {}, [9, 3, 1, 0, 0, 0]),
+    ("d:3,3", "subgroup Phi"): ("d:3,3|sub", _zero_powers(3), {}, [9, 3, 1]),
+    ("m:5,4", "quotient Phi"): ("m:5,4/N", _zero_powers(2), {}, [5, 1, 0, 0]),
+    ("m:5,4", "quotient Z"): ("m:5,4/N", _zero_powers(2), {}, [5, 1, 0, 0]),
+    ("m:5,4", "subgroup Phi"): ("m:5,4|sub", [[0, 1], [0, 0]], {}, [5, 1]),
+    ("extraspecial:3,3", "quotient Phi"): (
+        "extraspecial:3,3/N", _zero_powers(6), {}, [243, 81, 27, 9, 3, 1, 0]
+    ),
+    ("extraspecial:3,3", "quotient Z"): (
+        "extraspecial:3,3/N", _zero_powers(6), {}, [243, 81, 27, 9, 3, 1, 0]
+    ),
+    ("extraspecial:3,3", "subgroup Phi"): ("extraspecial:3,3|sub", [[0]], {}, [1]),
+}
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(spec for spec, _ in CHAIN_PINS)))
+def test_chain_builder_pins(spec):
+    G = catalog.parse_group_spec(spec)
+    built = {
+        "quotient Phi": quotient(G, frattini(G)),
+        "quotient Z": quotient(G, center(G)),
+        "subgroup Phi": subgroup_presentation(G, frattini(G)),
+    }
+    for what, (P, hom) in built.items():
+        name, powers, comms, images = CHAIN_PINS[spec, what]
+        want = {"name": name, "p": G.p, "n": len(powers), "powers": powers, "commutators": comms}
+        assert presentation_to_dict(P) == want, what
+        assert list(hom.image_indices) == images, what
 
 
 def test_json_roundtrip_all_catalog(small_catalog_p3, tmp_path):

@@ -21,7 +21,7 @@ from pgroups import (
     upper_central,
     whole_group,
 )
-from pgroups.pcgroup import closure_indices, greedy_witnesses
+from pgroups.pcgroup import closure_indices, greedy_closure
 from pgroups.series import Subgroup, greedy_elementary_abelian_normal
 
 # p = 3 and p = 5 to order 729, and two groups above the half-table range
@@ -112,11 +112,11 @@ def test_subgroup_closure_audit(H3):
 
 @pytest.mark.parametrize("G", SCAN_GROUPS, ids=lambda G: G.name)
 def test_subgroup_without_witnesses_takes_the_greedy_ones(G):
-    """Subgroup(G, members) takes exactly greedy_witnesses(G, members)."""
+    """Subgroup(G, members) takes exactly the witnesses of greedy_closure."""
     subgroups = (center(G), frattini(G), lower_central(G, 2), agemo(G), whole_group(G))
     for S in subgroups:
         built = Subgroup(G, S.members)
-        assert built.gens == greedy_witnesses(G, S.members)
+        assert built.gens == greedy_closure(G, S.members)[0]
         assert built == S
 
 
@@ -142,7 +142,7 @@ def test_agemo_is_the_closure_of_every_pth_power(G):
     powers = set(G.power_p_table.tolist())
     gp = agemo(G)
     assert gp.members == closure_indices(G, powers)
-    assert gp.gens == greedy_witnesses(G, gp.members)
+    assert gp.gens == greedy_closure(G, gp.members)[0]
 
 
 def test_refine_chain_heisenberg(H3):
