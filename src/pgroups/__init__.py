@@ -23,15 +23,11 @@ from .pcgroup import (
     PcPresentation,
     build_D,
     collect,
-    commutator,
     direct_product,
     dump_presentation,
     enumerate_elements,
     identity_endo,
-    inverse,
     load_presentation,
-    multiply,
-    power,
     presentation_from_dict,
     presentation_to_dict,
     quotient,
@@ -86,16 +82,9 @@ from .fpmod import (
 from .deriv import (
     CohomologySpace,
     Derivation,
-    central_restriction_check,
     derivation_space,
     derivation_with_values,
-    derivation_power_map,
-    inflate,
-    inner_derivation,
-    is_cr,
-    nilpotency_index,
     quotient_h1_dims,
-    restrict,
     restriction_image_dim,
     theta_cr_build,
     twist_extend,
@@ -106,11 +95,8 @@ from .autom import (
     PipelineReport,
     construct_noninner,
     induce,
-    inner_of,
     is_inner,
     order_of,
-    order_of_fast,
-    order_via_formula,
     verify_certificate,
 )
 from .oracle import (

@@ -8,7 +8,6 @@ evidence only: re-verification uses nothing but group arithmetic.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,13 +36,6 @@ from .series import (
 )
 
 
-def inner_of(x: Element) -> GroupHom:
-    """Conjugation g -> x^-1 g x."""
-    G = x.pres
-    images = G.mult_indices(G.mult_indices(G.inv_table[x.index], np.array(G.gen_indices)), x.index)
-    return GroupHom._checked(G, G, images)
-
-
 def induce(delta: Derivation) -> GroupHom:
     """g -> g d(g) for a derivation into a module realized inside G."""
     M = delta.module
@@ -69,59 +61,6 @@ def order_of(phi: GroupHom) -> int:
         if k > bound:
             raise InputError("order iteration exceeded bound")  # pragma: no cover
     return k
-
-
-def order_via_formula(delta: Derivation, n: int) -> GroupHom:
-    """phi^n computed from the binomial product formula
-    phi^n(g) = prod_{i=0..n} (d^i(g))^C(n,i), d^0(g) = g."""
-    M = delta.module
-    if M.realization is None:
-        raise InputError("formula evaluation needs a realized module")
-    G = delta.group
-    real = M.realization
-    imgs = []
-    for gi in range(G.n):
-        g = G.gen(gi)
-        acc = g ** math.comb(n, 0)
-        val = delta.evaluate(g)  # d^1(g)
-        for i in range(1, n + 1):
-            term = real.decode(val)
-            acc = acc * (term ** math.comb(n, i))
-            if i < n:
-                val = delta.evaluate(real.decode(val))
-        imgs.append(acc)
-    return GroupHom(G, G, tuple(imgs))
-
-
-def order_of_fast(delta: Derivation, phi: GroupHom | None = None) -> int:
-    """Order via the binomial formula at p-power exponents, cross-checked
-    against iterated composition at each step.
-
-    Each phi^(p^k) is the p-th power of the one before, so once a p-power
-    repeats without being the identity, the powers cycle and the order of
-    phi is not a power of p: that raises InputError."""
-    if phi is None:
-        phi = induce(delta)
-    if phi.is_identity:
-        return 1
-    G = delta.group
-    p = G.p
-    n = p
-    by_iteration = phi
-    seen = {phi.image_indices}
-    while True:
-        by_iteration = by_iteration.power(p)
-        if by_iteration.image_indices in seen:  # the identity is never in seen
-            raise InputError("the order of the map is not a power of p")
-        seen.add(by_iteration.image_indices)
-        by_formula = order_via_formula(delta, n)
-        if by_formula.image_indices != by_iteration.image_indices:
-            raise VerificationFailed(
-                "binomial order formula disagrees with iterated composition"
-            )
-        if by_formula.is_identity:
-            return n
-        n *= p
 
 
 def is_inner(phi: GroupHom, caps: Caps = DEFAULT_CAPS):

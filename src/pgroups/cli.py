@@ -244,9 +244,11 @@ def cmd_noninner(args) -> int:
     return emit_certificate(G, cert, args.pretty, caps)
 
 
-def _verify_spec(spec: str, caps: Caps) -> dict:
-    """One verify row: parse the group, compute its row and let it go."""
-    return verify_conjecture([parse_group_spec(spec)], caps)[0]
+def _verify_spec(spec: str, caps: Caps) -> tuple[int, dict]:
+    """One verify row with its group's prime: parse the group, compute its
+    row and let it go."""
+    G = parse_group_spec(spec)
+    return G.p, verify_conjecture([G], caps)[0]
 
 
 def cmd_verify(args) -> int:
@@ -263,10 +265,14 @@ def cmd_verify(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(row, specs))
+            results = list(pool.map(row, specs))
     else:
-        rows = list(map(row, specs))
-    payload = {"p": args.p, "rows": rows, "all_agree": all(r["agree"] for r in rows)}
+        results = list(map(row, specs))
+    rows = [r for _, r in results]
+    # the catalog's prime, or the one prime the given groups share (None if they mix)
+    primes = {p for p, _ in results}
+    p = args.p if args.all else (primes.pop() if len(primes) == 1 else None)
+    payload = {"p": p, "rows": rows, "all_agree": all(r["agree"] for r in rows)}
     _emit(payload, args.pretty)
     if not payload["all_agree"]:
         raise VerificationFailed("oracle/pipeline disagreement")

@@ -1,4 +1,5 @@
-"""Derivation spaces, inner derivations, H^1, inflation and restriction.
+"""Derivation spaces, inner derivations and H^1, the H^1 of a quotient
+action, restriction images, and twisted extensions of a module.
 
 A derivation d: G -> M satisfies d(xy) = d(x)^y + d(y) (module written
 additively, right action). It is determined by its generator images; the
@@ -20,13 +21,8 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, InputError
-from .fpmod import (
-    FpModule,
-    fixed_points,
-    pullback_module,
-    twist_extend_raw,
-)
-from .pcgroup import FULL_TABLE_ORDER, Element, GroupHom, PcPresentation, subgroup_presentation
+from .fpmod import FpModule, fixed_points, twist_extend_raw
+from .pcgroup import FULL_TABLE_ORDER, Element, PcPresentation
 from .series import Subgroup, frattini
 
 
@@ -92,33 +88,10 @@ class Derivation:
     def satisfies_relations(self) -> bool:
         return bool(satisfies_cocycle(self.module, self.gen_images[None])[0])
 
-    def __call__(self, x: Element) -> np.ndarray:
-        return self.evaluate(x)
-
     def evaluate(self, x: Element) -> np.ndarray:
         if x.pres != self.group:
             raise InputError("element from a different group")
         return derivation_values(self.module, self.gen_images[None], [x.exps])[0, 0]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gen_images.any()
-
-    def vanishes_on(self, S: Subgroup | Sequence[Element]) -> bool:
-        gens = S.gen_elements if isinstance(S, Subgroup) else tuple(S)
-        return all(not self.evaluate(g).any() for g in gens)
-
-    def coefficient_vector(self) -> np.ndarray:
-        return self.gen_images.reshape(-1)
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        if self.module != other.module:
-            raise InputError("derivations into different modules")
-        return Derivation(self.group, self.module, self.gen_images + other.gen_images, check=False)
-
-    def scale(self, c: int) -> "Derivation":
-        imgs = self.gen_images * (c % self.module.p)
-        return Derivation(self.group, self.module, imgs, check=False)
 
     def __repr__(self):
         return f"Derivation({tuple(map(tuple, self.gen_images.tolist()))})"
@@ -126,12 +99,6 @@ class Derivation:
 
 def derivation_from_vector(G: PcPresentation, M: FpModule, vec, check: bool = False) -> Derivation:
     return Derivation(G, M, np.reshape(vec, (G.n, M.dim)), check=check)
-
-
-def inner_derivation(M: FpModule, m) -> Derivation:
-    """d_m(g) = m^g - m; zero exactly when m is fixed by the whole group."""
-    mv = la.asmod(m, M.p).reshape(-1)
-    return Derivation(M.group, M, [mv @ mat - mv for mat in M.mats], check=False)
 
 
 # -- the solver ---------------------------------------------------------------
@@ -256,33 +223,6 @@ def quotient_h1_dims(
     return van.shape[0], ider_dim, van.shape[0] - ider_dim
 
 
-# -- inflation / restriction ----------------------------------------------------
-
-
-def inflate(pi: GroupHom, delta: Derivation, target_module: FpModule | None = None) -> Derivation:
-    """Pull a derivation on the quotient back along the projection.
-
-    The result vanishes on ker(pi); values must be fixed by ker(pi), which
-    holds automatically since the module action factors through pi.
-    """
-    if delta.group != pi.target:
-        raise InputError("derivation lives on the wrong group")
-    M = target_module if target_module is not None else pullback_module(delta.module, pi)
-    imgs = [delta.evaluate(img) for img in pi.images]
-    return Derivation(pi.source, M, imgs, check=True)
-
-
-def restrict(delta: Derivation, H: Subgroup) -> tuple[Derivation, GroupHom]:
-    """Restriction to a subgroup, as a derivation over the subgroup's own
-    pc presentation (returned with the embedding hom)."""
-    if H.parent != delta.group:
-        raise InputError("subgroup of a different group")
-    spres, embed = subgroup_presentation(delta.group, H.members)
-    sub_mod = pullback_module(delta.module, embed)
-    imgs = [delta.evaluate(img) for img in embed.images]
-    return Derivation(spres, sub_mod, imgs, check=True), embed
-
-
 def restriction_image_dim(space: CohomologySpace, H: Subgroup) -> int:
     """Dimension of the image of Der(G, M) under restriction to H (a
     restriction is determined by its values on generators of H)."""
@@ -292,75 +232,7 @@ def restriction_image_dim(space: CohomologySpace, H: Subgroup) -> int:
     return la.rank(values.reshape(len(values), -1), space.module.p)
 
 
-def central_restriction_check(delta: Derivation, L1: Subgroup) -> bool:
-    """Values on a central, trivially-acting subgroup must be fixed points."""
-    M = delta.module
-    fixed = fixed_points(M).basis_array
-    for y in L1.gen_elements:
-        if not la.in_rowspace(delta.evaluate(y), fixed, M.p):
-            return False
-    return True
-
-
-# -- derivation powers (module realized inside the group) ------------------------
-
-
-def derivation_power_map(delta: Derivation, i: int):
-    """delta^i as a map on group elements: delta^0 = id, delta^i = delta o
-    embed o delta^(i-1). Needs the module realized inside the group."""
-    M = delta.module
-    if M.realization is None:
-        raise InputError("derivation powers need a module realized in the group")
-    real = M.realization
-
-    def apply(x: Element):
-        if i == 0:
-            return x
-        val = delta.evaluate(x)
-        for _ in range(i - 1):
-            val = delta.evaluate(real.decode(val))
-        return val
-
-    return apply
-
-
-def nilpotency_index(delta: Derivation, bound: int | None = None) -> int:
-    """Least k >= 1 with delta^k identically zero on G (checked on all
-    elements; desk scale)."""
-    G = delta.group
-    M = delta.module
-    if M.realization is None:
-        raise InputError("nilpotency index needs a realized module")
-    G._require_enumerable("nilpotency scan")
-    real = M.realization
-    limit = bound if bound is not None else (M.p - 1) * G.n + 2
-    values = [delta.evaluate(Element(G, exps)) for exps in G.elements]
-    k = 1
-    while any(v.any() for v in values):
-        values = [delta.evaluate(real.decode(v)) for v in values]
-        k += 1
-        if k > limit:
-            raise InputError("derivation is not nilpotent within the bound")
-    return k
-
-
-# -- CR recognition and twisted extensions ---------------------------------------
-
-
-def is_cr(L: PcPresentation, M: FpModule) -> tuple[bool, dict]:
-    """Fixed line plus at-most-one-dimensional H^1; diagnostics carry the
-    exact dimensions and whether L is elementary abelian."""
-    fixed_dim = fixed_points(M).dim
-    space = derivation_space(L, M)
-    elem_ab = L.is_abelian and not L.power_p_table[list(L.gen_indices)].any()
-    verdict = fixed_dim == 1 and space.h1_dim <= 1
-    return verdict, {
-        "fixed_dim": fixed_dim,
-        "der_dim": space.der_dim,
-        "ider_dim": space.ider_dim,
-        "h1_dim": space.h1_dim,
-        "elementary_abelian_actor": elem_ab,
-    }
+# -- twisted extensions ------------------------------------------------------------
 
 
 def twist_extend(M: FpModule, tau: Derivation) -> FpModule:

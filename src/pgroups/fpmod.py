@@ -55,11 +55,6 @@ class ModuleRealization(Frozen):
         out.setflags(write=False)
         return out
 
-    def encode(self, x: Element) -> np.ndarray:
-        if x.index not in self.subgroup:
-            raise InputError("element is not in the realized subgroup")
-        return self.coords[x.index].copy()
-
     def element_indices(self, vecs) -> np.ndarray:
         """Index of the element realizing each vector (the last axis holds
         the coordinates, read mod p)."""
@@ -137,13 +132,6 @@ class FpModule(Frozen):
         if x.pres != self.group:
             raise InputError("element from a different group")
         return self._word_matrix((g, e) for g, e in enumerate(x.exps) if e)
-
-    @cached_property
-    def is_unipotent(self) -> bool:
-        q = self.p ** self.group.n
-        return all(
-            np.array_equal(la.mat_pow(m, q, self.p), la.eye(self.dim)) for m in self.mats
-        )
 
     def __repr__(self):
         return f"FpModule(dim={self.dim} over {self.group.name or 'G'})"

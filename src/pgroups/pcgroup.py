@@ -559,22 +559,6 @@ class Element(Frozen):
         return f"Element{self.exps}"
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def inverse(x: Element) -> Element:
-    return x.inverse()
-
-
-def power(x: Element, k: int) -> Element:
-    return x ** k
-
-
-def commutator(x: Element, y: Element) -> Element:
-    return x.comm(y)
-
-
 def collect(pres: PcPresentation, word: Word) -> Element:
     """Collect a free word of 1-based (generator, exponent) pairs to its
     normal form."""

@@ -7,6 +7,8 @@ that reads only the relations of a presentation. The symbolic element
 arithmetic below (products, inverses, powers, conjugates, commutators,
 orders and images of words) is built on `reference_collect` alone; the
 library's collector and its index tables are checked against it.
+`reference_certificate_holds` re-checks every claim of a non-inner
+certificate on that arithmetic, the reference for `verify_certificate`.
 `table_is_group` decides the group axioms of a multiplication table by
 brute force over all N^3 triples, the reference for the consistency audit.
 `reference_overlaps` is the overlap test on `reference_collect`, the
@@ -220,6 +222,53 @@ def word_image_exps(pres, images, word) -> tuple:
         for _ in range(e):
             spelled.extend((k, c) for k, c in enumerate(images[g]) if c)
     return reference_collect(pres, spelled)
+
+
+def reference_certificate_holds(pres, gen_images, order, fixed_rows, moved) -> bool:
+    """Whether every claim of a non-inner certificate holds, by scalar
+    arithmetic on `reference_collect`. Each row must be n digits in
+    0..p-1. The images must satisfy g_i^p = power_rhs[i] and
+    g_j g_i = g_i g_j [g_j, g_i] (j > i), so that they define an
+    endomorphism phi. phi must be bijective on all p^n elements, not the
+    identity, with phi^p = 1, and no element x may give g^x = phi(g) on
+    every generator. The claimed order must be p. phi must fix every
+    claimed fixed row and move the claimed moved element."""
+    p, n = pres.p, pres.n
+
+    def well_formed(row) -> bool:
+        return len(row) == n and all(0 <= v < p for v in row)
+
+    if len(gen_images) != n or not all(map(well_formed, gen_images)):
+        return False
+    images = [tuple(row) for row in gen_images]
+
+    def image(word) -> tuple:
+        return word_image_exps(pres, images, word)
+
+    for i in range(n):
+        if image([(i, p)]) != image(_word(pres.power_rhs[i])):
+            return False
+        for j in range(i + 1, n):
+            if image([(j, 1), (i, 1)]) != image([(i, 1), (j, 1)] + _word(pres.comm(j, i))):
+                return False
+    elements = list(itertools.product(range(p), repeat=n))
+    phi = {x: image(_word(x)) for x in elements}
+    if len(set(phi.values())) != len(elements):
+        return False
+    gens = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    if images == gens:
+        return False
+    for g in gens:
+        y = g
+        for _ in range(p):
+            y = phi[y]
+        if y != g:
+            return False
+    if any(all(conjugate_exps(pres, g, x) == phi[g] for g in gens) for x in elements):
+        return False
+    if not all(map(well_formed, fixed_rows)) or any(phi[tuple(r)] != tuple(r) for r in fixed_rows):
+        return False
+    return well_formed(moved) and phi[tuple(moved)] != tuple(moved) and order == p
 
 
 def table_is_group(table: np.ndarray, block: int = 16) -> bool:

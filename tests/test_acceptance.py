@@ -26,7 +26,6 @@ from pgroups import (
     induce,
     omega1,
     order_of,
-    order_of_fast,
     pullback_module,
     quotient,
     quotient_h1_dims,
@@ -37,8 +36,10 @@ from pgroups import (
     trivial_module,
     verify_certificate,
 )
+from pgroups import autom
 from pgroups.cli import main
 from pgroups.deriv import derivation_from_vector
+from pgroups.series import greedy_elementary_abelian_normal
 
 from .test_autom import MUTATION_KINDS, _mutate
 from .test_oracle import _solver_oracle_instances
@@ -133,31 +134,25 @@ def test_criterion_06_order_formula_agreement():
         "cyclic:9,1",
         "heisenberg:5",
     ]
-    agreements = 0
+    verdicts = []
     for spec in specs:
         G = catalog.parse_group_spec(spec)
-        A = omega1(G, center(G))
-        if A.is_trivial:
-            continue
-        M = conjugation_module(G, A)
-        space = derivation_space(G, M)
-        if space.der_dim == 0:
-            continue
-        attempts = 0
-        while agreements < 100 and attempts < 60:
-            attempts += 1
-            coeffs = [rng.randrange(G.p) for _ in range(space.der_dim)]
-            if not any(coeffs):
-                continue
-            vec = (np.array(coeffs, dtype=np.int64) @ space.der_array) % G.p
-            delta = derivation_from_vector(G, M, vec, check=True)
-            phi_map = induce(delta)
-            if not phi_map.is_automorphism:
-                continue
-            assert order_of_fast(delta, phi_map) == order_of(phi_map)
-            agreements += 1
-    assert agreements >= 100
-    _report(6, f"binomial order formula agrees with iteration on {agreements} maps", t0)
+        # both targets of the pipeline's final scans
+        targets = (omega1(G, center(G)), greedy_elementary_abelian_normal(G))
+        for A in {A.members: A for A in targets}.values():
+            M = conjugation_module(G, A)
+            basis = derivation_space(G, M).der_array
+            for _ in range(30):
+                coeffs = np.array([rng.randrange(G.p) for _ in range(len(basis))], dtype=np.int64)
+                if not coeffs.any():
+                    continue
+                vec = coeffs @ basis % G.p
+                screened = autom._order_p_screen(M, basis, coeffs[None], vec[None])[0]
+                phi_map = induce(derivation_from_vector(G, M, vec, check=True))
+                assert screened == (phi_map.is_automorphism and order_of(phi_map) == G.p), spec
+                verdicts.append(bool(screened))
+    assert len(verdicts) >= 100 and set(verdicts) == {True, False}
+    _report(6, f"linear order-p screen agrees with iteration on {len(verdicts)} maps", t0)
 
 
 def test_criterion_07_free_module_acyclicity():

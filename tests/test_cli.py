@@ -340,6 +340,18 @@ def test_verify_explicit_groups(capsys):
     assert code == 0 and len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize(
+    "specs, jobs, p",
+    [("heisenberg:5;wreath:5", "1", 5), ("heisenberg:5;wreath:5", "2", 5), ("heisenberg:3;m:5", "1", None)],
+)
+def test_verify_group_prints_the_groups_prime(capsys, specs, jobs, p):
+    """With --group, "p" is the prime the rows' groups share, not the --p
+    default, and null when they mix primes."""
+    code, payload = run_cli(capsys, "verify", "--group", specs, "--jobs", jobs)
+    assert code == 0 and payload["all_agree"] is True
+    assert payload["p"] == p and len(payload["rows"]) == 2
+
+
 def test_verify_jobs_parallel(capsys):
     code, payload = run_cli(
         capsys, "verify", "--all", "--p", "3", "--max-order", "27", "--jobs", "2"

