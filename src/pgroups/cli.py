@@ -261,10 +261,13 @@ def cmd_verify(args) -> int:
     else:
         raise InputError("verify needs --all or --group")
     row = functools.partial(_verify_spec, caps=caps)
-    if args.jobs and args.jobs > 1:
+    # the pool forks all its workers at its first submit, so it gets no more
+    # than there are rows and cores
+    workers = min(args.jobs or 1, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(row, specs))
     else:
         results = list(map(row, specs))
@@ -332,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3, help="prime for the catalog")
     sp.add_argument("--max-order", type=int, default=None)
     sp.add_argument("--group", help="semicolon-separated group specs")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sp.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers, at most one per row and per core"
+    )
     sp.add_argument("--cap", type=int, help="lower the enumeration cap (at most 10^6)")
     sp.add_argument("--pretty", action="store_true")
     sp.add_argument("--seed", type=int, default=0)

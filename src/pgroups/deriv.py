@@ -21,32 +21,29 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, InputError
-from .fpmod import FpModule, fixed_points, twist_extend_raw
-from .pcgroup import FULL_TABLE_ORDER, Element, PcPresentation
+from .fpmod import (
+    FpModule,
+    fixed_points,
+    relator_differences,
+    sides_per_chunk,
+    twist_extend_raw,
+    word_values,
+)
+from .pcgroup import FULL_TABLE_ORDER, Element, PcPresentation, spell_words
 from .series import Subgroup, frattini
-
-
-def word_values(M: FpModule, images: np.ndarray, word) -> np.ndarray:
-    """d(word) for each stack images[t] of generator values, shape (k, n,
-    dim): the cocycle rule d(x g) = d(x)^g + d(g), letter by letter, on
-    all k stacks at once. One row of d(word) per stack."""
-    p, mats = M.p, M.mats
-    val = la.zeros((len(images), M.dim))
-    for g, e in word:
-        for _ in range(e):
-            val = (val @ mats[g] + images[:, g]) % p
-    return val
 
 
 def derivation_values(M: FpModule, rows: np.ndarray, xs: Sequence[Sequence[int]]) -> np.ndarray:
     """values[t, j] = d_t(x_j), shape (k, len(xs), dim), for the k
     derivations into M with generator-value rows `rows` and the elements
-    with exponent tuples xs: one `word_values` call per element."""
+    with exponent tuples xs: the normal forms spelled as words, one
+    `word_values` call per chunk of them."""
     images = np.asarray(rows).reshape(len(rows), M.group.n, M.dim)
-    values = la.zeros((len(rows), len(xs), M.dim))
-    for j, exps in enumerate(xs):
-        values[:, j] = word_values(M, images, enumerate(exps))
-    return values
+    letters = spell_words([enumerate(exps) for exps in xs], M.group.n)
+    step = sides_per_chunk(M, len(images))
+    # at least one chunk, so that no elements give shape (k, 0, dim)
+    chunks = [letters[a : a + step] for a in range(0, max(len(letters), 1), step)]
+    return np.concatenate([word_values(M, images, chunk) for chunk in chunks], axis=1)
 
 
 def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
@@ -54,8 +51,8 @@ def satisfies_cocycle(M: FpModule, images: np.ndarray) -> np.ndarray:
     respects every defining relation of M's group under the cocycle rule,
     that is, defines a derivation into M."""
     ok = np.ones(len(images), dtype=bool)
-    for lhs, rhs in M.group.relators:
-        ok &= (word_values(M, images, lhs) == word_values(M, images, rhs)).all(axis=1)
+    for diff in relator_differences(M, images):
+        ok &= ~diff.any(axis=(1, 2))
         if not ok.any():
             break
     return ok
@@ -168,9 +165,8 @@ def derivation_space(G: PcPresentation, M: FpModule) -> CohomologySpace:
     require_system_fits(G, M.dim)
     p, nd = M.p, G.n * M.dim
     units = la.eye(nd).reshape(nd, G.n, M.dim)
-    system = np.hstack(
-        [(word_values(M, units, lhs) - word_values(M, units, rhs)) % p for lhs, rhs in G.relators]
-    )
+    system = np.hstack([diff.reshape(nd, -1) for diff in relator_differences(M, units)])
+    del units  # not held through the elimination
     der = la.row_basis(la.left_nullspace(system, p), p)
     ider = la.row_basis(np.hstack([(A - la.eye(M.dim)) % p for A in M.mats]), p)
     return CohomologySpace(G, M, der, ider, la.complement_in(ider, der, p))

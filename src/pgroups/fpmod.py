@@ -5,6 +5,11 @@ action matrix per pc generator of the acting group, v -> v @ A. Modules
 realized inside a group (an elementary abelian normal subgroup acted on
 by conjugation) additionally carry a realization for moving between
 vectors and group elements.
+
+Words act on a module through one relator program, `word_values`: the
+cocycle rule on padded letter rows, batched over the rows. The relation
+checks of modules and derivations and the derivation solver feed it
+whole relators in memory-bounded chunks (`relator_differences`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, Frozen, InputError
-from .pcgroup import Element, GroupHom, PcPresentation, conjugates, greedy_closure
+from .pcgroup import (
+    FULL_TABLE_ORDER,
+    Element,
+    GroupHom,
+    PcPresentation,
+    conjugates,
+    subgroup_witnesses,
+)
 from .series import Subgroup, make_subgroup
 
 # Max dimension of a constructed module (a regular module or one read from a
@@ -115,10 +127,12 @@ class FpModule(Frozen):
         return self.mats.shape[1]
 
     def relations_hold(self) -> bool:
-        for lhs, rhs in self.group.relators:
-            if not np.array_equal(self._word_matrix(lhs), self._word_matrix(rhs)):
-                return False
-        return True
+        """Whether the matrices satisfy every defining relation of the
+        group. The inner derivations of the unit vectors, d_t(g) = e_t (A_g -
+        I), take the value e_t (A_w - I) on a word w, so both sides of a
+        relator agree for every t exactly when their matrices do."""
+        inner = ((self.mats - la.eye(self.dim)) % self.p).transpose(1, 0, 2)
+        return not any(diff.any() for diff in relator_differences(self, inner))
 
     def _word_matrix(self, word) -> np.ndarray:
         acc = la.eye(self.dim)
@@ -135,6 +149,52 @@ class FpModule(Frozen):
 
     def __repr__(self):
         return f"FpModule(dim={self.dim} over {self.group.name or 'G'})"
+
+
+def word_values(M: FpModule, images: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """values[t, s] = d_t(w_s), shape (k, sides, dim), where d_t is the
+    derivation with generator values images[t] (a (k, n, dim) stack) and
+    w_s the word that row s of `letters` spells. The rows are spelled as
+    `PcPresentation.relator_letters` spells the relator sides, one letter
+    per unit of exponent, padded at the end with the letter n, which stands
+    for the identity matrix and the value 0.
+
+    The cocycle rule d(x g) = d(x)^g + d(g) runs on every side and every
+    stack at once, one batched product per letter position. A padding
+    letter leaves a value as it is, so each position multiplies only the
+    sides that still have a letter there, and the run stops after the
+    longest side."""
+    p, n = M.p, M.group.n
+    gen_values = images.transpose(1, 0, 2)
+    val = la.zeros((len(letters), len(images), M.dim))
+    for column in np.asarray(letters).T:
+        live = np.flatnonzero(column < n)
+        if not live.size:
+            break
+        g = column[live]
+        val[live] = (val[live] @ M.mats[g] + gen_values[g]) % p
+    return val.transpose(1, 0, 2)
+
+
+def sides_per_chunk(M: FpModule, stacks: int) -> int:
+    """How many words `word_values` takes at once for `stacks` stacks of
+    generator values: a chunk's values and gathered matrices, (stacks +
+    dim) dim entries per word, stay within FULL_TABLE_ORDER entries, and a
+    chunk holds at least one relator."""
+    return max(2, FULL_TABLE_ORDER // ((stacks + M.dim) * M.dim))
+
+
+def relator_differences(M: FpModule, images: np.ndarray):
+    """Yield (d_t(lhs) - d_t(rhs)) mod p for the derivations d_t with
+    generator values images[t] and the defining relations of M's group,
+    shape (k, relators, dim), one chunk of whole relators at a time and
+    in the order of `relators`: one `word_values` call per chunk."""
+    lhs_letters, rhs_letters = np.split(M.group.relator_letters, 2)
+    step = sides_per_chunk(M, len(images)) // 2
+    for a in range(0, len(lhs_letters), step):
+        lhs = lhs_letters[a : a + step]
+        values = word_values(M, images, np.concatenate([lhs, rhs_letters[a : a + step]]))
+        yield (values[:, : len(lhs)] - values[:, len(lhs) :]) % M.p
 
 
 class Submodule:
@@ -220,7 +280,7 @@ def conjugation_module(G: PcPresentation, A: Subgroup) -> FpModule:
         raise InputError("conjugation module needs an elementary abelian subgroup")
     if A.is_trivial:
         raise InputError("trivial subgroup carries no useful module")
-    basis_idx = greedy_closure(G, A.members)[0]
+    basis_idx = subgroup_witnesses(G, A.members)[0]
     basis = tuple(Element(G, G.exps_of(i)) for i in basis_idx)
     span = _span(G, basis)
     if len(set(span.tolist())) != A.order:
@@ -260,7 +320,7 @@ def submodule_as_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray
     if M.realization is not None:
         sub_basis = tuple(M.realization.decode(row) for row in b)
         span = _span(M.group, sub_basis)
-        realization = ModuleRealization(make_subgroup(M.group, span), sub_basis, span)
+        realization = ModuleRealization(make_subgroup(M.group, span.tolist()), sub_basis, span)
     return FpModule(M.group, mats, realization=realization, check=False), b
 
 

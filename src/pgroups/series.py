@@ -1,10 +1,16 @@
 """Characteristic subgroups, centralizers, and the refined Frattini chain.
 
-Subgroups are explicit closed element-index sets with generator witnesses.
-That is exact and O(1) for membership at the orders this library targets;
-no induced pc sequences are attempted. All operations are pure functions
-of immutable inputs and are memoized per (group, arguments) in a dict
-kept on the group object, so the results die with the group.
+Subgroups are explicit closed element-index sets with generator witnesses,
+which makes membership exact and O(1) at the orders this library targets.
+The witnesses are read off the pc series, an induced pc sequence in the
+sense of Holt, Eick and O'Brien, *Handbook of Computational Group Theory*
+(2005), ch. 8: with G_i = <g_i, ..., g_n> the indices below p g_i, the
+least member in each band G_i minus G_(i+1) that the subgroup meets,
+smallest band first (`pcgroup.subgroup_witnesses`). The same bands decide
+whether a member set is a subgroup, with no closure built. All operations
+are pure functions of immutable inputs and are memoized per (group,
+arguments) in a dict kept on the group object, so the results die with
+the group.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .pcgroup import (
     conjugates,
     greedy_closure,
     is_normal_indices,
+    subgroup_witnesses,
 )
 
 
@@ -56,11 +63,14 @@ def release_series(G: PcPresentation) -> None:
 class Subgroup(Frozen):
     """Subgroup as a closed element-index set plus generator witnesses.
 
-    Without witnesses, the greedy witnesses of the members are taken
-    (`greedy_closure`). Either way the set is refused unless the closure
-    of the witnesses is the set: the closure is a subgroup of the finite
-    group, so equality also makes the members closed under products and
-    inverses."""
+    Without witnesses, the band rule gives them: the least member in each
+    band [g_i, p g_i) of the pc series that the set meets, smallest band
+    first, which are the witnesses `greedy_closure` would pick. The set is
+    then a subgroup exactly when it holds the identity, has p^|W| members
+    and is closed under right multiplication by each witness
+    (`subgroup_witnesses`, where the proof is). Given witnesses are
+    checked by closing them. Either way a set that is not the subgroup its
+    witnesses generate is refused."""
 
     def __init__(
         self, parent: PcPresentation, members: frozenset[int], gens: Sequence[int] | None = None
@@ -68,13 +78,13 @@ class Subgroup(Frozen):
         if 0 not in members:
             raise InputError("subgroup must contain the identity")
         if gens is None:
-            gens, closure = greedy_closure(parent, members)
+            gens, generated = subgroup_witnesses(parent, members)
         else:
             for g in gens:
                 if g not in members:
                     raise InputError("generator witness outside the subgroup")
-            closure = closure_indices(parent, gens)
-        if closure != members:
+            generated = closure_indices(parent, gens) == members
+        if not generated:
             raise InputError("witnesses do not generate the member set")
         vars(self).update(parent=parent, members=members, gens=tuple(gens))
 
@@ -136,7 +146,9 @@ class Subgroup(Frozen):
 
 
 def make_subgroup(G: PcPresentation, members: Iterable[int]) -> Subgroup:
-    return Subgroup(G, frozenset(int(m) for m in members) | {0})
+    """The subgroup on the given member indices (Python ints) and the
+    identity, with the witnesses read off the pc series."""
+    return Subgroup(G, frozenset(members) | {0})
 
 
 def subgroup_generated(G: PcPresentation, seed: Iterable) -> Subgroup:
@@ -189,7 +201,7 @@ def normal_closure(G: PcPresentation, seed: frozenset[int]) -> Subgroup:
     by the pc generators, until the closure is normal."""
     current = closure_indices(G, seed)
     while not is_normal_indices(G, current):
-        gens = greedy_closure(G, current)[0]
+        gens = subgroup_witnesses(G, current)[0]
         current = closure_indices(G, gens + tuple(conjugates(G, gens).ravel().tolist()), current)
     return make_subgroup(G, current)
 

@@ -18,7 +18,12 @@ homomorphisms through a table built by `multiply_exps`, the reference for
 the oracle's search. `reference_rref` is a scalar Gauss-Jordan
 elimination, the reference for `gflinalg.rref`. `reference_complement` is
 the scalar greedy scan that `gflinalg.complement_in` reads from one
-elimination, on the rank of `reference_rref`.
+elimination, on the rank of `reference_rref`, and `reference_nullspace`
+reads a kernel basis off `reference_rref`. `reference_relators` reads the
+defining relations off a presentation; `reference_word_matrix` multiplies
+a module's matrices along a word and `reference_cocycle_value` runs the
+cocycle rule along one, one letter and one derivation at a time, the
+references for the module layer's batched relator program.
 """
 
 from __future__ import annotations
@@ -393,3 +398,95 @@ def reference_complement(sub, amb, p: int) -> list:
             span.append(list(row))
             kept.append([int(v) % p for v in row])
     return kept
+
+
+def reference_nullspace(rows, p: int) -> list:
+    """Rows spanning {x : rows @ x = 0} over GF(p), one per non-pivot
+    column of `reference_rref`."""
+    red, pivots = reference_rref(rows, p)
+    width = len(rows[0]) if len(rows) else 0
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        x = [0] * width
+        x[free] = 1
+        for row, c in zip(red, pivots):
+            x[c] = -row[free] % p
+        basis.append(x)
+    return basis
+
+
+def reference_relators(pres) -> list:
+    """The defining relations of a presentation as (left, right) words of
+    (generator, exponent) pairs: g_i^p = power_rhs[i] for each i, then
+    g_j g_i = g_i g_j [g_j, g_i] for j > i, j outer."""
+    powers = [([(i, pres.p)], _word(rhs)) for i, rhs in enumerate(pres.power_rhs)]
+    comms = [
+        ([(j, 1), (i, 1)], [(i, 1), (j, 1)] + _word(pres.comm(j, i)))
+        for j in range(pres.n)
+        for i in range(j)
+    ]
+    return powers + comms
+
+
+def reference_word_matrix(mats, word, p: int) -> list:
+    """The product of the matrices mats[g] along a word of (g, exponent)
+    pairs, one letter at a time, in scalar arithmetic mod p."""
+    mats = [[[int(v) for v in row] for row in m] for m in mats]
+    dim = len(mats[0])
+    acc = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    for g, e in word:
+        for _ in range(e):
+            acc = [
+                [sum(acc[r][k] * mats[g][k][c] for k in range(dim)) % p for c in range(dim)]
+                for r in range(dim)
+            ]
+    return acc
+
+
+def reference_cocycle_value(mats, values, word, p: int) -> list:
+    """d(word) for the derivation with generator values values[g] into the
+    module with matrices mats: d(x g) = d(x) mats[g] + d(g), one letter at
+    a time from d(1) = 0, in scalar arithmetic mod p."""
+    dim = len(mats[0])
+    val = [0] * dim
+    for g, e in word:
+        m, v = [[int(x) for x in row] for row in mats[g]], [int(x) for x in values[g]]
+        for _ in range(e):
+            val = [(sum(val[k] * m[k][c] for k in range(dim)) + v[c]) % p for c in range(dim)]
+    return val
+
+
+def reference_module_holds(pres, mats) -> bool:
+    """Whether the matrices satisfy every defining relation."""
+    return all(
+        reference_word_matrix(mats, lhs, pres.p) == reference_word_matrix(mats, rhs, pres.p)
+        for lhs, rhs in reference_relators(pres)
+    )
+
+
+def reference_cocycle_holds(pres, mats, values) -> bool:
+    """Whether generator values define a derivation: both sides of every
+    defining relation take one value under the cocycle rule."""
+    return all(
+        reference_cocycle_value(mats, values, lhs, pres.p)
+        == reference_cocycle_value(mats, values, rhs, pres.p)
+        for lhs, rhs in reference_relators(pres)
+    )
+
+
+def reference_derivations(pres, mats) -> list:
+    """The reduced echelon basis of the generator-value vectors (n*dim
+    long) of all derivations into the module: the kernel of the map that
+    sends the unit value e_t to d(lhs) - d(rhs) over every relation."""
+    p, n, dim = pres.p, pres.n, len(mats[0])
+    system = []
+    for t in range(n * dim):
+        values = [[int(g * dim + c == t) for c in range(dim)] for g in range(n)]
+        row = []
+        for lhs, rhs in reference_relators(pres):
+            left = reference_cocycle_value(mats, values, lhs, p)
+            right = reference_cocycle_value(mats, values, rhs, p)
+            row.extend((a - b) % p for a, b in zip(left, right))
+        system.append(row)
+    columns = [list(col) for col in zip(*system)]
+    return reference_rref(reference_nullspace(columns, p), p)[0]

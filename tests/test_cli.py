@@ -367,6 +367,42 @@ def test_verify_rows_same_for_one_and_two_jobs(capsys):
     assert serial["rows"] == parallel["rows"] and len(serial["rows"]) == 13
 
 
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [("100000", 4, 3), ("2", 4, 2), ("100000", 2, 2), ("100000", 1, None), ("1", 4, None)],
+)
+def test_verify_pool_has_at_most_one_worker_per_row_and_core(
+    capsys, monkeypatch, jobs, cores, workers
+):
+    """The pool forks all its workers at its first submit, so --jobs is cut
+    to the row count and the core count, and one worker runs the rows in
+    this process. The pool here is a stand-in that records its size and
+    maps in-process: no worker is started."""
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    argv = ("verify", "--group", "heisenberg:3;m:3;cyclic:3,2", "--jobs", jobs)
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0 and len(payload["rows"]) == 3
+    assert made == ([] if workers is None else [workers])
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_cap_refusal_same_for_any_jobs(capsys, jobs):
     """A refusal raised while a row's group is parsed, here by a spec that

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgroups.gflinalg as la
 from pgroups import autom
@@ -30,9 +31,19 @@ from pgroups import (
     twist_extend,
     vanishing_subspace,
 )
+from pgroups.deriv import satisfies_cocycle
+from pgroups.fpmod import FpModule
 from pgroups.oracle import enumerate_derivations_bruteforce
 from pgroups.series import hypothesis_report
 
+from .models import (
+    reference_cocycle_holds,
+    reference_cocycle_value,
+    reference_derivations,
+    reference_module_holds,
+    reference_relators,
+    reference_word_matrix,
+)
 from .test_fpmod import jordan_module
 
 
@@ -308,3 +319,117 @@ def test_theta_build_rejects_non_cr(D23):
     bad = trivial_module(D23, 2)  # fixed dim 2: not CR
     with pytest.raises(InputError):
         theta_cr_build(D23, bad, trivial_subgroup(D23))
+
+
+# -- the batched relator program against the scalar references ----------------
+
+BATCH_GROUPS = ("cyclic:3,2", "elemab:3,2", "heisenberg:3", "m:3", "d:2,3", "heisenberg:5")
+
+
+def _block_sum(A, B):
+    """The direct sum of two modules over one group, blockwise."""
+    mats = np.zeros((A.group.n, A.dim + B.dim, A.dim + B.dim), dtype=np.int64)
+    mats[:, : A.dim, : A.dim], mats[:, A.dim :, A.dim :] = A.mats, B.mats
+    return mats
+
+
+def _random_module(data, G):
+    """A direct sum of up to two of: a trivial, a Jordan block, the center
+    and a small regular module, in a random basis."""
+    p = G.p
+    kinds = [trivial_module(G, 2), jordan_module(G, 0), center_module(G)]
+    if G.order <= 9:
+        kinds.append(regular_module(G))
+    parts = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2), label="parts")
+    mats = parts[0].mats if len(parts) == 1 else _block_sum(*parts)
+    dim = mats.shape[1]
+    entries = st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim)
+    lower = np.tril(np.reshape(data.draw(entries, label="lower"), (dim, dim)), -1) + la.eye(dim)
+    upper = np.triu(np.reshape(data.draw(entries, label="upper"), (dim, dim)), 1) + la.eye(dim)
+    P = lower @ upper % p
+    return FpModule(G, la.mat_inverse(P, p) @ mats @ P % p, check=False)
+
+
+def test_batched_relator_program_matches_the_scalar_references():
+    """On random small modules in random bases: relations_hold agrees with
+    the scalar matrix words, before and after one entry is changed;
+    satisfies_cocycle agrees with the scalar cocycle walk on Der
+    combinations and arbitrary rows; and the solved Der(G, M) is the
+    kernel of the scalar system, as one echelon basis."""
+    verdicts = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def agrees(data):
+        G = catalog.parse_group_spec(data.draw(st.sampled_from(BATCH_GROUPS), label="group"))
+        p, M = G.p, _random_module(data, G)
+        assert M.relations_hold() and reference_module_holds(G, M.mats)
+        der = derivation_space(G, M).der_array
+        assert der.tolist() == reference_derivations(G, M.mats)
+        digit = st.integers(0, p - 1)
+        row = st.one_of(
+            st.lists(digit, min_size=len(der), max_size=len(der)).map(
+                lambda c: np.array(c, dtype=np.int64) @ der % p
+            ),
+            st.lists(digit, min_size=G.n * M.dim, max_size=G.n * M.dim).map(np.array),
+        )
+        rows = np.array(data.draw(st.lists(row, min_size=1, max_size=6), label="rows"))
+        images = rows.reshape(len(rows), G.n, M.dim)
+        for verdict, values in zip(satisfies_cocycle(M, images), images):
+            assert verdict == reference_cocycle_holds(G, M.mats, values)
+            verdicts.add(("cocycle", bool(verdict)))
+        g, r, c = (data.draw(st.integers(0, k - 1)) for k in M.mats.shape)
+        mats = M.mats.copy()
+        mats[g, r, c] = (mats[g, r, c] + 1) % p
+        changed = FpModule(G, mats, check=False)
+        assert changed.relations_hold() == reference_module_holds(G, mats)
+        verdicts.add(("module", changed.relations_hold()))
+
+    agrees()
+    assert {("cocycle", True), ("cocycle", False), ("module", False)} <= verdicts
+
+
+def test_batched_relator_program_across_chunks(H3):
+    """The regular module of heisenberg:3 (dimension 27) takes one relator
+    per chunk for the solver's 81 unit stacks and for a 60-row check, and
+    derivation values come in chunks of words: each agrees with the scalar
+    references."""
+    M = regular_module(H3)
+    relators = len(H3.relators)
+    assert deriv_mod.sides_per_chunk(M, H3.n * M.dim) // 2 < relators
+    der = derivation_space(H3, M).der_array
+    assert der.tolist() == reference_derivations(H3, M.mats)
+    rng = np.random.default_rng(7)
+    combinations = rng.integers(0, 3, (30, len(der))) @ der % 3
+    rows = np.vstack([combinations, rng.integers(0, 3, (30, len(der[0])))])
+    assert deriv_mod.sides_per_chunk(M, len(rows)) // 2 < relators
+    images = rows.reshape(len(rows), H3.n, M.dim)
+    want = [reference_cocycle_holds(H3, M.mats, values) for values in images]
+    assert satisfies_cocycle(M, images).tolist() == want and True in want and False in want
+    xs = H3.elements
+    assert deriv_mod.sides_per_chunk(M, 5) < len(xs)
+    values = deriv_mod.derivation_values(M, der[:5], xs)
+    for t, gen_values in enumerate(der[:5].reshape(5, H3.n, M.dim)):
+        for j, exps in enumerate(xs):
+            word = [(k, e) for k, e in enumerate(exps)]
+            assert values[t, j].tolist() == reference_cocycle_value(M.mats, gen_values, word, 3)
+
+
+def test_relations_hold_sees_a_break_in_the_last_chunk():
+    """Two non-commuting unipotent blocks, padded to dimension 27 by a
+    trivial block, break only the last relation of elemab:3,2 (g_2 g_1 =
+    g_1 g_2), and each chunk holds one relation."""
+    G = catalog.parse_group_spec("elemab:3,2")
+    J = np.array([[1, 1], [0, 1]])
+    mats = np.stack([la.eye(27), la.eye(27)])
+    mats[0, :2, :2], mats[1, :2, :2] = J, J.T
+    M = FpModule(G, mats, check=False)
+    assert deriv_mod.sides_per_chunk(M, M.dim) // 2 == 1
+    held = [
+        reference_word_matrix(mats, lhs, 3) == reference_word_matrix(mats, rhs, 3)
+        for lhs, rhs in reference_relators(G)
+    ]
+    assert held == [True, True, False]
+    assert not M.relations_hold()
+    with pytest.raises(InputError, match="violate the group relations"):
+        FpModule(G, mats)

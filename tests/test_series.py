@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgroups import (
     InputError,
@@ -21,7 +22,7 @@ from pgroups import (
     upper_central,
     whole_group,
 )
-from pgroups.pcgroup import closure_indices, greedy_closure
+from pgroups.pcgroup import closure_indices, greedy_closure, subgroup_witnesses
 from pgroups.series import Subgroup, greedy_elementary_abelian_normal
 
 # p = 3 and p = 5 to order 729, and two groups above the half-table range
@@ -128,6 +129,48 @@ def test_subgroup_without_witnesses_refuses_a_non_subgroup(H3):
         Subgroup(H3, frozenset([0, a, 2 * a, b, 2 * b]))  # lacks a b
     with pytest.raises(InputError, match="identity"):
         Subgroup(H3, frozenset([a, 2 * a]))
+
+
+WITNESS_GROUPS = tuple(
+    catalog.parse_group_spec(s)
+    for s in ("heisenberg:3", "wreath:3", "extraspecial:3", "d:3,3", "m:5,4")
+)
+
+
+def test_witnesses_read_off_the_pc_series_are_the_greedy_ones():
+    """On the subgroup closed from a random seed, subgroup_witnesses gives
+    greedy_closure's witnesses in the same order and accepts the set; a
+    random set of size p^k with the identity, and a subgroup with one
+    member swapped for an outsider, are refused exactly when they are not
+    closed, and Subgroup refuses them with the message it always gave."""
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def agrees(data):
+        G = data.draw(st.sampled_from(WITNESS_GROUPS), label="group")
+        element = st.integers(0, G.order - 1)
+        seed = data.draw(st.lists(element, max_size=3), label="seed")
+        H = closure_indices(G, seed)
+        assert subgroup_witnesses(G, H) == (greedy_closure(G, H)[0], True)
+        k = data.draw(st.integers(1, G.n - 1), label="k")
+        others = st.sets(st.integers(1, G.order - 1), min_size=G.p**k - 1, max_size=G.p**k - 1)
+        candidates = [frozenset(data.draw(others, label="random set")) | {0}]
+        inside, outside = sorted(H - {0}), sorted(set(range(1, G.order)) - H)
+        if inside and outside:
+            drop = data.draw(st.sampled_from(inside), label="dropped")
+            add = data.draw(st.sampled_from(outside), label="added")
+            candidates.append(H - {drop} | {add})
+        for S in candidates:
+            closed = closure_indices(G, S) == S
+            assert subgroup_witnesses(G, S)[1] == closed
+            verdicts.add(closed)
+            if not closed:
+                with pytest.raises(InputError, match="^witnesses do not generate the member set$"):
+                    Subgroup(G, S)
+
+    agrees()
+    assert False in verdicts
 
 
 AGEMO_GROUPS = (
