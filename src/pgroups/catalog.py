@@ -15,13 +15,7 @@ Group specs (CLI and library):
 from __future__ import annotations
 
 from .errors import DEFAULT_CAPS, CapExceeded, InputError
-from .pcgroup import (
-    PcPresentation,
-    _is_odd_prime,
-    build_D,
-    direct_product,
-    load_presentation,
-)
+from .pcgroup import PcPresentation, _is_odd_prime, build_D, direct_product
 
 
 def _zero(n: int) -> tuple[int, ...]:
@@ -177,6 +171,8 @@ def parse_group_spec(spec: str) -> PcPresentation:
     kind, _, args = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "file":
+        from .presentations import load_presentation
+
         return load_presentation(args)
     try:
         nums = [int(a) for a in args.split(",")] if args else []
@@ -226,6 +222,8 @@ def default_catalog(p: int, max_order: int | None = None) -> list[PcPresentation
     """The named groups exercised by `verify`: abelian controls plus every
     non-abelian builder at p^3 and p^4, a p^5 product, and the rank-2/3
     class-2 groups."""
+    if not _is_odd_prime(p):
+        raise InputError(f"the catalog prime must be an odd prime, got {p}")
     specs = [
         f"cyclic:{p},1",
         f"cyclic:{p},2",

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fpmod import MODULE_DIM_LIMIT, FpModule, conjugation_module, regular_module, trivial_module
 from .oracle import enumerate_automorphisms, verify_conjecture
-from .pcgroup import PcPresentation, load_presentation
+from .pcgroup import PcPresentation
 from .series import (
     agemo,
     center,
@@ -69,6 +69,8 @@ def _build_caps(args) -> Caps:
 
 def _load_group(args, caps: Caps) -> PcPresentation:
     if getattr(args, "file", None):
+        from .presentations import load_presentation
+
         pres = load_presentation(args.file)
     elif getattr(args, "group", None):
         pres = parse_group_spec(args.group)
@@ -374,9 +376,20 @@ def run() -> None:
     numpy's and the package's objects into the collector's permanent
     generation, so the collections at interpreter exit skip them. Only the
     entry point does this: importing the package or calling main leaves the
-    collector as it was."""
+    collector as it was.
+
+    A reader that closes the pipe early (`pgroups ... | head -c 100`) ends
+    the call with exit code 1 and no traceback: stdout is pointed at
+    os.devnull, so the flush at interpreter exit does not fail again (the
+    recipe in the documentation of the `signal` module)."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

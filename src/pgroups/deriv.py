@@ -1,5 +1,7 @@
-"""Derivation spaces, inner derivations and H^1, the H^1 of a quotient
-action, restriction images, and twisted extensions of a module.
+"""Derivation spaces, inner derivations and H^1: the cocycle evaluator,
+the solver, and the subspace of derivations vanishing on given elements.
+The H^1 of a quotient action, restriction images and twisted extensions
+build on these in `lattice`.
 
 A derivation d: G -> M satisfies d(xy) = d(x)^y + d(y) (module written
 additively, right action). It is determined by its generator images; the
@@ -21,16 +23,8 @@ import numpy as np
 
 from . import gflinalg as la
 from .errors import CapExceeded, InputError
-from .fpmod import (
-    FpModule,
-    fixed_points,
-    relator_differences,
-    sides_per_chunk,
-    twist_extend_raw,
-    word_values,
-)
+from .fpmod import FpModule, relator_differences, sides_per_chunk, word_values
 from .pcgroup import FULL_TABLE_ORDER, Element, PcPresentation, spell_words
-from .series import Subgroup, frattini
 
 
 def derivation_values(M: FpModule, rows: np.ndarray, xs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -183,106 +177,3 @@ def vanishing_subspace(space: CohomologySpace, elements: Sequence[Element]) -> n
     if coeff.size == 0:
         return la.zeros((0, space.der_array.shape[1]))
     return la.row_basis((coeff @ space.der_array) % p, p)
-
-
-def derivation_with_values(
-    space: CohomologySpace, pairs: Sequence[tuple[Element, Sequence[int]]]
-) -> Derivation | None:
-    """A derivation in the computed span taking the prescribed values, or
-    None; values on non-minimal pc generators follow from the relations."""
-    p = space.module.p
-    if not space.der_dim:
-        return None
-    values = derivation_values(space.module, space.der_array, [x.exps for x, _ in pairs])
-    rows = values.reshape(len(values), -1)
-    target = np.concatenate([la.asmod(v, p).reshape(-1) for _, v in pairs])
-    coeffs = la.solve_right(rows, target, p)
-    if coeffs is None:
-        return None
-    vec = (coeffs @ space.der_array) % p
-    return derivation_from_vector(space.group, space.module, vec, check=True)
-
-
-def quotient_h1_dims(
-    G: PcPresentation, M: FpModule, N: Subgroup | Sequence[Element] | None
-) -> tuple[int, int, int]:
-    """(der, ider, h1) for the G/N-action reading of (G, M): derivations
-    vanishing on N, inner derivations by N-fixed vectors."""
-    space = derivation_space(G, M)
-    p = M.p
-    if N is None:
-        gens: list[Element] = []
-    else:
-        gens = list(N.gen_elements) if isinstance(N, Subgroup) else list(N)
-    van = vanishing_subspace(space, gens)
-    ider_dim = la.intersect_rowspaces(space.ider_array, van, p).shape[0]
-    return van.shape[0], ider_dim, van.shape[0] - ider_dim
-
-
-def restriction_image_dim(space: CohomologySpace, H: Subgroup) -> int:
-    """Dimension of the image of Der(G, M) under restriction to H (a
-    restriction is determined by its values on generators of H)."""
-    if not H.gens or not space.der_dim:
-        return 0
-    values = derivation_values(space.module, space.der_array, [H.parent.exps_of(g) for g in H.gens])
-    return la.rank(values.reshape(len(values), -1), space.module.p)
-
-
-# -- twisted extensions ------------------------------------------------------------
-
-
-def twist_extend(M: FpModule, tau: Derivation) -> FpModule:
-    """One-dimensional extension K = M + <c> with c^g = c - tau(g).
-
-    The action is the linear extension (k c + h)^g = k c + h^g - k tau(g);
-    at k = 1 this is the defining formula. tau must be a derivation into M
-    (validated)."""
-    if tau.module != M:
-        raise InputError("twisting derivation must take values in the module")
-    if not tau.satisfies_relations():
-        raise InputError("twist by a non-derivation")
-    return twist_extend_raw(M, tau.gen_images)
-
-
-def theta_cr_build(
-    L: PcPresentation, K: FpModule, H: Subgroup
-) -> tuple[FpModule, tuple[Derivation, ...]]:
-    """Iterated twist extension of a CR module by an echelon basis of
-    Der(L/H, K) modulo Der(L/Phi(L), K); the number of new coordinates is
-    log_p |Phi(L) / H|.
-
-    K must be given as an L-module on which Phi(L) acts trivially and must
-    be CR with respect to the Frattini-quotient action."""
-    phi = frattini(L)
-    if not (H.members <= phi.members):
-        raise InputError("H must lie inside the Frattini subgroup")
-    for g in phi.gen_elements:
-        if not np.array_equal(K.action_of(g), la.eye(K.dim)):
-            raise InputError("Frattini subgroup must act trivially on K")
-    der_q, ider_q, h1_q = quotient_h1_dims(L, K, phi)
-    fixed_dim = fixed_points(K).dim
-    if not (fixed_dim == 1 and h1_q <= 1):
-        raise InputError("K is not CR for the Frattini-quotient action")
-    s = 0
-    o = phi.order // H.order
-    while o > 1:
-        o //= L.p
-        s += 1
-    space = derivation_space(L, K)
-    van_H = vanishing_subspace(space, list(H.gen_elements))
-    van_phi = vanishing_subspace(space, list(phi.gen_elements))
-    reps = la.complement_in(van_phi, van_H, L.p)
-    if reps.shape[0] != s:
-        raise InputError(
-            f"twist basis extraction failed: expected {s} classes, got {reps.shape[0]}"
-        )
-    taus = tuple(derivation_from_vector(L, K, row) for row in reps)
-    current = K
-    lifted: list[Derivation] = []
-    for t in taus:
-        # re-express tau inside the enlarged module (pad with zeros)
-        pad = np.pad(t.gen_images, ((0, 0), (0, current.dim - K.dim)))
-        tau_cur = Derivation(L, current, pad, check=True)
-        lifted.append(tau_cur)
-        current = twist_extend(current, tau_cur)
-    return current, tuple(taus)

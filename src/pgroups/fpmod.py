@@ -10,13 +10,14 @@ Words act on a module through one relator program, `word_values`: the
 cocycle rule on padded letter rows, batched over the rows. The relation
 checks of modules and derivations and the derivation solver feed it
 whole relators in memory-bounded chunks (`relator_differences`).
+
+Fixed points, filtrations and submodule search are in `lattice`.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,21 +225,6 @@ class Submodule:
         return f"Submodule(dim={self.dim} of dim={self.module.dim})"
 
 
-def _echelon_submodule(M: FpModule, rows) -> Submodule:
-    return Submodule(M, la.row_basis(rows, M.p))
-
-
-class Filtration(NamedTuple):
-    """Increasing socle-style layers (and radical layers when applicable)."""
-
-    module: FpModule
-    layers: tuple[Submodule, ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(l.dim for l in self.layers)
-
-
 # -- constructors ---------------------------------------------------------------
 
 
@@ -338,122 +324,6 @@ def quotient_module(M: FpModule, S: Submodule) -> tuple[FpModule, np.ndarray]:
     return FpModule(M.group, (comp @ M.mats % p) @ proj, check=False), proj
 
 
-# -- fixed points and filtrations -------------------------------------------------
-
-
-def fixed_points(M: FpModule, H: Subgroup | None = None) -> Submodule:
-    """C_M(H), the common fixed subspace under the listed subgroup (all of L
-    when H is None)."""
-    p = M.p
-    if H is None:
-        mats = list(M.mats)
-    else:
-        if H.parent != M.group:
-            raise InputError("subgroup of a different group")
-        mats = [M.action_of(g) for g in H.gen_elements]
-    if not mats:
-        return _echelon_submodule(M, la.eye(M.dim))
-    stacked = np.hstack([(m - la.eye(M.dim)) % p for m in mats])
-    basis = la.left_nullspace(stacked, p)
-    return _echelon_submodule(M, basis)
-
-
-def socle_filtration(M: FpModule) -> Filtration:
-    """Increasing layers K_1 <= K_2 <= ...: K_1 is the fixed subspace and
-    K_{i+1} is the preimage of the fixed subspace of M/K_i. Terminates at M
-    since p-group actions are unipotent."""
-    p = M.p
-    layers = []
-    current = fixed_points(M)
-    layers.append(current)
-    guard = 0
-    while current.dim < M.dim:
-        guard += 1
-        if guard > M.dim + 1:
-            raise InputError("socle filtration did not terminate")  # pragma: no cover
-        Q, proj = quotient_module(M, current)
-        fp_q = fixed_points(Q)
-        if fp_q.dim == 0:
-            raise InputError("non-unipotent action: no fixed points in quotient")
-        pre = la.preimage_of_rowspace(proj, fp_q.basis_array, p)
-        nxt_rows = np.vstack([current.basis_array, pre]) if current.dim else pre
-        nxt = _echelon_submodule(M, nxt_rows)
-        if nxt.dim == current.dim:
-            raise InputError("socle filtration stalled")  # pragma: no cover
-        layers.append(nxt)
-        current = nxt
-    return Filtration(M, tuple(layers))
-
-
-def socle_layer(M: FpModule, i: int) -> Submodule:
-    """K_i (1-indexed); K_i = M for i beyond the filtration length."""
-    filt = socle_filtration(M)
-    if i <= 0:
-        return _echelon_submodule(M, la.zeros((0, M.dim)))
-    if i > len(filt.layers):
-        return filt.layers[-1]
-    return filt.layers[i - 1]
-
-
-def submodule_closure(M: FpModule, rows) -> Submodule:
-    """Smallest submodule containing the given row vectors."""
-    p = M.p
-    basis = la.row_basis(rows, p)
-    changed = True
-    while changed and basis.size:
-        changed = False
-        for m in M.mats:
-            imgs = (basis @ m) % p
-            new = np.vstack([basis, imgs])
-            nb = la.row_basis(new, p)
-            if nb.shape[0] > basis.shape[0]:
-                basis = nb
-                changed = True
-    return _echelon_submodule(M, basis)
-
-
-def radical_series(M: FpModule) -> Filtration:
-    """Descending layers M >= MJ >= MJ^2 >= ... >= 0, J the augmentation
-    ideal of the acting group algebra. For the regular module these are the
-    radical powers J^i themselves."""
-    p = M.p
-    layers = [_echelon_submodule(M, la.eye(M.dim))]
-    current = layers[0]
-    while current.dim > 0:
-        rows = []
-        for m in M.mats:
-            rows.append((current.basis_array @ ((m - la.eye(M.dim)) % p)) % p)
-        stacked = np.vstack(rows) if rows else la.zeros((0, M.dim))
-        nxt = submodule_closure(M, stacked)
-        if nxt.dim >= current.dim and current.dim > 0:
-            raise InputError("radical series stalled: action not unipotent")
-        layers.append(nxt)
-        current = nxt
-    return Filtration(M, tuple(layers))
-
-
-def annihilator_of_radical_power(M: FpModule, i: int) -> Submodule:
-    """{v in M : v a = 0 for all a in J^i}, computed from an explicit spanning
-    set of the i-th radical power of the group algebra (regular module)."""
-    R = regular_module(M.group)
-    rad = radical_series(R).layers  # layer i is J^i as a subspace of GF(p)(L)
-    if i >= len(rad):
-        return _echelon_submodule(M, la.eye(M.dim))
-    p = M.p
-    ops = []
-    for row in rad[i].basis_array:
-        op = la.zeros((M.dim, M.dim))
-        for xi, c in enumerate(row):
-            if c:
-                x = Element(M.group, M.group.elements[xi])
-                op = (op + int(c) * M.action_of(x)) % p
-        ops.append(op)
-    if not ops:
-        return _echelon_submodule(M, la.eye(M.dim))
-    stacked = np.hstack(ops)
-    return _echelon_submodule(M, la.left_nullspace(stacked, p))
-
-
 def twist_extend_raw(M: FpModule, tau_images) -> FpModule:
     """M + <c> with c^g = c - tau(g), tau given by per-generator vectors.
 
@@ -470,138 +340,3 @@ def twist_extend_raw(M: FpModule, tau_images) -> FpModule:
             raise InputError("twist vector has wrong dimension")
         big[i, d, :d] = -t
     return FpModule(M.group, big, check=True)
-
-
-def norm_operator(M: FpModule) -> np.ndarray:
-    """Sum over all group elements of their action matrices. The element
-    g_1^e_1 ... g_n^e_n acts by A_1^e_1 ... A_n^e_n, so the sum is the
-    product over i of I + A_i + ... + A_i^(p-1): n (p - 1) products."""
-    p = M.p
-    total = la.eye(M.dim)
-    for A in M.mats:
-        # Horner: total (I + A + ... + A^(p-1))
-        acc = total
-        for _ in range(p - 1):
-            acc = (acc @ A + total) % p
-        total = acc
-    return total
-
-
-# -- submodule enumeration and isomorphism ----------------------------------------
-
-
-def minimal_submodules_above(M: FpModule, S: Submodule) -> list[Submodule]:
-    """Submodules covering S: preimages of the lines in the fixed subspace
-    of M/S."""
-    p = M.p
-    Q, proj = quotient_module(M, S)
-    fp_q = fixed_points(Q)
-    out = []
-    seen = set()
-    for coeffs in itertools.product(range(p), repeat=fp_q.dim):
-        if not any(coeffs):
-            continue
-        line = (np.array(coeffs, dtype=np.int64) @ fp_q.basis_array) % p
-        key = la.row_basis(line, p).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        pre = la.preimage_of_rowspace(proj, line.reshape(1, -1), p)
-        rows = np.vstack([S.basis_array, pre]) if S.dim else pre
-        out.append(_echelon_submodule(M, rows))
-    return out
-
-
-def submodules_of_dim(M: FpModule, dim: int) -> list[Submodule]:
-    """All submodules of the given dimension (BFS over covering steps)."""
-    start = _echelon_submodule(M, la.zeros((0, M.dim)))
-    level = {b"": start}
-    for _ in range(dim):
-        nxt: dict[bytes, Submodule] = {}
-        for sub in level.values():
-            for cover in minimal_submodules_above(M, sub):
-                nxt[cover.basis_array.tobytes()] = cover
-        level = nxt
-    return list(level.values())
-
-
-def maximal_submodules(M: FpModule) -> list[Submodule]:
-    """Maximal submodules: preimages of the hyperplanes of M / MJ."""
-    p = M.p
-    rad = radical_series(M).layers[1]
-    Q, proj = quotient_module(M, rad)
-    out = []
-    seen = set()
-    qd = Q.dim
-    if qd == 0:
-        return []
-    for functional in itertools.product(range(p), repeat=qd):
-        if not any(functional):
-            continue
-        func = np.array(functional, dtype=np.int64).reshape(qd, 1)
-        hyper = la.left_nullspace(func, p)  # vectors v with v @ func = 0
-        pre = la.preimage_of_rowspace(proj, hyper, p)
-        sub = _echelon_submodule(M, np.vstack([rad.basis_array, pre]))
-        key = sub.basis_array.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(sub)
-    return out
-
-
-def module_isomorphism(A: FpModule, B: FpModule, seed: int = 0):
-    """Invertible intertwiner X with A_i X = X B_i for all generators, or None.
-
-    X maps A-coordinates to B-coordinates (row convention: v_A -> v_A @ X).
-    """
-    if A.group != B.group or A.dim != B.dim:
-        return None
-    p = A.p
-    d = A.dim
-    if socle_filtration(A).dims != socle_filtration(B).dims:
-        return None
-    # linear conditions on X (d x d unknowns, flattened row by row):
-    # vec(A_i X - X B_i) = (A_i (x) I - I (x) B_i^T) vec(X) = 0
-    eye = la.eye(d)
-    rows = [(np.kron(Am, eye) - np.kron(eye, Bm.T)) % p for Am, Bm in zip(A.mats, B.mats)]
-    sols = la.nullspace(np.vstack(rows), p)
-    if sols.size == 0:
-        return None
-    t = sols.shape[0]
-    if p ** t <= 100_000:
-        combos = itertools.product(range(p), repeat=t)
-        for coeffs in combos:
-            if not any(coeffs):
-                continue
-            X = (np.array(coeffs, dtype=np.int64) @ sols).reshape(d, d) % p
-            if la.det_nonzero(X, p):
-                return X
-        return None
-    rng = np.random.default_rng(seed)
-    for _ in range(20_000):
-        coeffs = rng.integers(0, p, size=t)
-        X = (coeffs @ sols).reshape(d, d) % p
-        if la.det_nonzero(X, p):
-            return X
-    return None
-
-
-def submodule_embedding_count(
-    L: PcPresentation,
-    M: FpModule,
-    max_dim: int = 6,
-    max_order: int = 27,
-) -> int:
-    """Number of submodules of the regular module GF(p)(L) isomorphic to M
-    (brute-force search, small inputs only)."""
-    if M.dim > max_dim:
-        raise CapExceeded("submodule search dimension", M.dim, max_dim)
-    if L.order > max_order:
-        raise CapExceeded("submodule search group order", L.order, max_order)
-    R = regular_module(L)
-    count = 0
-    for sub in submodules_of_dim(R, M.dim):
-        candidate, _ = submodule_as_module(R, sub)
-        if module_isomorphism(candidate, M) is not None:
-            count += 1
-    return count

@@ -11,7 +11,11 @@ import numpy as np
 
 
 def asmod(a, p: int) -> np.ndarray:
-    return np.array(a, dtype=np.int64) % p
+    """A new C-ordered int64 array holding a mod p: one copy, reduced in
+    place."""
+    m = np.array(a, dtype=np.int64, order="C")
+    m %= p
+    return m
 
 
 def eye(n: int) -> np.ndarray:
@@ -26,11 +30,11 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns).
 
     Each pivot eliminates only where it reaches: the rows nonzero in its
-    column, from that column on. The pivot row is zero left of its pivot."""
+    column, from that column on. The pivot row is zero left of its pivot.
+    The elimination runs in place on the one reduced copy of `a`."""
     m = asmod(a, p)
     if m.ndim != 2:
         m = m.reshape(1, -1)
-    m = m.copy()
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -66,23 +70,23 @@ def nullspace(a, p: int) -> np.ndarray:
     `a` has one equation per row acting on column index space; returns
     vectors v with a @ v = 0, laid out as rows.
     """
-    m = asmod(a, p)
+    m = np.asarray(a)
     if m.ndim != 2:
         m = m.reshape(1, -1)
-    rows, cols = m.shape
-    red, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((len(free), cols))
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-red[ri, fc]) % p
+    red, pivots = rref(m, p)  # rref reduces its own copy
+    is_free = np.ones(m.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    # row k: 1 at the k-th free column, minus that column of red at the pivots
+    basis = zeros((len(free), m.shape[1]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red[:, free].T % p
     return basis
 
 
 def left_nullspace(a, p: int) -> np.ndarray:
     """Basis (rows) of {x : x @ a = 0}."""
-    return nullspace(asmod(a, p).T, p)
+    return nullspace(np.asarray(a).T, p)
 
 
 def row_basis(a, p: int) -> np.ndarray:

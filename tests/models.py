@@ -19,8 +19,9 @@ the oracle's search. `reference_rref` is a scalar Gauss-Jordan
 elimination, the reference for `gflinalg.rref`. `reference_complement` is
 the scalar greedy scan that `gflinalg.complement_in` reads from one
 elimination, on the rank of `reference_rref`, and `reference_nullspace`
-reads a kernel basis off `reference_rref`. `reference_relators` reads the
-defining relations off a presentation; `reference_word_matrix` multiplies
+reads a kernel basis off `reference_rref`, the reference for
+`gflinalg.nullspace`. `reference_relators` reads the defining relations
+off a presentation; `reference_word_matrix` multiplies
 a module's matrices along a word and `reference_cocycle_value` runs the
 cocycle rule along one, one letter and one derivation at a time, the
 references for the module layer's batched relator program.

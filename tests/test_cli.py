@@ -34,11 +34,12 @@ def run_cli(capsys, *argv):
     return code, payload
 
 
-def _fresh_process(*args, timeout=30):
+def _fresh_process(*args, timeout=30, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=str(Path(pgroups.__file__).parents[1]))
     env.pop("PGROUP_CAP", None)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=timeout,
     )
 
 
@@ -322,6 +323,14 @@ def test_bad_group_spec_exit3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 15, -3])
+def test_verify_catalog_refuses_a_p_that_is_not_an_odd_prime(capsys, p):
+    """The refusal names the --p given, not a spec the catalog built from it."""
+    code = main(["verify", "--all", f"--p={p}"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["error"].endswith(f"got {p}"), err
+
+
 def test_verify_small_catalog(capsys):
     code, payload = run_cli(
         capsys, "verify", "--all", "--p", "3", "--max-order", "81"
@@ -497,6 +506,23 @@ def test_package_and_cli_entry_points_print_the_same():
     cli = _fresh_process("-m", "pgroups.cli", *argv)
     assert package.returncode == cli.returncode == 0
     assert package.stdout == cli.stdout and json.loads(cli.stdout)["order"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--group", "heisenberg:3"),  # fits the buffer: fails at the flush
+    ("derivations", "--group", "heisenberg:3", "--module", "regular", "--pretty"),  # 30 KB
+])
+def test_closed_stdout_pipe_ends_the_call_without_a_traceback(argv):
+    """`pgroups ... | head -c 0`: the reader has closed the pipe before the
+    call writes. The call exits 1 and prints nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_process("-m", "pgroups", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
 
 
 def test_entry_point_rows_same_for_one_and_two_jobs():

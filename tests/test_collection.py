@@ -20,9 +20,9 @@ from pgroups.pcgroup import (
     FULL_TABLE_ORDER,
     PRIME_LIMIT,
     identity_endo,
-    quotient,
     respects_relations,
 )
+from pgroups.presentations import quotient
 from pgroups.series import center, omega1
 
 from .models import (

@@ -4,7 +4,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import pgroups.gflinalg as la
 
-from .models import reference_complement, reference_rref
+from .models import reference_complement, reference_nullspace, reference_rref
 
 PRIMES = [3, 5, 7]
 
@@ -64,11 +64,16 @@ def test_rref_matches_scalar_reference(p, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_nullspace_annihilates(p, data):
+    """The basis is the scalar reference's, row for row, and the input is
+    left as it was."""
     m = data.draw(matrices(p))
+    before = m.copy()
     ns = la.nullspace(m, p)
     assert ns.shape[0] == m.shape[1] - la.rank(m, p)
     for v in ns:
         assert not ((m @ v) % p).any()
+    assert ns.tolist() == reference_nullspace(m.tolist(), p)
+    assert np.array_equal(m, before)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -79,6 +84,7 @@ def test_left_nullspace(p, data):
     ns = la.left_nullspace(m, p)
     for v in ns:
         assert not ((v @ m) % p).any()
+    assert ns.tolist() == reference_nullspace(m.T.tolist(), p)
 
 
 def test_solve_right_consistent_and_inconsistent():

@@ -35,7 +35,10 @@ from pgroups.errors import Caps
 from pgroups.pcgroup import Element
 from pgroups.series import make_subgroup
 
-MODULES = ("errors", "pcgroup", "catalog", "gflinalg", "series", "fpmod", "deriv", "autom", "oracle", "cli")
+MODULES = (
+    "errors", "pcgroup", "catalog", "gflinalg", "series", "fpmod", "deriv", "autom", "oracle",
+    "cli", "lattice", "presentations",
+)
 
 
 def test_no_class_in_pgroups_is_a_dataclass():
@@ -57,7 +60,8 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-# Run in a fresh interpreter: pytest and Hypothesis may have loaded numpy.ma.
+# Run in a fresh interpreter: pytest and Hypothesis may have loaded numpy.ma,
+# and the tests load pgroups.lattice and pgroups.presentations.
 _FIRST_IMPORTS = """
 import contextlib, io, json, sys
 import pgroups.cli as cli
@@ -66,15 +70,17 @@ for key in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*key.split(), "--seed", "1"]) == 0, key
 lazy = [m for m in ("numpy.ma", "numpy.random", "numpy.fft", "numpy.polynomial") if m in sys.modules]
-print(json.dumps([sorted(set(sys.modules) - before), lazy]))
+package = sorted(m for m in before if m.startswith("pgroups."))
+print(json.dumps([sorted(set(sys.modules) - before), lazy, package]))
 """
 
 
-def test_benchmark_calls_import_no_lazy_numpy_submodule():
-    """The seven benchmark calls (the keys of perfbench/golden.json), run in
-    one process after `import pgroups.cli`, import nothing beyond what
-    argparse loads, and none of numpy's lazily loaded submodules: the first
-    np.unique call, for one, imports numpy.ma, a cost every call would pay."""
+@pytest.fixture(scope="module")
+def first_imports():
+    """(modules the seven benchmark calls, the keys of
+    perfbench/golden.json, import after `import pgroups.cli`; numpy's lazy
+    submodules loaded by then; the pgroups modules `import pgroups.cli`
+    loads), from one fresh process."""
     root = Path(pgroups.__file__).parents[2]
     calls = list(json.loads((root / "perfbench" / "golden.json").read_text()))
     assert len(calls) == 7
@@ -85,9 +91,82 @@ def test_benchmark_calls_import_no_lazy_numpy_submodule():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    first, lazy = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_benchmark_calls_import_no_lazy_numpy_submodule(first_imports):
+    """The benchmark calls import nothing beyond what argparse loads, and
+    none of numpy's lazily loaded submodules: the first np.unique call, for
+    one, imports numpy.ma, a cost every call would pay."""
+    first, lazy, _ = first_imports
     assert set(first) <= {"locale", "_locale"}, first
     assert lazy == [], lazy
+
+
+def test_the_cli_compiles_only_the_core(first_imports):
+    """`import pgroups.cli` loads the eight modules that
+    perfbench/traced_cli.py wraps, and the benchmark calls load neither
+    toolkit that loads on first use."""
+    first, _, package = first_imports
+    traced = {"catalog", "pcgroup", "series", "fpmod", "deriv", "gflinalg", "autom", "oracle"}
+    assert {f"pgroups.{m}" for m in traced} <= set(package), package
+    for lazy in ("pgroups.lattice", "pgroups.presentations"):
+        assert lazy not in package and lazy not in first
+
+
+# What `from pgroups import *` bound before the lattice toolkit and the
+# derived presentations moved to modules that load on first use.
+PUBLIC = [
+    "AutEnumeration", "CapExceeded", "Caps", "CohomologySpace", "DEFAULT_CAPS",
+    "Derivation", "Element", "Filtration", "FpModule", "GroupHom", "HypothesisReport",
+    "InputError", "ModuleRealization", "NonInnerCertificate", "OutOfScope",
+    "PGroupError", "PcPresentation", "PipelineReport", "Subgroup", "SubgroupChain",
+    "Submodule", "VerificationFailed", "agemo", "annihilator_of_radical_power", "autom",
+    "build_D", "catalog", "center", "centralizer", "collect", "conjugation_module",
+    "construct_noninner", "cyclic", "default_catalog", "deriv", "derivation_space",
+    "derivation_with_values", "direct_product", "dump_presentation",
+    "elementary_abelian", "enumerate_automorphisms", "enumerate_derivations_bruteforce",
+    "enumerate_elements", "errors", "find_isomorphism", "find_noninner_order_p",
+    "fixed_points", "fpmod", "frattini", "frattini_via_maximals", "gamma3_agemo",
+    "gflinalg", "heisenberg", "hypothesis_report", "identity_endo", "induce",
+    "is_inner", "load_presentation", "lower_central", "make_subgroup",
+    "maximal_submodules", "min_generators", "modular_p3", "module_isomorphism",
+    "norm_operator", "normal_closure", "omega1", "oracle", "order_of",
+    "parse_group_spec", "pcgroup", "presentation_from_dict", "presentation_to_dict",
+    "pullback_module", "quotient", "quotient_h1_dims", "quotient_module",
+    "radical_series", "refine_chain", "regular_module", "restriction_image_dim",
+    "series", "socle_filtration", "socle_layer", "subgroup_center",
+    "subgroup_generated", "subgroup_presentation", "submodule_as_module",
+    "submodule_closure", "submodule_embedding_count", "submodules_of_dim",
+    "theta_cr_build", "trivial_module", "trivial_subgroup", "twist_extend",
+    "upper_central", "vanishing_subspace", "verify_certificate", "verify_conjecture",
+    "whole_group", "wreath_cyclic",
+]
+MOVED = {
+    "lattice": (
+        "Filtration", "annihilator_of_radical_power", "fixed_points", "maximal_submodules",
+        "module_isomorphism", "norm_operator", "radical_series", "socle_filtration",
+        "socle_layer", "submodule_closure", "submodule_embedding_count", "submodules_of_dim",
+        "derivation_with_values", "quotient_h1_dims", "restriction_image_dim",
+        "theta_cr_build", "twist_extend",
+    ),
+    "presentations": (
+        "dump_presentation", "load_presentation", "presentation_from_dict",
+        "presentation_to_dict", "quotient", "subgroup_presentation",
+    ),
+}
+
+
+def test_star_import_binds_the_same_public_names():
+    namespace: dict = {}
+    exec("from pgroups import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MOVED.items() for n in names])
+def test_moved_names_resolve_from_the_package_and_their_module(module, name):
+    value = getattr(importlib.import_module(f"pgroups.{module}"), name)
+    assert getattr(pgroups, name) is value and value.__module__ == f"pgroups.{module}"
 
 
 def _values():
