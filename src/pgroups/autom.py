@@ -283,7 +283,7 @@ def _order_p_screen(
     """
     p = M.p
     L_rep = derivation_values(M, reps, [a.exps for a in M.realization.basis])
-    L = np.einsum("tr,rij->tij", coeffs, L_rep) % p
+    L = (coeffs @ L_rep.reshape(len(L_rep), -1)).reshape(-1, M.dim, M.dim) % p
     D = vecs.reshape(len(vecs), M.group.n, M.dim)
     for _ in range(p - 1):
         D = (D @ L) % p

@@ -1,8 +1,9 @@
 """Command-line surface. JSON on stdout, one object per invocation.
 
 Commands: series, h1, derivations, noninner, verify, oracle-aut.
-Exit codes: 0 ok, 2 cap exceeded, 3 malformed input, 4 out-of-scope input,
-5 internal verification failure (a certificate failed its re-check).
+Exit codes: 0 ok, 2 cap exceeded, 3 malformed input (a usage error
+included), 4 out-of-scope input, 5 internal verification failure (a
+certificate failed its re-check).
 The PGROUP_CAP environment variable (or --cap) lowers the enumeration cap;
 neither it nor the oracle cap is ever raised above its default. The cap is
 read where a request enters: a group above it is refused when it is loaded
@@ -292,8 +293,18 @@ def cmd_oracle_aut(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: it raises InputError, which main
+    reports as JSON with exit 3, where argparse would print plain text and
+    exit 2, the code of a cap refusal. The subcommand parsers are built by
+    this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pgroups",
         description="Finite p-group computations: series, H^1, and certified "
         "non-inner automorphisms of order p.",

@@ -36,8 +36,8 @@ from .errors import CapExceeded, DEFAULT_CAPS, Frozen, InputError
 Word = Sequence[tuple[int, int]]
 
 # Up to this order the audit proves the full table associative by Light's
-# test on the n pc generator columns (n N^2 products); above it the overlap
-# test proves consistency.
+# test on the n pc generator columns (n N^2 products, compared a block of
+# rows at a time); above it the overlap test proves consistency.
 EXHAUSTIVE_AUDIT_ORDER = 3**5
 # The full |G| x |G| table is built on request up to this order.
 FULL_TABLE_ORDER = 4096
@@ -324,10 +324,13 @@ class PcPresentation(Frozen):
     @cached_property
     def inv_table(self) -> np.ndarray:
         """inv_table[x] = index of x^-1 = g_n^-e_n ... g_1^-e_1, built from
-        the identity by the inverse permutations of the generator tables."""
+        the identity by the inverse permutations of the generator tables,
+        all inverted by one scatter: undo[k, tabs[k, x]] = x."""
         tabs = self.gen_tables
+        undo = np.empty_like(tabs)
+        undo[np.arange(self.n)[:, None], tabs] = np.arange(self.order)
         cols = self._exponent_columns(np.arange(self.order, dtype=np.int64))
-        steps = [(np.argsort(tabs[k]), cols[k]) for k in reversed(range(self.n))]
+        steps = [(undo[k], cols[k]) for k in reversed(range(self.n))]
         inv = self._right_multiply(np.zeros(self.order, dtype=np.int64), steps)
         inv.setflags(write=False)
         return inv
@@ -471,9 +474,10 @@ class PcPresentation(Frozen):
         the set of t with (x t) y = x (t y) for all x, y is closed under
         products, so once the pc generators lie in it and generate the whole
         table, it is everything. That compares the n generator columns,
-        n N^2 triples (x, g_i, y), instead of all N^3. Above 3^5 the overlap
-        test proves consistency. Raises InputError on any failure; returns a
-        summary dict."""
+        n N^2 triples (x, g_i, y), instead of all N^3, in blocks of rows x
+        of about 4096 entries each, so no temporary is near N^2. Above 3^5
+        the overlap test proves consistency. Raises InputError on any
+        failure; returns a summary dict."""
         self._require_enumerable("consistency audit")
         N = self.order
         every = np.arange(N)
@@ -488,10 +492,15 @@ class PcPresentation(Frozen):
             if len(closure_indices(self, gens)) != N:
                 raise InputError(f"{self.name or 'presentation'}: generators do not span the table")
             mode, checked = "exhaustive", 0
-            # t[t[:, a]][x, y] = (x a) y; t[:, t[a]][x, y] = x (a y)
+            rows = max(1, 4096 // N)
+            # over the rows x of block b: t[b[:, a]][x, y] = (x a) y and
+            # b[:, t[a]][x, y] = x (a y)
             for a in gens:
-                if not np.array_equal(t[t[:, a]], t[:, t[a]]):
-                    raise InputError(f"{self.name or 'presentation'}: associativity failed")
+                ta = t[a]
+                for lo in range(0, N, rows):
+                    b = t[lo : lo + rows]
+                    if (t.take(b[:, a], axis=0) != b.take(ta, axis=1)).any():
+                        raise InputError(f"{self.name or 'presentation'}: associativity failed")
                 checked += N * N
         else:
             mode, checked = "overlap", self.check_overlaps()

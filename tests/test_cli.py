@@ -323,6 +323,22 @@ def test_bad_group_spec_exit3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [("series", "--bogus"), ("verify", "--all", "--p", "x"), ()])
+def test_usage_errors_exit3_with_a_json_error(capsys, argv):
+    """A usage error is malformed input (exit 3, JSON on stderr), not a cap
+    refusal (exit 2)."""
+    assert main(list(argv)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "input" and err["error"].startswith("pgroups")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and "usage: pgroups" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 15, -3])
 def test_verify_catalog_refuses_a_p_that_is_not_an_odd_prime(capsys, p):
     """The refusal names the --p given, not a spec the catalog built from it."""
@@ -523,6 +539,39 @@ def test_closed_stdout_pipe_ends_the_call_without_a_traceback(argv):
         os.close(write_end)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+
+
+_NO_SORT_KERNELS = """
+import runpy
+import numpy
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"numpy.{name} called")
+    return call
+
+for name in ("argsort", "sort", "unique", "lexsort", "einsum"):
+    setattr(numpy, name, refuse(name))
+runpy.run_module("pgroups", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("noninner", "--group", "heisenberg:3"),
+    ("noninner", "--group", "wreath:3"),
+    ("noninner", "--group", "extraspecial:3"),
+    ("noninner", "--group", "heisenberg:7"),
+    ("noninner", "--group", "d:3,3"),
+    ("verify", "--all", "--p", "3"),
+])
+def test_calls_touch_no_sort_or_einsum_kernel(argv):
+    """A call's RSS counts the library code pages it touches first; the
+    first numpy sort in a process maps about 256 KB of sort kernels. So
+    the benchmark's calls invert tables by a scatter and form products by
+    matmul, and run to the end without any of those functions."""
+    proc = _fresh_process("-c", _NO_SORT_KERNELS, *argv, "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
 
 
 def test_entry_point_rows_same_for_one_and_two_jobs():

@@ -166,6 +166,44 @@ def test_verify_conjecture_rows(small_catalog_p3):
     assert by_name["wreath:3"]["pipeline"] == "Theorem 01 at i=0"
 
 
+def test_verify_rows_prove_each_certificate_once(monkeypatch):
+    """construct_noninner proves its certificate (one exhaustive inner
+    scan) and the row reports it without a second proof; an abelian row is
+    read off the presentation and builds no table."""
+    from pgroups import autom
+
+    scans = []
+    is_inner = autom.is_inner
+
+    def counted(phi, caps):
+        scans.append(phi)
+        return is_inner(phi, caps)
+
+    monkeypatch.setattr(autom, "is_inner", counted)
+    abelian, H3 = catalog.parse_group_spec("elemab:3,2"), catalog.parse_group_spec("heisenberg:3")
+    rows = verify_conjecture([abelian, H3])
+    assert rows[0]["pipeline"] == "n/a (abelian)" and rows[1]["oracle"] == "exists"
+    assert all(r["agree"] for r in rows) and len(scans) == 1
+    assert "gen_tables" not in vars(abelian)
+
+
+def test_find_noninner_proves_only_the_map_it_returns(monkeypatch, W3):
+    """The backtracking has checked every relation of each leaf; only the
+    map returned goes through GroupHom._checked."""
+    from pgroups import GroupHom
+
+    checked = []
+    proving = GroupHom._checked.__func__
+
+    def counted(cls, source, target, image_indices):
+        checked.append(tuple(image_indices))
+        return proving(cls, source, target, checked[-1])
+
+    monkeypatch.setattr(GroupHom, "_checked", classmethod(counted))
+    phi = find_noninner_order_p(W3)
+    assert checked == [phi.image_indices]
+
+
 def test_verify_conjecture_empty():
     assert verify_conjecture([]) == []
 

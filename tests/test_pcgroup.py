@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -309,6 +311,39 @@ def test_audit_modes(H3):
     assert res["mode"] == "exhaustive"
     D33 = build_D(3, 3)
     assert D33.audit()["mode"] == "overlap"
+
+
+def test_audit_holds_no_temporary_near_the_table():
+    """Light's test runs a block of rows at a time: with the tables built,
+    the audit of extraspecial:3 (order 243) traces below 128 KB, where two
+    whole N^2 int32 temporaries took 554 KB."""
+    G = catalog.parse_group_spec("extraspecial:3")
+    first = G.audit()
+    tracemalloc.start()
+    try:
+        again = G.audit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == again == {"mode": "exhaustive", "triples": 5 * 243 * 243, "order": 243}
+    assert peak < 128 * 1024, peak
+
+
+def test_audit_refuses_a_table_corrupted_only_in_its_last_rows():
+    """Two entries swapped in each of the last three rows, away from the
+    columns that the identity law, the closure and the inverse law read:
+    only the last row block of Light's test sees them."""
+    G = catalog.parse_group_spec("extraspecial:3")
+    bad = G.full_mult_table.copy()
+    N = G.order
+    for x in range(N - 3, N):
+        read = {0, int(G.inv_table[x]), *G.gen_indices}
+        cols = [y for y in range(N) if y not in read][:2]
+        bad[x, cols] = bad[x, cols[::-1]]
+    fresh = catalog.parse_group_spec("extraspecial:3")
+    vars(fresh)["full_mult_table"] = bad
+    with pytest.raises(InputError, match="associativity failed"):
+        fresh.audit()
 
 
 def test_direct_product_structure(H3, C3):
